@@ -113,6 +113,19 @@ class TestSweep:
         timed = res.to_csv(include_timing=True).strip().split("\n")[1]
         assert float(timed.split(",")[-1]) > 0.0
 
+    def test_pinned_successes_deep_reweighting(self):
+        # per-cell successes of a k 16..20 reweighting sweep, recorded from the
+        # cold-start solver; solver changes must reproduce them, not regenerate them
+        schemes = tuple((WeightScheme(kind), SolverConfig()) for kind in ("cwb", "w1", "w2"))
+        spec = SweepSpec(dist=NORMAL, m=50, n=200, k_values=tuple(range(16, 21)),
+                         schemes=schemes, trials=6, seed_base=2013)
+        got = {(c.scheme, c.k): c.successes for c in sweep(spec).cells}
+        assert got == {
+            ("cwb", 16): 5, ("cwb", 17): 5, ("cwb", 18): 2, ("cwb", 19): 1, ("cwb", 20): 2,
+            ("w1", 16): 6, ("w1", 17): 5, ("w1", 18): 2, ("w1", 19): 1, ("w1", 20): 1,
+            ("w2", 16): 5, ("w2", 17): 5, ("w2", 18): 3, ("w2", 19): 4, ("w2", 20): 0,
+        }
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="k must be"):
             small_spec(k_values=(11,), m=10)
