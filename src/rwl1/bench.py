@@ -3,8 +3,8 @@
 Trials are pure functions of (spec, scheme index, k, trial index): each gets
 its own instance seed derived by hashing the indices into the base seed, so
 results are independent of execution order and of the worker count, and any
-cell can be recomputed in isolation.  Failed solves (stalled LPs) count as
-recovery failures and never abort a sweep.
+cell can be recomputed in isolation.  Failed solves (stalled LPs, failed
+certification checks) count as recovery failures and never abort a sweep.
 
 Wall-clock time is measured per trial and reported in the in-memory results
 and the CLI summary, but the CSV wall_ms column is written as 0 unless

@@ -13,6 +13,15 @@ to standard form by the split x = u - v with cost (w, w) and equality block
 [A, -A].  The split structure admits a direct feasible starting basis (take
 u_i or v_i per the sign of the basic solve), so those solves normally skip
 phase I altogether.
+
+Every solve returns its optimal basis.  Between the LPs of a reweighting run
+only the cost vector (w, w) changes, so the previous optimal basis is still
+primal-feasible and the next LP can start phase II from it directly
+(warm start; Chvatal, Linear Programming, 1983).  A supplied basis is
+accepted only if it is square, nonsingular and primal-feasible within
+feas_tol; otherwise the solve falls back to phase I.  Either way the result
+passes the same explicit certification checks, which raise
+CertificationError and, unlike asserts, also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ __all__ = [
     "LPProblem",
     "LPSolution",
     "SolverError",
+    "CertificationError",
     "SimplexStalledError",
     "LPInfeasibleError",
     "default_pivot_budget",
@@ -47,6 +57,10 @@ CRASH_COND_LIMIT = 1e10
 
 class SolverError(Exception):
     """Base class for LP/recovery failures that a benchmark should record."""
+
+
+class CertificationError(SolverError):
+    """A solve ended in a state its explicit checks could not certify."""
 
 
 class SimplexStalledError(SolverError):
@@ -96,10 +110,14 @@ class LPProblem:
 
 @dataclass
 class LPSolution:
+    """``basis`` holds the optimal basis's column indices (None unless OPTIMAL);
+    it has fewer than m entries when phase I dropped redundant rows."""
+
     status: LPStatus
     z: np.ndarray | None
     objective: float
     pivots: int
+    basis: np.ndarray | None = None
 
 
 def default_pivot_budget(m: int, n: int) -> int:
@@ -196,8 +214,9 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
 
     OPTIMAL solutions are certified: reduced costs >= -feas_tol and
     ``||a_eq z - b_eq||_inf <= feas_tol``.  An exhausted pivot budget raises
-    SimplexStalledError rather than returning an uncertified point.  When
-    ``initial_basis`` names a primal-feasible basis, phase I is skipped.
+    SimplexStalledError rather than returning an uncertified point, and a
+    failed certification raises CertificationError.  When ``initial_basis``
+    names a square, nonsingular, primal-feasible basis, phase I is skipped.
     """
     if feas_tol <= 0:
         raise ValueError(f"feas_tol must be > 0, got {feas_tol}")
@@ -217,7 +236,7 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
         try:
             cand = _Basis(e, initial_basis)
         except np.linalg.LinAlgError:
-            cand = None  # singular start: fall back to phase I
+            cand = None  # singular or non-square start: fall back to phase I
         if cand is not None and (cand.binv @ b).min() >= -feas_tol:
             state = cand
 
@@ -227,7 +246,8 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
         c1 = np.concatenate([np.zeros(n), np.ones(m)])
         state = _Basis(e1, np.arange(n, n + m))
         status, pivots = _run_phase(state, b, c1, feas_tol, max_pivots, pivots)
-        assert status == "optimal"  # phase I is bounded below by 0
+        if status != "optimal":  # phase I is bounded below by 0
+            raise CertificationError(f"phase I ended {status}")
         xb = np.maximum(state.binv @ b, 0.0)
         if float(c1[state.basis] @ xb) > feas_tol:
             return LPSolution(LPStatus.INFEASIBLE, None, 0.0, pivots)
@@ -248,8 +268,9 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
         z = np.zeros(n)
         z[state.basis] = np.maximum(state.binv @ b, 0.0)
         residual = _residual(problem, z)
-    assert residual <= feas_tol, f"primal residual {residual} exceeds feas_tol"
-    return LPSolution(LPStatus.OPTIMAL, z, float(problem.c @ z), pivots)
+    if residual > feas_tol:
+        raise CertificationError(f"primal residual {residual:.3g} exceeds feas_tol {feas_tol:g}")
+    return LPSolution(LPStatus.OPTIMAL, z, float(problem.c @ z), pivots, state.basis)
 
 
 def _residual(problem: LPProblem, z: np.ndarray) -> float:
@@ -322,13 +343,17 @@ def _crash_basis(am: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
     return np.where(x >= 0, cols, cols + n)
 
 
-def weighted_l1_lp(w, a, b, feas_tol: float = 1e-9,
-                   max_pivots: int | None = None) -> tuple[np.ndarray, float, int]:
+def weighted_l1_lp(w, a, b, feas_tol: float = 1e-9, max_pivots: int | None = None,
+                   initial_basis: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, float, int, np.ndarray]:
     """Minimize sum_i w_i |x_i| subject to A x = b, via the split x = u - v.
 
     Requires strictly positive weights (which also guarantees a bounded LP).
-    Returns (x, objective, pivots).  Raises LPInfeasibleError if the system
-    has no solution and propagates SimplexStalledError from the simplex.
+    ``initial_basis`` is a starting basis of the split LP, typically the basis
+    returned by a previous solve on the same A and b; by default the crash
+    basis.  Returns (x, objective, pivots, basis) with the optimal basis of
+    the split LP.  Raises LPInfeasibleError if the system has no solution and
+    propagates SimplexStalledError and CertificationError from the simplex.
     """
     am = as_matrix(a)
     bv = as_vector(b, length=am.shape[0])
@@ -343,11 +368,14 @@ def weighted_l1_lp(w, a, b, feas_tol: float = 1e-9,
     )
     if max_pivots is None:
         max_pivots = default_pivot_budget(split.m, split.n)
+    if initial_basis is None:
+        initial_basis = _crash_basis(am, bv)
     sol = solve_standard_form(split, feas_tol=feas_tol, max_pivots=max_pivots,
-                              initial_basis=_crash_basis(am, bv))
+                              initial_basis=initial_basis)
     if sol.status is LPStatus.INFEASIBLE:
         raise LPInfeasibleError("system A x = b is infeasible")
-    assert sol.status is LPStatus.OPTIMAL  # positive weights rule out unboundedness
+    if sol.status is not LPStatus.OPTIMAL:  # positive weights rule out unboundedness
+        raise CertificationError(f"weighted-l1 LP ended {sol.status.value}")
     ncols = am.shape[1]
     x = sol.z[:ncols] - sol.z[ncols:]
-    return x, sol.objective, sol.pivots
+    return x, sol.objective, sol.pivots, sol.basis

@@ -6,6 +6,13 @@ per the configured schedule (fixed / halving / the largest-entry rule).
 Iterations are counted as LP solves: history[0] is the l1-min starting
 point and max_iter caps the total number of LP solves, so a run never costs
 more than max_iter subproblems.
+
+The LPs of one run share A and b and differ only in their weights, so each
+LP after the first is warm-started from the previous LP's optimal basis,
+which is still primal-feasible; the simplex goes straight to phase II from
+it instead of from a fresh crash basis.  Every iterate is certified by its
+own primal residual; a miss raises ReweightedSolveError caused by a
+CertificationError, which a sweep records as a failed trial.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from .linalg import as_matrix, as_vector, count_nonzeros
 from .merit import WeightClamp, WeightScheme, merit_value, weights
-from .simplex import SolverError, weighted_l1_lp
+from .simplex import CertificationError, SolverError, weighted_l1_lp
 
 __all__ = [
     "EpsilonSchedule",
@@ -150,13 +157,25 @@ def reweighted_l1(a, b, scheme: WeightScheme,
         raise ValueError(f"expected a wide system (m <= n), got {am.shape[0]}x{am.shape[1]}")
     m, n = am.shape
 
+    history: list[IterationRecord] = []
+
+    def solve(w, eps, basis):
+        """Certified LP solve from ``basis``; appends its record and returns
+        the iterate with its optimal basis."""
+        try:
+            x, objective, pivots, basis = weighted_l1_lp(
+                w, am, bv, feas_tol=config.feas_tol, initial_basis=basis)
+            record = _record(scheme, x, eps, objective, pivots, am, bv)
+            if record.residual_inf > config.feas_tol:
+                raise CertificationError(f"iterate residual {record.residual_inf:.3g} "
+                                         f"exceeds feas_tol {config.feas_tol:g}")
+        except SolverError as exc:
+            raise ReweightedSolveError(len(history) + 1, exc) from exc
+        history.append(record)
+        return x, basis
+
     eps = config.schedule.eps0
-    try:
-        x, objective, pivots = weighted_l1_lp(np.ones(n), am, bv, feas_tol=config.feas_tol)
-    except SolverError as exc:
-        raise ReweightedSolveError(1, exc) from exc
-    history = [_record(scheme, x, eps, objective, pivots, am, bv)]
-    assert history[-1].residual_inf <= config.feas_tol
+    x, basis = solve(np.ones(n), eps, None)
 
     if scheme.kind == "l1":
         return ReweightedResult(x_hat=x, iterations_used=1, history=history)
@@ -170,12 +189,7 @@ def reweighted_l1(a, b, scheme: WeightScheme,
                 len(history) + 1,
                 f"weights left the positive domain (min {np.min(w):.3g}, eps {eps:g})",
             )
-        try:
-            x_new, objective, pivots = weighted_l1_lp(w, am, bv, feas_tol=config.feas_tol)
-        except SolverError as exc:
-            raise ReweightedSolveError(len(history) + 1, exc) from exc
-        history.append(_record(scheme, x_new, eps, objective, pivots, am, bv))
-        assert history[-1].residual_inf <= config.feas_tol
+        x_new, basis = solve(w, eps, basis)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
         if change < config.x_change_tol:

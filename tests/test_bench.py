@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import rwl1.simplex
+import rwl1.solver
 from rwl1.bench import CSV_HEADER, SweepSpec, is_success, run_trial, sweep, trial_seed
 from rwl1.instances import DistributionSpec
 from rwl1.merit import WeightScheme
@@ -45,6 +47,22 @@ class TestRunTrial:
     def test_repeat_is_identical(self):
         spec = small_spec()
         assert run_trial(spec, 0, 2, 3) == run_trial(spec, 0, 2, 3)
+
+    @pytest.mark.parametrize("layer", ["simplex", "solver"])
+    def test_certification_miss_is_recorded(self, layer, monkeypatch):
+        if layer == "simplex":
+            monkeypatch.setattr(rwl1.simplex, "_residual", lambda problem, z: 1.0)
+        else:
+            lp = rwl1.solver.weighted_l1_lp
+
+            def off_by_a_little(*args, **kw):
+                x, *rest = lp(*args, **kw)
+                return (x + 1e-6, *rest)
+
+            monkeypatch.setattr(rwl1.solver, "weighted_l1_lp", off_by_a_little)
+        rec = run_trial(small_spec(), 0, 2, 0)
+        assert not rec.success and rec.iterations == 0
+        assert "residual" in rec.fail_reason
 
     def test_seed_depends_only_on_own_indices(self):
         assert trial_seed(42, 3, 1, 7) == trial_seed(42, 3, 1, 7)

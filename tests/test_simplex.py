@@ -68,18 +68,77 @@ class TestSolveStandardForm:
             assert np.max(np.abs(a @ sol.z - b)) <= 1e-9
 
 
+class TestInitialBasis:
+    """solve_standard_form from a supplied basis: warm start or phase-I fallback."""
+
+    @staticmethod
+    def lp():
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(6, 14))
+        b = a @ (np.abs(rng.normal(size=14)) + 0.5)
+        return np.abs(rng.normal(size=14)) + 0.1, a, b
+
+    @staticmethod
+    def assert_certified_cold_optimum(sol, cold, a, b):
+        assert sol.status is LPStatus.OPTIMAL
+        assert np.min(sol.z) >= 0.0
+        assert np.max(np.abs(a @ sol.z - b)) <= 1e-9
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
+
+    def test_optimal_basis_resolves_in_zero_pivots(self):
+        c, a, b = self.lp()
+        cold = solve(c, a, b)
+        assert cold.pivots > 0 and cold.basis.shape == (6,)
+        warm = solve(c, a, b, initial_basis=cold.basis)
+        assert warm.pivots == 0
+        np.testing.assert_array_equal(warm.basis, cold.basis)
+        self.assert_certified_cold_optimum(warm, cold, a, b)
+
+    def test_singular_basis_falls_back_to_phase_one(self):
+        c, a, b = self.lp()
+        a[:, 13] = 0.0
+        cold = solve(c, a, b)
+        sol = solve(c, a, b, initial_basis=[13, 0, 1, 2, 3, 4])  # zero column
+        self.assert_certified_cold_optimum(sol, cold, a, b)
+        assert sol.pivots == cold.pivots  # the same phase-I path as no basis at all
+        np.testing.assert_array_equal(sol.z, cold.z)
+
+    def test_infeasible_basis_falls_back_to_phase_one(self):
+        c, a, b = self.lp()
+        cold = solve(c, a, b)
+        for start in range(14 - 6 + 1):
+            basis = np.arange(start, start + 6)
+            if np.min(np.linalg.solve(a[:, basis], b)) < -1e-6:
+                break
+        else:
+            pytest.fail("no primal-infeasible basis among the contiguous windows")
+        sol = solve(c, a, b, initial_basis=basis)
+        self.assert_certified_cold_optimum(sol, cold, a, b)
+        assert sol.pivots == cold.pivots
+        np.testing.assert_array_equal(sol.z, cold.z)
+
+    def test_basis_of_row_dropping_solve_falls_back_to_phase_one(self):
+        # phase I deletes the duplicated row, so the returned basis is short
+        c, a, b = [1.0, 2.0, 3.0], [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], [1.0, 1.0]
+        cold = solve(c, a, b)
+        assert cold.basis.shape == (1,)
+        sol = solve(c, a, b, initial_basis=cold.basis)
+        self.assert_certified_cold_optimum(sol, cold, np.array(a), np.array(b))
+        assert sol.pivots == cold.pivots
+
+
 class TestWeightedL1:
     def test_two_vertex_example(self):
-        x, obj, _ = weighted_l1_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
+        x, obj, _, _ = weighted_l1_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-12)
         assert obj == pytest.approx(1.0, abs=1e-12)
 
     def test_unique_feasible_point(self):
-        x, _, _ = weighted_l1_lp([3.0, 5.0], np.eye(2), [3.0, -4.0])
+        x, _, _, _ = weighted_l1_lp([3.0, 5.0], np.eye(2), [3.0, -4.0])
         np.testing.assert_allclose(x, [3.0, -4.0], atol=1e-12)
 
     def test_tied_vertices_fix_objective_only(self):
-        _, obj, _ = weighted_l1_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
+        _, obj, _, _ = weighted_l1_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
         assert obj == pytest.approx(1.0, abs=1e-12)
 
     def test_nonpositive_weights_rejected(self):
@@ -99,7 +158,7 @@ class TestWeightedL1:
             x0 = rng.normal(size=n)
             b = a @ x0
             w = np.abs(rng.normal(size=n)) + 0.2
-            x, obj, _ = weighted_l1_lp(w, a, b)
+            x, obj, _, _ = weighted_l1_lp(w, a, b)
             oracle = enumerate_weighted_l1_optimum(w, a, b)
             assert obj == pytest.approx(oracle, abs=1e-8), f"trial {trial}"
             assert obj == pytest.approx(float(w @ np.abs(x)), abs=1e-9)
@@ -110,26 +169,26 @@ class TestWeightedL1:
         a = rng.normal(size=(4, 10))
         b = a @ rng.normal(size=10)
         w = np.abs(rng.normal(size=10)) + 0.3
-        x1, obj1, _ = weighted_l1_lp(w, a, b)
-        x2, obj2, _ = weighted_l1_lp(10.0 * w, a, b)
+        x1, obj1, _, _ = weighted_l1_lp(w, a, b)
+        x2, obj2, _, _ = weighted_l1_lp(10.0 * w, a, b)
         assert obj2 == pytest.approx(10.0 * obj1, rel=1e-9)
         np.testing.assert_allclose(x1, x2, atol=1e-8)
 
     def test_pivot_budget_suffices_at_benchmark_scale(self):
         inst = make_instance(DistributionSpec.default("normal"), 50, 200, 12, 404)
         budget = default_pivot_budget(50, 400)
-        _, _, pivots = weighted_l1_lp(np.ones(200), inst.a, inst.b)
+        _, _, pivots, _ = weighted_l1_lp(np.ones(200), inst.a, inst.b)
         assert 0 < pivots < budget
 
     def test_zero_rhs(self):
-        x, obj, _ = weighted_l1_lp([1.0, 2.0, 3.0], [[1.0, 2.0, -1.0]], [0.0])
+        x, obj, _, _ = weighted_l1_lp([1.0, 2.0, 3.0], [[1.0, 2.0, -1.0]], [0.0])
         np.testing.assert_array_equal(x, np.zeros(3))
         assert obj == 0.0
 
     def test_duplicated_columns(self):
         a = np.array([[1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 1.0, 1.0]])
         b = np.array([3.0, 1.0])
-        x, obj, _ = weighted_l1_lp(np.ones(4), a, b)
+        x, obj, _, _ = weighted_l1_lp(np.ones(4), a, b)
         assert obj == pytest.approx(2.0, abs=1e-9)
         assert np.max(np.abs(a @ x - b)) <= 1e-9
 
@@ -142,7 +201,7 @@ class TestWeightedL1:
         xt = np.zeros(12)
         xt[3] = 2.0
         b = a @ xt
-        x, _, _ = weighted_l1_lp(np.ones(12), a, b)
+        x, _, _, _ = weighted_l1_lp(np.ones(12), a, b)
         assert np.max(np.abs(a @ x - b)) <= 1e-9
 
     def test_badly_scaled_columns_stay_certified(self):
@@ -150,6 +209,6 @@ class TestWeightedL1:
         a = rng.normal(size=(8, 20))
         a[:, :10] *= 1e6
         b = a @ np.where(np.arange(20) == 13, 5.0, 0.0)
-        x, obj, _ = weighted_l1_lp(np.ones(20), a, b)
+        x, obj, _, _ = weighted_l1_lp(np.ones(20), a, b)
         assert np.max(np.abs(a @ x - b)) <= 1e-9
         assert obj <= 5.0 + 1e-9  # never worse than the planted representation

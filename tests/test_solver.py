@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import rwl1
+import rwl1.solver
 from rwl1.instances import DistributionSpec, make_instance
 from rwl1.merit import WeightClamp, WeightScheme
-from rwl1.simplex import weighted_l1_lp
+from rwl1.simplex import CertificationError, weighted_l1_lp
 from rwl1.solver import (EpsilonSchedule, ReweightedSolveError, SolverConfig,
                          epsilon_update, reweighted_l1)
 
@@ -64,7 +71,7 @@ class TestReweightedL1:
     def test_uniform_l1_equals_single_lp(self):
         inst = make_instance(DistributionSpec.default("normal"), 10, 30, 3, 5)
         res = reweighted_l1(inst.a, inst.b, WeightScheme("l1"))
-        x_direct, obj, _ = weighted_l1_lp(np.ones(30), inst.a, inst.b)
+        x_direct, obj, _, _ = weighted_l1_lp(np.ones(30), inst.a, inst.b)
         np.testing.assert_array_equal(res.x_hat, x_direct)
         assert res.iterations_used == 1
         assert res.history[0].lp_objective == obj
@@ -130,6 +137,78 @@ class TestReweightedL1:
         assert eps[0] == 1.0 and eps[1] == 1.0  # start and first reweighting share eps0
         for prev, cur in zip(eps[1:], eps[2:]):
             assert cur == prev / 2
+
+    @pytest.mark.parametrize("kind", ["cwb", "w1", "w2"])
+    def test_warm_started_lps_match_cold_solves(self, kind, monkeypatch):
+        # every LP after the first starts from the previous optimal basis; its
+        # objective must equal a cold solve with the same weights
+        calls = []
+
+        def recording_lp(w, a, b, **kw):
+            calls.append((np.array(w), kw["initial_basis"]))
+            return weighted_l1_lp(w, a, b, **kw)
+
+        monkeypatch.setattr(rwl1.solver, "weighted_l1_lp", recording_lp)
+        for seed in (101, 202, 303):
+            inst = make_instance(DistributionSpec.default("normal"), 50, 200, 18, seed)
+            calls.clear()
+            res = reweighted_l1(inst.a, inst.b, WeightScheme(kind))
+            assert len(calls) == len(res.history) >= 3
+            assert calls[0][1] is None
+            assert all(basis is not None for _, basis in calls[1:])
+            cold_pivots = 0
+            for i, ((w, _), rec) in enumerate(zip(calls, res.history)):
+                _, cold_obj, pivots, _ = weighted_l1_lp(w, inst.a, inst.b)
+                assert rec.lp_objective == pytest.approx(cold_obj, rel=1e-9), \
+                    f"seed {seed}, LP {i + 1}"
+                cold_pivots += pivots if i > 0 else 0
+            assert sum(rec.lp_pivots for rec in res.history[1:]) < cold_pivots / 2
+
+    def test_iterate_residual_miss_raises_certification_error(self, monkeypatch):
+        def off_by_a_little(w, a, b, **kw):
+            x, objective, pivots, basis = weighted_l1_lp(w, a, b, **kw)
+            return x + 1e-6, objective, pivots, basis
+
+        monkeypatch.setattr(rwl1.solver, "weighted_l1_lp", off_by_a_little)
+        inst = make_instance(DistributionSpec.default("normal"), 10, 30, 3, 5)
+        with pytest.raises(ReweightedSolveError, match="iteration 1: iterate residual") as info:
+            reweighted_l1(inst.a, inst.b, WeightScheme("cwb"))
+        assert isinstance(info.value.__cause__, CertificationError)
+
+    def test_certification_survives_optimize_flag(self):
+        # explicit checks, unlike asserts, still run under python -O
+        script = textwrap.dedent("""
+            import numpy as np
+            import rwl1.simplex, rwl1.solver
+            from rwl1.merit import WeightScheme
+            from rwl1.simplex import CertificationError
+            assert False, "asserts must be stripped in this interpreter"
+            a, b = np.eye(2), np.array([1.0, 2.0])
+            lp = rwl1.solver.weighted_l1_lp
+
+            def off_by_a_little(*args, **kw):
+                x, *rest = lp(*args, **kw)
+                return (x + 1e-6, *rest)
+
+            rwl1.solver.weighted_l1_lp = off_by_a_little
+            try:
+                rwl1.solver.reweighted_l1(a, b, WeightScheme("cwb"))
+            except rwl1.solver.ReweightedSolveError as exc:
+                if isinstance(exc.__cause__, CertificationError):
+                    print("solver check fired")
+            rwl1.solver.weighted_l1_lp = lp
+            rwl1.simplex._residual = lambda problem, z: 1.0
+            try:
+                lp([1.0, 1.0], a, b)
+            except CertificationError:
+                print("simplex check fired")
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rwl1.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[:2] == ["solver check fired", "simplex check fired"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
