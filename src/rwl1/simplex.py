@@ -18,7 +18,7 @@ Every solve returns its optimal basis.  Between the LPs of a reweighting run
 only the cost vector (w, w) changes, so the previous optimal basis is still
 primal-feasible and the next LP can start phase II from it directly
 (warm start; Chvatal, Linear Programming, 1983).  A supplied basis is
-accepted only if it is square, nonsingular and primal-feasible within
+accepted only if it is square, invertible and primal-feasible within
 feas_tol; otherwise the solve falls back to phase I.  Either way the result
 passes the same explicit certification checks, which raise
 CertificationError and, unlike asserts, also run under ``python -O``.
@@ -216,7 +216,7 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
     ``||a_eq z - b_eq||_inf <= feas_tol``.  An exhausted pivot budget raises
     SimplexStalledError rather than returning an uncertified point, and a
     failed certification raises CertificationError.  When ``initial_basis``
-    names a square, nonsingular, primal-feasible basis, phase I is skipped.
+    names a square, invertible, primal-feasible basis, phase I is skipped.
     """
     if feas_tol <= 0:
         raise ValueError(f"feas_tol must be > 0, got {feas_tol}")
