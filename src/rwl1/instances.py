@@ -122,65 +122,139 @@ class Sampler:
     exponential from inversion, Poisson from Knuth's product method, gamma
     from Marsaglia-Tsang (with the power boost below shape 1), and the
     F-distribution as a ratio of scaled chi-square draws.
+
+    ``draws`` returns values in stream order: the same draws from the
+    stream, in the same order and through the same arithmetic, as one value
+    at a time, so a block of n equals n consecutive blocks of one.  Unit
+    draws are prefetched in chunks of ``CHUNK``; normal, exponential and
+    uniform map a whole chunk at once, while Poisson, gamma and F, which
+    reject a variable number of draws, read the chunk through a cursor.
+    Each call steps the stream back over the draws it prefetched but did
+    not use.  The cached Box-Muller variate carries across chunks and calls.
+    Every log, exp, cos, sin and power is taken per element with ``math``:
+    numpy's versions are not always correctly rounded the same way.
     """
 
     def __init__(self, rng: SplitMix64):
         self.rng = rng
         self._gauss_cache: float | None = None
+        self._buf: list[float] = []  # cursor over a prefetched chunk
+        self._pos = 0
 
-    def standard_normal(self) -> float:
+    def draws(self, dist: DistributionSpec, count: int) -> np.ndarray:
+        """The next ``count`` values of ``dist`` as a float64 array."""
+        block = getattr(self, "_" + dist.name + "_block")
+        out = np.empty(count)
+        for lo in range(0, count, CHUNK):
+            hi = min(lo + CHUNK, count)
+            out[lo:hi] = block(hi - lo, *dist.params)
+        self.rng.skip(self._pos - len(self._buf))  # hand back what the cursor did not read
+        self._buf, self._pos = [], 0
+        return out
+
+    # -- whole-chunk maps ---------------------------------------------------
+
+    def _normal_block(self, count: int, mu: float, sigma: float) -> np.ndarray:
+        g = np.empty(count)
+        start = 0
         if self._gauss_cache is not None:
-            g = self._gauss_cache
+            g[0] = self._gauss_cache
             self._gauss_cache = None
-            return g
-        u1 = self.rng.next_unit()
-        u2 = self.rng.next_unit()
-        r = math.sqrt(-2.0 * math.log(u1))
-        self._gauss_cache = r * math.sin(2.0 * math.pi * u2)
-        return r * math.cos(2.0 * math.pi * u2)
+            start = 1
+        pairs = (count - start + 1) // 2
+        u = self.rng.next_units(2 * pairs)
+        r = np.sqrt(-2.0 * _per_element(math.log, u[0::2]))
+        theta = _TWO_PI * u[1::2]
+        both = np.empty(2 * pairs)
+        both[0::2] = r * _per_element(math.cos, theta)
+        both[1::2] = r * _per_element(math.sin, theta)
+        g[start:] = both[:count - start]
+        if start + 2 * pairs > count:
+            self._gauss_cache = float(both[-1])
+        return mu + sigma * g
 
-    def normal(self, mu: float, sigma: float) -> float:
-        return mu + sigma * self.standard_normal()
+    def _exponential_block(self, count: int, mean: float) -> np.ndarray:
+        return -mean * _per_element(math.log, 1.0 - self.rng.next_units(count))
 
-    def exponential(self, mean: float) -> float:
-        return -mean * math.log(1.0 - self.rng.next_unit())
+    def _uniform_block(self, count: int, high: float) -> np.ndarray:
+        return high * self.rng.next_units(count)
 
-    def poisson(self, lam: float) -> float:
+    # -- rejection samplers: one value at a time through the cursor -----------
+
+    def _refill(self, buf: list[float], pos: int) -> list[float]:
+        """The unread tail of ``buf`` followed by a fresh chunk."""
+        return buf[pos:] + self.rng.next_units(CHUNK).tolist()
+
+    def _poisson_block(self, count: int, lam: float) -> list[float]:
         limit = math.exp(-lam)
-        k = 0
-        prod = self.rng.next_unit()
-        while prod > limit:
-            k += 1
-            prod *= self.rng.next_unit()
-        return float(k)
+        buf, pos = self._buf, self._pos
+        out = []
+        for _ in range(count):
+            k = 0
+            if pos == len(buf):
+                buf, pos = self._refill(buf, pos), 0
+            prod = buf[pos]
+            pos += 1
+            while prod > limit:
+                k += 1
+                if pos == len(buf):
+                    buf, pos = self._refill(buf, pos), 0
+                prod *= buf[pos]
+                pos += 1
+            out.append(float(k))
+        self._buf, self._pos = buf, pos
+        return out
 
-    def gamma(self, shape: float, scale: float) -> float:
+    def _gamma_block(self, count: int, shape: float, scale: float) -> list[float]:
+        return [self._gamma(shape, scale) for _ in range(count)]
+
+    def _f_block(self, count: int, d1: float, d2: float) -> list[float]:
+        gamma = self._gamma
+        return [(gamma(d1 / 2.0, 2.0) / d1) / (gamma(d2 / 2.0, 2.0) / d2) for _ in range(count)]
+
+    def _gamma(self, shape: float, scale: float) -> float:
+        buf, pos = self._buf, self._pos
+        boost = None
         if shape < 1.0:
-            boost = self.rng.next_unit() ** (1.0 / shape)
-            return self.gamma(shape + 1.0, scale) * boost
+            if pos == len(buf):
+                buf, pos = self._refill(buf, pos), 0
+            boost = buf[pos] ** (1.0 / shape)
+            pos += 1
+            shape += 1.0
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
+        log = math.log
+        gauss = self._gauss_cache
         while True:
-            z = self.standard_normal()
+            if len(buf) - pos < 3:  # at most one Box-Muller pair and one acceptance draw
+                buf, pos = self._refill(buf, pos), 0
+            if gauss is None:
+                r = math.sqrt(-2.0 * log(buf[pos]))
+                theta = _TWO_PI * buf[pos + 1]
+                pos += 2
+                gauss = r * math.sin(theta)
+                z = r * math.cos(theta)
+            else:
+                z, gauss = gauss, None
             v = (1.0 + c * z) ** 3
             if v <= 0.0:
                 continue
-            u = self.rng.next_unit()
-            if u < 1.0 - 0.0331 * z**4:
-                return d * v * scale
-            if math.log(u) < 0.5 * z * z + d * (1.0 - v + math.log(v)):
-                return d * v * scale
+            u = buf[pos]
+            pos += 1
+            if u < 1.0 - 0.0331 * z**4 or log(u) < 0.5 * z * z + d * (1.0 - v + log(v)):
+                break
+        self._buf, self._pos, self._gauss_cache = buf, pos, gauss
+        value = d * v * scale
+        return value if boost is None else value * boost
 
-    def f(self, d1: float, d2: float) -> float:
-        g1 = self.gamma(d1 / 2.0, 2.0)
-        g2 = self.gamma(d2 / 2.0, 2.0)
-        return (g1 / d1) / (g2 / d2)
 
-    def uniform(self, high: float) -> float:
-        return high * self.rng.next_unit()
+CHUNK = 1024  # values per block call and unit draws per prefetch: bounds the memory a matrix needs
+_TWO_PI = 2.0 * math.pi
 
-    def draw(self, dist: DistributionSpec) -> float:
-        return getattr(self, dist.name)(*dist.params)
+
+def _per_element(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each element with Python floats (``math`` rounding)."""
+    return np.fromiter(map(fn, values.tolist()), float, len(values))
 
 
 @dataclass(frozen=True)
@@ -232,14 +306,12 @@ def make_instance(dist: DistributionSpec, m: int, n: int, k: int, seed: int) -> 
         raise ValueError(f"need m < n, got m={m}, n={n}")
     rng = SplitMix64(seed)
     sampler = Sampler(rng)
-    a = np.empty((m, n))
-    for i in range(m):
-        for j in range(n):
-            a[i, j] = sampler.draw(dist)
+    a = sampler.draws(dist, m * n).reshape(m, n)
     support = _draw_support(rng, n, k)
+    unit_normal = DistributionSpec.default("normal")
     x_true = np.zeros(n)
     for idx in support:
-        magnitude = MIN_NONZERO + abs(sampler.standard_normal())
+        magnitude = MIN_NONZERO + abs(float(sampler.draws(unit_normal, 1)[0]))
         sign = 1.0 if rng.next_unit() < 0.5 else -1.0
         x_true[idx] = sign * magnitude
     return ProblemInstance(a=a, b=a @ x_true, x_true=x_true, k=k, dist=dist, seed=seed)

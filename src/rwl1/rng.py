@@ -1,12 +1,23 @@
 """splitmix64 generator: the reproducibility backbone of the benchmark suite.
 
-Pure-integer implementation so identical seeds regenerate identical
+Integer-exact implementation so identical seeds regenerate identical
 instances in any environment.  The unit-interval mapping uses the top 53
 bits offset by half a ulp, which keeps every draw strictly inside (0, 1)
 and so keeps downstream log/Box-Muller transforms free of edge cases.
+
+Draws come one at a time (``next_u64``, ``next_unit``) or as blocks
+(``next_u64s``, ``next_units``).  A block is the same outputs in the same
+order: the state is a counter stepped by a fixed odd constant, so output i
+of a block is the mix of ``state + i*gamma``, computed in numpy ``uint64``
+arithmetic, which wraps modulo 2^64 exactly like the masked Python ints.
+Only exact steps run in numpy: the integer mix, the uint64 -> float64
+conversion of a 53-bit value, one correctly rounded add and a power-of-two
+scale.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["SplitMix64", "mix64"]
 
@@ -49,3 +60,24 @@ class SplitMix64:
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
         return self.next_u64() % bound
+
+    def next_u64s(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as a uint64 array; the state advances
+        by ``count`` steps, as after ``count`` calls of ``next_u64``."""
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self.state)
+        self.skip(count)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
+
+    def next_units(self, count: int) -> np.ndarray:
+        """The next ``count`` unit draws, bit-identical to ``next_unit``."""
+        return ((self.next_u64s(count) >> np.uint64(11)).astype(np.float64) + 0.5) * _UNIT
+
+    def skip(self, count: int) -> None:
+        """Advance the state by ``count`` outputs without producing them;
+        a negative count steps back over outputs already produced."""
+        self.state = (self.state + count * _GAMMA) & _MASK64

@@ -12,9 +12,7 @@ N_MOMENT_DRAWS = 100_000
 
 
 def draws(name, count=N_MOMENT_DRAWS, seed=314159):
-    dist = DistributionSpec.default(name)
-    sampler = Sampler(SplitMix64(seed))
-    return np.array([sampler.draw(dist) for _ in range(count)])
+    return Sampler(SplitMix64(seed)).draws(DistributionSpec.default(name), count)
 
 
 class TestSamplerMoments:
@@ -57,8 +55,46 @@ class TestSamplerMoments:
     def test_gamma_boost_below_shape_one(self):
         # exercised by the F sampler; check the mean of a bare shape-0.5 draw
         sampler = Sampler(SplitMix64(99))
-        x = np.array([sampler.gamma(0.5, 2.0) for _ in range(N_MOMENT_DRAWS)])
+        x = sampler.draws(DistributionSpec("gamma", (0.5, 2.0)), N_MOMENT_DRAWS)
         assert float(np.mean(x)) == pytest.approx(1.0, abs=0.05)  # chi2(1) mean
+
+
+STREAM_SPECS = [DistributionSpec.default(name) for name in
+                ("normal", "poisson", "exponential", "f", "gamma", "uniform")] + [
+    DistributionSpec("gamma", (0.5, 2.0)), DistributionSpec("f", (2.0, 3.0)),
+    DistributionSpec("poisson", (30.0,))]
+
+
+class TestSamplerStream:
+    """A block of draws is the stream in order: splitting it into several
+    calls changes no value, the final stream state or the Gaussian cache."""
+
+    @pytest.mark.parametrize("spec", STREAM_SPECS, ids=lambda s: f"{s.name}{s.params}")
+    @pytest.mark.parametrize("split", [(3, 4), (1, 1024, 1)], ids=str)
+    def test_split_calls_equal_one_call(self, spec, split):
+        whole = Sampler(SplitMix64(2024))
+        parts = Sampler(SplitMix64(2024))
+        expected = whole.draws(spec, sum(split))
+        got = np.concatenate([parts.draws(spec, count) for count in split])
+        assert got.dtype == np.float64 and got.shape == (sum(split),)
+        assert got.tobytes() == expected.tobytes()
+        assert parts.rng.state == whole.rng.state
+        assert parts._gauss_cache == whole._gauss_cache
+
+    def test_odd_normal_count_leaves_the_pair_cached(self):
+        sampler = Sampler(SplitMix64(5))
+        spec = DistributionSpec.default("normal")
+        sampler.draws(spec, 7)
+        cached = sampler._gauss_cache
+        assert cached is not None
+        assert sampler.draws(spec, 1)[0] == cached
+        assert sampler._gauss_cache is None
+
+    def test_zero_draws_leave_the_stream_untouched(self):
+        for spec in STREAM_SPECS:
+            sampler = Sampler(SplitMix64(11))
+            assert sampler.draws(spec, 0).shape == (0,)
+            assert sampler.rng.state == 11
 
 
 class TestDistributionSpec:
