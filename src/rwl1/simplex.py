@@ -18,7 +18,8 @@ Every solve returns its optimal basis.  Between the LPs of a reweighting run
 only the cost vector (w, w) changes, so the previous optimal basis is still
 primal-feasible and the next LP can start phase II from it directly
 (warm start; Chvatal, Linear Programming, 1983).  A supplied basis is
-accepted only if it is square, invertible and primal-feasible within
+accepted only if it is square, numerically invertible (its computed inverse
+satisfies B B^-1 = I to BASIS_INVERSE_TOL) and primal-feasible within
 feas_tol; otherwise the solve falls back to phase I.  Either way the result
 passes the same explicit certification checks, which raise
 CertificationError and, unlike asserts, also run under ``python -O``.
@@ -53,6 +54,11 @@ PIVOT_TOL = 1e-10
 REFACTOR_EVERY = 50
 # Condition-number ceiling for accepting a crash basis in weighted_l1_lp.
 CRASH_COND_LIMIT = 1e10
+# Largest entry of |B B^-1 - I| for which a supplied basis counts as
+# invertible.  np.linalg.inv raises only on exact singularity; a basis with a
+# repeated column inverts to entries of ~1e16 and misses I by O(1), while the
+# warm and crash bases of 50x200 instances miss it by under 1e-11.
+BASIS_INVERSE_TOL = 1e-6
 
 
 class SolverError(Exception):
@@ -216,7 +222,8 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
     ``||a_eq z - b_eq||_inf <= feas_tol``.  An exhausted pivot budget raises
     SimplexStalledError rather than returning an uncertified point, and a
     failed certification raises CertificationError.  When ``initial_basis``
-    names a square, invertible, primal-feasible basis, phase I is skipped.
+    names a square, numerically invertible, primal-feasible basis, phase I is
+    skipped.
     """
     if feas_tol <= 0:
         raise ValueError(f"feas_tol must be > 0, got {feas_tol}")
@@ -237,7 +244,7 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
             cand = _Basis(e, initial_basis)
         except np.linalg.LinAlgError:
             cand = None  # singular or non-square start: fall back to phase I
-        if cand is not None and (cand.binv @ b).min() >= -feas_tol:
+        if cand is not None and _inverts(cand) and (cand.binv @ b).min() >= -feas_tol:
             state = cand
 
     if state is None:
@@ -271,6 +278,12 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
     if residual > feas_tol:
         raise CertificationError(f"primal residual {residual:.3g} exceeds feas_tol {feas_tol:g}")
     return LPSolution(LPStatus.OPTIMAL, z, float(problem.c @ z), pivots, state.basis)
+
+
+def _inverts(state: _Basis) -> bool:
+    """Whether the computed B^-1 of ``state`` is an inverse to BASIS_INVERSE_TOL."""
+    identity_error = state.e[:, state.basis] @ state.binv - np.eye(len(state.basis))
+    return float(np.max(np.abs(identity_error))) <= BASIS_INVERSE_TOL
 
 
 def _residual(problem: LPProblem, z: np.ndarray) -> float:

@@ -103,6 +103,21 @@ class TestInitialBasis:
         assert sol.pivots == cold.pivots  # the same phase-I path as no basis at all
         np.testing.assert_array_equal(sol.z, cold.z)
 
+    @pytest.mark.parametrize("seed", [5, 16, 22])
+    def test_repeated_column_basis_falls_back_to_phase_one(self, seed):
+        # np.linalg.inv does not raise on these bases: it returns entries of
+        # ~1e16 whose basic values pass the feasibility test, and phase II from
+        # them ends in a failed certification or a wrong "optimal" vertex.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(6, 14))
+        b = a[:, :5] @ (np.abs(rng.normal(size=5)) + 0.5)
+        c = np.abs(rng.normal(size=14)) + 0.1
+        cold = solve(c, a, b)
+        sol = solve(c, a, b, initial_basis=[0, 0, 1, 2, 3, 4])
+        self.assert_certified_cold_optimum(sol, cold, a, b)
+        assert sol.pivots == cold.pivots
+        np.testing.assert_array_equal(sol.z, cold.z)
+
     def test_infeasible_basis_falls_back_to_phase_one(self):
         c, a, b = self.lp()
         cold = solve(c, a, b)
