@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+import rwl1.bench
 import rwl1.simplex
 import rwl1.solver
 from rwl1.bench import CSV_HEADER, SweepSpec, is_success, run_trial, sweep, trial_seed
@@ -63,6 +66,20 @@ class TestRunTrial:
         rec = run_trial(small_spec(), 0, 2, 0)
         assert not rec.success and rec.iterations == 0
         assert "residual" in rec.fail_reason
+
+    def test_generation_is_timed_apart_from_the_solve(self, monkeypatch):
+        make = rwl1.bench.make_instance
+
+        def slow_make(*args):
+            time.sleep(0.2)
+            return make(*args)
+
+        monkeypatch.setattr(rwl1.bench, "make_instance", slow_make)
+        rec = run_trial(small_spec(), 0, 2, 0)
+        assert rec.gen_ms >= 200.0 and 0.0 < rec.wall_ms < 200.0
+        monkeypatch.setattr(rwl1.simplex, "_residual", lambda problem, z: 1.0)
+        failed = run_trial(small_spec(), 0, 2, 0)
+        assert failed.fail_reason is not None and failed.gen_ms >= 200.0
 
     def test_seed_depends_only_on_own_indices(self):
         assert trial_seed(42, 3, 1, 7) == trial_seed(42, 3, 1, 7)
