@@ -5,6 +5,14 @@ Everything is driven by a single SplitMix64 stream per instance, so an
 instance is a pure function of (distribution, m, n, k, seed).  Draw order
 is fixed: the matrix entries row by row, then the support via a
 Fisher-Yates prefix, then the nonzero values (magnitude, then sign).
+
+The matrix is generated in blocks (``Sampler.draws``) that consume the
+stream in exactly that order, so the output is bit-identical to drawing
+one entry at a time.  Only exact operations go to numpy: the splitmix64
+integer mix, the unit mapping, + - * /, sqrt and comparisons, all
+correctly rounded alike in numpy and in Python.  Every log, exp, cos, sin
+and power is evaluated per element by the ``math`` module, because numpy's
+versions round differently on some inputs.
 """
 
 from __future__ import annotations
@@ -131,8 +139,6 @@ class Sampler:
     reject a variable number of draws, read the chunk through a cursor.
     Each call steps the stream back over the draws it prefetched but did
     not use.  The cached Box-Muller variate carries across chunks and calls.
-    Every log, exp, cos, sin and power is taken per element with ``math``:
-    numpy's versions are not always correctly rounded the same way.
     """
 
     def __init__(self, rng: SplitMix64):
@@ -152,7 +158,7 @@ class Sampler:
         self._buf, self._pos = [], 0
         return out
 
-    # -- whole-chunk maps ---------------------------------------------------
+    # whole-chunk maps
 
     def _normal_block(self, count: int, mu: float, sigma: float) -> np.ndarray:
         g = np.empty(count)
@@ -179,7 +185,7 @@ class Sampler:
     def _uniform_block(self, count: int, high: float) -> np.ndarray:
         return high * self.rng.next_units(count)
 
-    # -- rejection samplers: one value at a time through the cursor -----------
+    # rejection samplers: one value at a time through the cursor
 
     def _refill(self, buf: list[float], pos: int) -> list[float]:
         """The unread tail of ``buf`` followed by a fresh chunk."""
