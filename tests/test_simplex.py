@@ -1,15 +1,35 @@
 import numpy as np
 import pytest
 
+import rwl1.simplex
 from rwl1.instances import DistributionSpec, make_instance
-from rwl1.simplex import (LPInfeasibleError, LPProblem, LPStatus, SimplexStalledError,
-                          default_pivot_budget, solve_standard_form, weighted_l1_lp)
+from rwl1.simplex import (REFACTOR_EVERY, LPInfeasibleError, LPProblem, LPStatus,
+                          SimplexStalledError, _crash_basis, default_pivot_budget,
+                          solve_standard_form, weighted_l1_lp)
 
 from oracles import enumerate_standard_form_optimum, enumerate_weighted_l1_optimum
 
 
 def solve(c, a, b, **kw):
     return solve_standard_form(LPProblem(c=c, a_eq=a, b_eq=b), **kw)
+
+
+def split_solve(w, a, b, **kw):
+    """weighted_l1_lp's result and the LPSolution of the split LP it solved."""
+    seen = []
+    real = rwl1.simplex.solve_standard_form
+
+    def capture(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    rwl1.simplex.solve_standard_form = capture
+    try:
+        out = weighted_l1_lp(w, a, b, **kw)
+    finally:
+        rwl1.simplex.solve_standard_form = real
+    assert len(seen) == 1
+    return out, seen[0]
 
 
 class TestSolveStandardForm:
@@ -227,3 +247,60 @@ class TestWeightedL1:
         x, obj, _, _ = weighted_l1_lp(np.ones(20), a, b)
         assert np.max(np.abs(a @ x - b)) <= 1e-9
         assert obj <= 5.0 + 1e-9  # never worse than the planted representation
+
+
+class TestSplitPricing:
+    """weighted_l1_lp pivots on A alone; the same LP written out as
+    LPProblem(c=[w, w], a_eq=[A, -A]) must take the same path to the bit."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 2013])
+    def test_split_and_generic_paths_agree(self, seed):
+        inst = make_instance(DistributionSpec.default("normal"), 50, 200, 12, seed)
+        a, b = inst.a, inst.b
+        assert (b < 0).any() and (b > 0).any()  # some rows are flipped, some not
+        rng = np.random.default_rng(seed)
+        basis = _crash_basis(a, b)
+        assert basis is not None
+        for w in (np.ones(200), rng.uniform(0.1, 10.0, size=200)):  # cold, then warm
+            full = LPProblem(c=np.concatenate([w, w]), a_eq=np.hstack([a, -a]), b_eq=b)
+            generic = solve_standard_form(full, initial_basis=basis)
+            (x, objective, pivots, split_basis), split = split_solve(w, a, b,
+                                                                     initial_basis=basis)
+            assert generic.pivots > 0
+            assert split.z.tobytes() == generic.z.tobytes()
+            assert split.objective == generic.objective == objective
+            assert split.pivots == generic.pivots == pivots
+            np.testing.assert_array_equal(split.basis, generic.basis)
+            np.testing.assert_array_equal(split_basis, generic.basis)
+            assert x.tobytes() == (generic.z[:200] - generic.z[200:]).tobytes()
+            basis = split_basis
+
+
+class TestCounters:
+    """LPSolution.phase1_pivots and .refactors come from the simplex itself."""
+
+    @staticmethod
+    def instance():
+        inst = make_instance(DistributionSpec.default("normal"), 50, 200, 16, 42)
+        return inst.a, inst.b
+
+    def test_accepted_basis_has_no_phase_one(self):
+        a, b = self.instance()
+        (_, _, pivots, basis), cold = split_solve(np.ones(200), a, b)
+        assert cold.phase1_pivots == 0 and pivots == cold.pivots > 0
+        _, warm = split_solve(np.ones(200), a, b, initial_basis=basis)
+        assert (warm.pivots, warm.phase1_pivots, warm.refactors) == (0, 0, 0)
+
+    def test_rejected_basis_runs_phase_one(self):
+        a, b = self.instance()
+        _, cold = split_solve(np.ones(200), a, b, initial_basis=[0] * 50)  # singular
+        assert 0 < cold.phase1_pivots <= cold.pivots
+        c, a6, b6 = TestInitialBasis.lp()
+        sol = solve(c, a6, b6)
+        assert 0 < sol.phase1_pivots <= sol.pivots
+
+    def test_long_solve_refactors(self):
+        a, b = self.instance()
+        _, cold = split_solve(np.ones(200), a, b)
+        assert cold.pivots > REFACTOR_EVERY
+        assert cold.refactors >= cold.pivots // REFACTOR_EVERY >= 1
