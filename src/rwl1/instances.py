@@ -8,7 +8,8 @@ Fisher-Yates prefix, then the nonzero values (magnitude, then sign).
 
 The matrix is generated in blocks (``Sampler.draws``) that consume the
 stream in exactly that order, so the output is bit-identical to drawing
-one entry at a time.  Only exact operations go to numpy: the splitmix64
+one entry at a time; the k planted magnitudes, one at a time, take the
+scalar Box-Muller step ``Sampler.gauss`` instead of a one-value block.  Only exact operations go to numpy: the splitmix64
 integer mix, the unit mapping, + - * /, sqrt and comparisons, all
 correctly rounded alike in numpy and in Python.  Every log, exp, cos, sin
 and power is evaluated per element by the ``math`` module, because numpy's
@@ -157,6 +158,18 @@ class Sampler:
         self.rng.skip(self._pos - len(self._buf))  # hand back what the cursor did not read
         self._buf, self._pos = [], 0
         return out
+
+    def gauss(self) -> float:
+        """The next standard normal draw: one Box-Muller step of ``draws`` on
+        the normal distribution, sharing its cached variate."""
+        g = self._gauss_cache
+        if g is not None:
+            self._gauss_cache = None
+            return g
+        r = math.sqrt(-2.0 * math.log(self.rng.next_unit()))
+        theta = _TWO_PI * self.rng.next_unit()
+        self._gauss_cache = r * math.sin(theta)
+        return r * math.cos(theta)
 
     # whole-chunk maps
 
@@ -314,10 +327,9 @@ def make_instance(dist: DistributionSpec, m: int, n: int, k: int, seed: int) -> 
     sampler = Sampler(rng)
     a = sampler.draws(dist, m * n).reshape(m, n)
     support = _draw_support(rng, n, k)
-    unit_normal = DistributionSpec.default("normal")
     x_true = np.zeros(n)
     for idx in support:
-        magnitude = MIN_NONZERO + abs(float(sampler.draws(unit_normal, 1)[0]))
+        magnitude = MIN_NONZERO + abs(sampler.gauss())
         sign = 1.0 if rng.next_unit() < 0.5 else -1.0
         x_true[idx] = sign * magnitude
     return ProblemInstance(a=a, b=a @ x_true, x_true=x_true, k=k, dist=dist, seed=seed)

@@ -90,6 +90,22 @@ class TestSamplerStream:
         assert sampler.draws(spec, 1)[0] == cached
         assert sampler._gauss_cache is None
 
+    @pytest.mark.parametrize("lead", [0, 7, 8], ids=lambda c: f"after{c}")
+    def test_gauss_equals_single_normal_draws(self, lead):
+        # gauss() is the scalar Box-Muller step of draws(normal, 1), cache
+        # included, also after a block that leaves a variate cached
+        spec = DistributionSpec.default("normal")
+        block = Sampler(SplitMix64(31))
+        scalar = Sampler(SplitMix64(31))
+        block.draws(spec, lead)
+        scalar.draws(spec, lead)
+        for _ in range(9):
+            expected = float(block.draws(spec, 1)[0])
+            got = scalar.gauss()
+            assert got == expected
+            assert scalar.rng.state == block.rng.state
+            assert scalar._gauss_cache == block._gauss_cache
+
     def test_zero_draws_leave_the_stream_untouched(self):
         for spec in STREAM_SPECS:
             sampler = Sampler(SplitMix64(11))
