@@ -7,7 +7,7 @@ across random matrix distributions and sparsity levels.
 
 from .bench import SweepSpec, SweepResult, is_success, run_trial, sweep
 from .instances import DistributionSpec, ProblemInstance, Sampler, load_instance, make_instance, save_instance
-from .linalg import count_nonzeros, mat_vec
+from .linalg import count_nonzeros
 from .merit import WeightClamp, WeightScheme, gradient_check, merit_value, weights
 from .rng import SplitMix64
 from .simplex import (LPProblem, LPSolution, LPStatus, SimplexStalledError, SolverError,
@@ -22,7 +22,7 @@ __all__ = [
     "ProblemInstance", "ReweightedResult", "Sampler", "SimplexStalledError",
     "SolverConfig", "SolverError", "SplitMix64", "SweepResult", "SweepSpec",
     "WeightClamp", "WeightScheme", "count_nonzeros", "epsilon_update",
-    "gradient_check", "is_success", "load_instance", "make_instance", "mat_vec",
+    "gradient_check", "is_success", "load_instance", "make_instance",
     "merit_value", "reweighted_l1", "run_trial", "save_instance",
     "solve_standard_form", "sweep", "weighted_l1_lp", "weights",
 ]

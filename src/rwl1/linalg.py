@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_matrix", "as_vector", "mat_vec", "count_nonzeros"]
+__all__ = ["as_matrix", "as_vector", "count_nonzeros"]
 
 
 def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -36,18 +36,6 @@ def as_vector(x, length: int | None = None) -> np.ndarray:
     if length is not None and v.shape[0] != length:
         raise ValueError(f"expected length {length}, got {v.shape[0]}")
     return v
-
-
-def mat_vec(a, x) -> np.ndarray:
-    """Matrix-vector product a @ x with dimension checking."""
-    am = as_matrix(a)
-    xv = as_vector(x)
-    if am.shape[1] != xv.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {am.shape[0]}x{am.shape[1]}, "
-            f"vector has length {xv.shape[0]}"
-        )
-    return am @ xv
 
 
 def count_nonzeros(x, tol: float = 1e-6) -> int:

@@ -1,25 +1,7 @@
 import numpy as np
 import pytest
 
-from rwl1.linalg import as_matrix, as_vector, count_nonzeros, mat_vec
-
-
-def test_mat_vec_identity():
-    out = mat_vec(np.eye(2), [3.0, -1.0])
-    np.testing.assert_array_equal(out, [3.0, -1.0])
-
-
-def test_mat_vec_row():
-    np.testing.assert_array_equal(mat_vec([[1.0, 1.0]], [1.0, 0.0]), [1.0])
-
-
-def test_mat_vec_zero_matrix():
-    np.testing.assert_array_equal(mat_vec(np.zeros((2, 3)), [4.0, 5.0, 6.0]), [0.0, 0.0])
-
-
-def test_mat_vec_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        mat_vec(np.eye(2), [1.0, 2.0, 3.0])
+from rwl1.linalg import as_matrix, as_vector, count_nonzeros
 
 
 @pytest.mark.parametrize("x, tol, expected", [
