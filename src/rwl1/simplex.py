@@ -263,6 +263,8 @@ def _run_phase(state: _Basis, b: np.ndarray, c: np.ndarray, feas_tol: float,
     cost below -feas_tol, smallest index on ties: basic entries are set to
     +inf, so one argmin finds it.
     """
+    if c.shape[0] == 0:
+        return "optimal", pivots_used  # no column can enter
     cb = c[state.basis]
     reduced = np.empty(c.shape[0])
     while True:
@@ -338,8 +340,8 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
             raise CertificationError(f"phase I ended {status}")
         xb = np.maximum(state.binv @ b, 0.0)
         if float(c1[state.basis] @ xb) > feas_tol:
-            return LPSolution(LPStatus.INFEASIBLE, None, 0.0, pivots, None, pivots,
-                              state.refactors)
+            return LPSolution(LPStatus.INFEASIBLE, None, 0.0, pivots,
+                              phase1_pivots=pivots, refactors=state.refactors)
         e, b, state, pivots = _drive_out_artificials(e, b, state, n, pivots, max_pivots)
         refactors = state.refactors
         state = _Basis(e, state.basis)
@@ -348,8 +350,8 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
     # Phase II on the structural columns only.
     status, pivots = _run_phase(state, b, problem.c, feas_tol, max_pivots, pivots)
     if status == "unbounded":
-        return LPSolution(LPStatus.UNBOUNDED, None, float("-inf"), pivots, None,
-                          phase1_pivots, refactors + state.refactors)
+        return LPSolution(LPStatus.UNBOUNDED, None, float("-inf"), pivots,
+                          phase1_pivots=phase1_pivots, refactors=refactors + state.refactors)
 
     z = np.zeros(n)
     z[state.basis] = np.maximum(state.binv @ b, 0.0)
@@ -363,7 +365,7 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
     if residual > feas_tol:
         raise CertificationError(f"primal residual {residual:.3g} exceeds feas_tol {feas_tol:g}")
     return LPSolution(LPStatus.OPTIMAL, z, float(problem.c @ z), pivots, state.basis,
-                      phase1_pivots, refactors + state.refactors)
+                      phase1_pivots=phase1_pivots, refactors=refactors + state.refactors)
 
 
 def _inverts(state: _Basis) -> bool:
@@ -377,7 +379,7 @@ def _residual(problem: LPProblem, z: np.ndarray) -> float:
         return 0.0
     if isinstance(problem, _SplitLP):
         n = problem.a.shape[1]
-        az = problem.a @ (z[:n] - z[n:])  # at most one of u_j, v_j is basic
+        az = problem.a @ (z[:n] - z[n:])
     else:
         az = problem.a_eq @ z
     return float(np.max(np.abs(az - problem.b_eq)))

@@ -56,6 +56,10 @@ class TestSolveStandardForm:
         with pytest.raises(ValueError, match="finite"):
             LPProblem(c=[np.nan, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
 
+    def test_empty_lp_is_optimal(self):
+        sol = solve([], np.zeros((0, 0)), [])
+        assert sol.status is LPStatus.OPTIMAL and sol.pivots == 0 and sol.z.shape == (0,)
+
     def test_more_rows_than_cols_rejected(self):
         with pytest.raises(ValueError, match="rows <= cols"):
             LPProblem(c=[1.0], a_eq=[[1.0], [2.0]], b_eq=[1.0, 2.0])
