@@ -120,23 +120,14 @@ class LPProblem:
         return self.a_eq.shape[1]
 
 
-@dataclass(frozen=True)
 class _SplitLP:
     """The split LP  min c'(u, v)  s.t.  A u - A v = b,  u, v >= 0,  i.e. the
     standard form with a_eq = [A, -A], held as A alone.  weighted_l1_lp builds
     it from inputs it has already validated."""
 
-    c: np.ndarray
-    a: np.ndarray
-    b_eq: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n(self) -> int:
-        return 2 * self.a.shape[1]
+    def __init__(self, c: np.ndarray, a: np.ndarray, b_eq: np.ndarray):
+        self.c, self.a, self.b_eq = c, a, b_eq
+        self.m, self.n = a.shape[0], 2 * a.shape[1]
 
 
 @dataclass
