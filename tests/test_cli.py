@@ -175,3 +175,108 @@ class TestPlot:
         code, _, _ = run(["plot", str(path), str(svg)], capsys)
         assert code == 0
         assert svg.read_text().count("<polyline") == 1
+
+
+# SHA-256 of the CSV each invocation writes and of the SVG `plot` renders from it
+GOLDEN_RUNS = {
+    "sweep-normal-five-schemes": (
+        ["sweep", "--m", "10", "--n", "30", "--k", "1:4", "--schemes", "l1,cwb,zl,w1,w2",
+         "--trials", "3", "--seed", "5"],
+        "3fd1e25644158a16455ddec0dfd98a7f79c7ef592d732bfe544d53ddb50dc46e",
+        "810098e84e4cabe2500f96a0a45a4a9c2c79a4cce74d655325ebad7c7e1f650f"),
+    "sweep-poisson-floor-cwb": (
+        ["sweep", "--dist", "poisson", "--m", "8", "--n", "24", "--k", "2,3",
+         "--schemes", "w1,w2", "--p", "0.3", "--q", "0.2", "--eps-rule", "cwb",
+         "--clamp", "floor", "--clamp-floor", "1e-6", "--trials", "2", "--seed", "9"],
+        "7c46190397c64733485077ebe6d6c444535dd0d678fe0a2b532d9f28e3743f86",
+        "e335cc7cdf55e4865b725fe121d67150683c2507f2125f45ce575978f2fdff0b"),
+    "study-eps": (
+        ["study-eps", "--m", "10", "--n", "30", "--k", "3", "--eps-list", "1e-3,1e-2,1e-1",
+         "--trials", "3", "--seed", "5"],
+        "2775d6283d2a521705b570502eaa5cd44a1d5f832e02cdb958049e9bc6c0f0c2",
+        "2a02be448eb393e78727eae02eb616bd1211cc16328d15c485e0c423a0250def"),
+    "study-p-list": (
+        ["study-p", "--m", "10", "--n", "30", "--p-grid", "0.1,0.5,0.9", "--k-list", "2,4",
+         "--trials", "2", "--seed", "4"],
+        "b3d7816f22527ead6ce2fb6a21f54463e26798708d464cebdc824a5088d4bac3",
+        "d9d15714a3361233a504fb7b1e868c29ef614e273786f6152dde7028391f919b"),
+    "study-p-range": (
+        ["study-p", "--m", "10", "--n", "30", "--p-grid", "0.1:0.4:0.9", "--k-list", "2:4",
+         "--eps-rule", "fixed", "--trials", "2", "--seed", "4"],
+        "0154dce28dc1d040742ff638edcc3320203f51df9a2797e58c67d423c2b5f8c5",
+        "058b8b11da4f127bf7db96867f4755f23074b03ae6adaaf0ffecbe814c76380c"),
+    "study-pq": (
+        ["study-pq", "--m", "8", "--n", "20", "--fixed-p", "0.08", "--q-grid", "0.04:0.3:1",
+         "--k-list", "2,3", "--trials", "2", "--seed", "4"],
+        "8d77edba4eaf23c976878feb61c4fafb69c6e4090fd719ad87cd284d01ec319b",
+        "deb17bbeffb281f75bc0ee9770061536a4c80829e7abb0f452ac81fcbf7db970"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_artifact_digests(name, tmp_path, capsys):
+    import hashlib
+
+    argv, csv_digest, svg_digest = GOLDEN_RUNS[name]
+    csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+    assert run(argv + ["--out", str(csv_path)], capsys)[0] == 0
+    assert run(["plot", str(csv_path), str(svg_path)], capsys)[0] == 0
+    got = (hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+           hashlib.sha256(svg_path.read_bytes()).hexdigest())
+    assert got == (csv_digest, svg_digest)
+
+
+# one row per flag check; each fragment names the bad value or the valid range
+BAD_FLAGS = [
+    (["solve", "--k", "3", "--scheme", "zl", "--p", "0"], "p must be in (0.0, 1.0]"),
+    (["sweep", "--k", "2", "--schemes", "w1", "--p", "1.5", "--trials", "1"],
+     "p must be in (0.0, 1.0]"),
+    (["study-eps", "--p", "-0.5", "--trials", "1"], "p must be in (0.0, 1.0]"),
+    (["study-p", "--p-grid", "0.5,1.5", "--k-list", "2", "--trials", "1"],
+     "p must be in (0.0, 1.0]"),
+    (["study-pq", "--fixed-p", "2", "--k-list", "2", "--trials", "1"], "p must be in (0.0, 1.0]"),
+    (["sweep", "--k", "2", "--schemes", "w2", "--q", "0", "--trials", "1"],
+     "q must be in (0.0, 1.0]"),
+    (["study-pq", "--q-grid", "0.5,1.5", "--k-list", "2", "--trials", "1"],
+     "q must be in (0.0, 1.0]"),
+    (["study-eps", "--eps-list", "0.01,-1", "--trials", "1"], "must be > 0"),
+    (["sweep", "--k", "2", "--eps0", "0", "--trials", "1"], "eps0 must be > 0"),
+    (["study-p", "--eps0", "-1", "--k-list", "2", "--trials", "1"], "eps0 must be > 0"),
+    (["solve", "--k", "3", "--eps0", "0"], "eps0 must be > 0"),
+    (["sweep", "--k", "2", "--clamp", "floor", "--clamp-floor", "0", "--trials", "1"],
+     "floor must be > 0"),
+    (["study-eps", "--clamp", "floor", "--clamp-floor", "-1", "--trials", "1"],
+     "floor must be > 0"),
+    (["sweep", "--m", "10", "--n", "30", "--k", "0:3", "--trials", "1"], "m=10"),
+    (["sweep", "--m", "10", "--n", "30", "--k", "4,11", "--trials", "1"], "m=10"),
+    (["study-eps", "--m", "10", "--n", "30", "--k", "11", "--trials", "1"], "m=10"),
+    (["study-p", "--m", "10", "--n", "30", "--k-list", "0,2", "--trials", "1"], "m=10"),
+    (["study-pq", "--m", "10", "--n", "30", "--k-list", "2,12", "--trials", "1"], "m=10"),
+    (["solve", "--m", "10", "--n", "30", "--k", "0"], "m=10"),
+    (["sweep", "--m", "30", "--n", "30", "--k", "2", "--trials", "1"], "m=30, n=30"),
+    (["study-p", "--m", "40", "--n", "30", "--k-list", "2", "--trials", "1"], "m=40, n=30"),
+    (["solve", "--m", "30", "--n", "30", "--k", "2"], "m=30, n=30"),
+    (["sweep", "--k", "2", "--trials", "0"], "must be >= 1"),
+    (["study-eps", "--trials", "-2"], "must be >= 1"),
+    (["sweep", "--k", "2", "--trials", "1", "--workers", "0"], "must be >= 1"),
+    (["study-pq", "--k-list", "2", "--trials", "1", "--workers", "0"], "must be >= 1"),
+    (["sweep", "--k", "2", "--schemes", "l1,omp", "--trials", "1"], "unknown scheme 'omp'"),
+    (["study-eps", "--eps-list", ",", "--trials", "1"], "--eps-list must contain at least one value"),
+    (["sweep", "--k", "2", "--sigma", "0", "--trials", "1"], "sigma must be > 0"),
+    (["solve", "--k", "2", "--sigma", "-1"], "sigma must be > 0"),
+]
+
+
+@pytest.mark.parametrize("argv,fragment", BAD_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLAGS])
+def test_bad_flag_exits_1_before_any_trial(argv, fragment, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the flags were rejected")
+
+    monkeypatch.setattr("rwl1.bench.run_trial", no_solve)
+    monkeypatch.setattr("rwl1.cli.reweighted_l1", no_solve)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    assert fragment in capsys.readouterr().err
