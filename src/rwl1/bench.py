@@ -61,8 +61,9 @@ class SweepSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.k_values or not self.schemes:
             raise ValueError("k_values and schemes must be nonempty")
-        if any(k > self.m for k in self.k_values):
-            raise ValueError(f"every k must be <= m = {self.m}, got {self.k_values}")
+        if not all(1 <= k <= self.m < self.n for k in self.k_values):
+            raise ValueError(f"k must be in [1, m] with m < n, got k={self.k_values}, "
+                             f"m={self.m}, n={self.n}")
         if self.success_tol <= 0:
             raise ValueError(f"success_tol must be > 0, got {self.success_tol}")
 

@@ -164,6 +164,10 @@ class TestSweep:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="k must be"):
             small_spec(k_values=(11,), m=10)
+        with pytest.raises(ValueError, match="k must be.*m=10"):
+            small_spec(k_values=(0,), m=10)
+        with pytest.raises(ValueError, match="k must be.*m=30, n=30"):
+            small_spec(m=30, n=30)
         with pytest.raises(ValueError, match="trials"):
             small_spec(trials=0)
         with pytest.raises(ValueError, match="nonempty"):
