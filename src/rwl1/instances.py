@@ -381,6 +381,8 @@ def load_instance(path) -> ProblemInstance:
         raise InstanceParseError(f"field 'b' has length {b.shape[0]}, expected m = {m}")
     if x_true.shape[0] != n:
         raise InstanceParseError(f"field 'x_true' has length {x_true.shape[0]}, expected n = {n}")
+    if m > n:
+        raise InstanceValidationError(f"need a wide or square system (m <= n), got m={m}, n={n}")
     a = as_matrix(flat.reshape(m, n))
     nnz = count_nonzeros(x_true, SUPPORT_TOL)
     if nnz != k:

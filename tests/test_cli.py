@@ -264,11 +264,16 @@ BAD_FLAGS = [
     (["study-eps", "--eps-list", ",", "--trials", "1"], "--eps-list must contain at least one value"),
     (["sweep", "--k", "2", "--sigma", "0", "--trials", "1"], "sigma must be > 0"),
     (["solve", "--k", "2", "--sigma", "-1"], "sigma must be > 0"),
+    (["solve", "--instance", "{tmp}/tall.json"], "m=3, n=2"),
 ]
 
 
 @pytest.mark.parametrize("argv,fragment", BAD_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLAGS])
-def test_bad_flag_exits_1_before_any_trial(argv, fragment, monkeypatch, capsys):
+def test_bad_flag_exits_1_before_any_trial(argv, fragment, tmp_path, monkeypatch, capsys):
+    from test_instances import TALL_INSTANCE
+
+    (tmp_path / "tall.json").write_text(json.dumps(TALL_INSTANCE))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve started before the flags were rejected")
 

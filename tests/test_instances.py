@@ -228,6 +228,18 @@ class TestInstanceFiles:
         with pytest.raises(InstanceValidationError, match="x_true"):
             load_instance(path)
 
+    def test_tall_system_rejected(self, tmp_path):
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(TALL_INSTANCE))
+        with pytest.raises(InstanceValidationError, match="m=3, n=2"):
+            load_instance(path)
+
+
+# consistent in every field, but with more rows than columns
+TALL_INSTANCE = {"m": 3, "n": 2, "k": 2, "dist": {"name": "normal", "mu": 0.0, "sigma": 1.0},
+                 "seed": 0, "A": [1.0, 0.0, 0.0, 1.0, 1.0, 1.0], "b": [3.0, -4.0, -1.0],
+                 "x_true": [3.0, -4.0]}
+
 
 def _dump(inst):
     import os
