@@ -40,6 +40,8 @@ __all__ = [
     "CSV_HEADER",
 ]
 
+SUCCESS_TOL = 1e-4  # a trial recovers x_true when every entry of x_hat is within this
+
 CSV_HEADER = "distribution,scheme,p,q,eps_rule,k,trials,successes,success_rate,mean_iters,mean_pivots,wall_ms"
 
 
@@ -52,7 +54,6 @@ class SweepSpec:
     schemes: tuple[tuple[WeightScheme, SolverConfig], ...]
     trials: int
     seed_base: int
-    success_tol: float = 1e-4
 
     def __post_init__(self):
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
@@ -64,8 +65,6 @@ class SweepSpec:
         if not all(1 <= k <= self.m < self.n for k in self.k_values):
             raise ValueError(f"k must be in [1, m] with m < n, got k={self.k_values}, "
                              f"m={self.m}, n={self.n}")
-        if self.success_tol <= 0:
-            raise ValueError(f"success_tol must be > 0, got {self.success_tol}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def is_success(x_hat, x_true, success_tol: float = 1e-4) -> bool:
+def is_success(x_hat, x_true, success_tol: float = SUCCESS_TOL) -> bool:
     """Exact-recovery test: inf-norm deviation within success_tol."""
     if success_tol <= 0:
         raise ValueError(f"success_tol must be > 0, got {success_tol}")
@@ -163,7 +162,7 @@ def run_trial(spec: SweepSpec, scheme_index: int, k: int, trial_index: int) -> T
                            iterations=0, pivots=0, wall_ms=wall, fail_reason=str(exc), gen_ms=gen)
     wall = (time.perf_counter() - start) * 1e3
     pivots = sum(rec.lp_pivots for rec in result.history)
-    ok = is_success(result.x_hat, inst.x_true, spec.success_tol)
+    ok = is_success(result.x_hat, inst.x_true)
     return TrialRecord(scheme_index, k, trial_index, seed, success=ok,
                        iterations=result.iterations_used, pivots=pivots, wall_ms=wall, gen_ms=gen)
 

@@ -12,17 +12,13 @@ import numpy as np
 __all__ = ["as_matrix", "as_vector", "count_nonzeros"]
 
 
-def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a finite 2-D float64 array, optionally checking its shape."""
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a finite 2-D float64 array."""
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    if rows is not None and m.shape[0] != rows:
-        raise ValueError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ValueError(f"expected {cols} cols, got {m.shape[1]}")
     return m
 
 

@@ -48,9 +48,9 @@ class WeightScheme:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme {self.kind!r}, expected one of {SCHEME_KINDS}")
         if self.kind in ("zl", "w1", "w2") and not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {self.p}")
+            raise ValueError(f"p must be in (0.0, 1.0], got {self.p}")
         if self.kind == "w2" and not 0.0 < self.q <= 1.0:
-            raise ValueError(f"q must be in (0, 1], got {self.q}")
+            raise ValueError(f"q must be in (0.0, 1.0], got {self.q}")
 
     @property
     def label(self) -> str:
@@ -68,7 +68,7 @@ class WeightClamp:
         if self.kind not in CLAMP_KINDS:
             raise ValueError(f"unknown clamp {self.kind!r}, expected one of {CLAMP_KINDS}")
         if self.kind == "floor" and self.floor <= 0:
-            raise ValueError(f"floor clamp requires floor > 0, got {self.floor}")
+            raise ValueError(f"floor must be > 0 for the floor clamp, got {self.floor}")
 
     def apply(self, raw: np.ndarray) -> np.ndarray:
         if self.kind == "abs":

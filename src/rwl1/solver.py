@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 EPS_RULES = ("fixed", "halving", "cwb")
+CWB_FLOOR = 0.001  # lower bound of the cwb rule's eps
 SUPPORT_TOL = 1e-6
 
 
@@ -54,15 +55,12 @@ class EpsilonSchedule:
 
     rule: str = "halving"
     eps0: float = 1.0
-    cwb_floor: float = 0.001
 
     def __post_init__(self):
         if self.rule not in EPS_RULES:
             raise ValueError(f"unknown eps rule {self.rule!r}, expected one of {EPS_RULES}")
         if self.eps0 <= 0:
             raise ValueError(f"eps0 must be > 0, got {self.eps0}")
-        if self.cwb_floor <= 0:
-            raise ValueError(f"cwb_floor must be > 0, got {self.cwb_floor}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ def epsilon_update(schedule: EpsilonSchedule, eps_current: float, x_current,
 
     fixed   -> eps0
     halving -> eps_current / 2
-    cwb     -> max(|x|_(i0), cwb_floor) with i0 = round(m / (4 ln(n/m)))
+    cwb     -> max(|x|_(i0), CWB_FLOOR) with i0 = round(m / (4 ln(n/m)))
                clamped into [1, n]; |x|_(i0) is the i0-th largest magnitude.
     """
     if eps_current <= 0:
@@ -127,7 +125,7 @@ def epsilon_update(schedule: EpsilonSchedule, eps_current: float, x_current,
     i0 = min(max(i0, 1), n)
     mags = np.sort(np.abs(xv))[::-1]
     i0 = min(i0, mags.shape[0])
-    return float(max(mags[i0 - 1], schedule.cwb_floor))
+    return float(max(mags[i0 - 1], CWB_FLOOR))
 
 
 def _record(scheme: WeightScheme, x: np.ndarray, eps: float, objective: float,
