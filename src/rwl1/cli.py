@@ -1,28 +1,32 @@
 """Command-line front end: solve | sweep | study-eps | study-p | study-pq | plot.
 
-All numeric flags are validated before any work starts (bad flags exit 1,
-solver failures exit 2).  Runs with identical flags and seeds write
-byte-identical CSV and SVG artifacts; pass --timing to record measured
-wall-clock times in the CSV at the cost of that reproducibility.
+The flags become domain objects (DistributionSpec, WeightScheme,
+WeightClamp, EpsilonSchedule, SweepSpec, or make_instance for solve),
+which validate them before any work starts: bad flags exit 1, solver
+failures exit 2.  The sweep and the three studies are one grid run that
+differs in its schemes and its CSV.  Runs with identical flags and seeds
+write byte-identical CSV and SVG artifacts; pass --timing to sweep to
+record measured wall-clock times in the CSV at the cost of that
+reproducibility.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
-from .bench import CSV_HEADER, SweepResult, SweepSpec, is_success, sweep
-from .instances import (DISTRIBUTIONS, DistributionSpec, InstanceParseError,
-                        InstanceValidationError, load_instance, make_instance)
+from .bench import CSV_HEADER, SUCCESS_TOL, SweepResult, SweepSpec, is_success, sweep
+from .instances import DISTRIBUTIONS, DistributionSpec, load_instance, make_instance
 from .linalg import count_nonzeros
-from .merit import WeightClamp, WeightScheme
+from .merit import CLAMP_KINDS, SCHEME_KINDS, WeightClamp, WeightScheme
 from .simplex import SolverError
-from .solver import EpsilonSchedule, ReweightedResult, SolverConfig, reweighted_l1
+from .solver import EPS_RULES, EpsilonSchedule, ReweightedResult, SolverConfig, reweighted_l1
 from .svgplot import render_lines
 
-SCHEME_CHOICES = ("l1", "cwb", "zl", "w1", "w2")
 DEFAULT_EPS0 = {"fixed": 0.01, "halving": 1.0, "cwb": 1.0}
 DEFAULT_EPS_LIST = "1e-5,1e-4,1e-3,1e-2,1e-1"
 DEFAULT_GRID = "0.04:0.08:1"
@@ -41,7 +45,14 @@ class CliError(Exception):
     """Flag-validation failure after parsing; maps to exit code 1."""
 
 
-def _dist_flags(p: argparse.ArgumentParser):
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
+    return value
+
+
+def _instance_flags(p: argparse.ArgumentParser):
     p.add_argument("--dist", choices=sorted(DISTRIBUTIONS), default="normal")
     p.add_argument("--mu", type=float, default=0.0, help="normal mean")
     p.add_argument("--sigma", type=float, default=1.0, help="normal std dev")
@@ -52,27 +63,51 @@ def _dist_flags(p: argparse.ArgumentParser):
     p.add_argument("--gamma-shape", type=float, default=5.0)
     p.add_argument("--gamma-scale", type=float, default=10.0)
     p.add_argument("--uniform-high", type=float, default=10.0)
-
-
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--m", type=int, default=50)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--m", type=positive_int, default=50)
+    p.add_argument("--n", type=positive_int, default=200)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None)
-    p.add_argument("--timing", action="store_true",
-                   help="write measured wall_ms into the CSV (breaks byte reproducibility)")
 
 
-def _scheme_flags(p: argparse.ArgumentParser):
-    p.add_argument("--p", type=float, default=0.05)
-    p.add_argument("--q", type=float, default=0.05)
-    p.add_argument("--clamp", choices=("abs", "floor", "none"), default="abs")
+def _config_flags(p: argparse.ArgumentParser, eps_rule: bool = True):
+    p.add_argument("--clamp", choices=CLAMP_KINDS, default="abs")
     p.add_argument("--clamp-floor", type=float, default=1e-8)
-    p.add_argument("--eps-rule", choices=("fixed", "halving", "cwb"), default="halving")
-    p.add_argument("--eps0", type=float, default=None,
-                   help="initial eps (default: 0.01 fixed, 1.0 otherwise)")
+    if eps_rule:
+        p.add_argument("--eps-rule", choices=EPS_RULES, default="halving")
+        p.add_argument("--eps0", type=float, default=None,
+                       help="initial eps (default: 0.01 fixed, 1.0 otherwise)")
+
+
+def _grid_run_flags(p: argparse.ArgumentParser):
+    p.add_argument("--trials", type=positive_int, default=20)
+    p.add_argument("--workers", type=positive_int, default=1)
+    p.add_argument("--out", default=None)
+
+
+def _grid_flag(p: argparse.ArgumentParser, flag: str, cast, default: str):
+    p.add_argument(flag, type=lambda text: _parse_grid(text, cast), default=default,
+                   help="comma list, start:stop or start:step:stop")
+
+
+def _parse_grid(text: str, cast) -> list:
+    """A comma list, start:stop (step 1) or start:step:stop, each value
+    through ``cast``; stop is included when a whole number of steps reaches it."""
+    try:
+        if ":" not in text:
+            values = [cast(tok) for tok in text.split(",") if tok.strip() != ""]
+        else:
+            parts = [cast(tok) for tok in text.split(":")]
+            if len(parts) not in (2, 3):
+                raise ValueError("expected start:stop or start:step:stop")
+            start, step, stop = (parts[0], 1, parts[1]) if len(parts) == 2 else parts
+            if step <= 0:
+                raise ValueError("step must be > 0")
+            count = math.floor((stop - start) / step + 1e-9)
+            values = [round(start + i * step, 10) for i in range(count + 1)]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}: {exc}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"must contain at least one value (got {text!r})")
+    return values
 
 
 def build_parser() -> _Parser:
@@ -82,49 +117,42 @@ def build_parser() -> _Parser:
     ps = sub.add_parser("solve", help="recover one instance and report the result")
     ps.add_argument("--instance", default=None, help="instance JSON file (overrides generation flags)")
     ps.add_argument("--k", type=int, default=None, help="planted sparsity when generating")
-    ps.add_argument("--scheme", choices=SCHEME_CHOICES, default="w1")
-    _dist_flags(ps)
-    _scheme_flags(ps)
-    ps.add_argument("--m", type=int, default=50)
-    ps.add_argument("--n", type=int, default=200)
-    ps.add_argument("--seed", type=int, default=42)
+    ps.add_argument("--scheme", choices=SCHEME_KINDS, default="w1")
+    ps.add_argument("--p", type=float, default=0.05)
+    ps.add_argument("--q", type=float, default=0.05)
+    _config_flags(ps)
+    _instance_flags(ps)
 
     pw = sub.add_parser("sweep", help="success-rate grid over sparsity levels and schemes")
-    pw.add_argument("--k", default="1:26", help="sparsity levels, e.g. 1:26 or 2,4,6")
+    _grid_flag(pw, "--k", int, "1:26")
     pw.add_argument("--schemes", default="l1,cwb,w1,w2", help="comma list of schemes")
-    _dist_flags(pw)
-    _scheme_flags(pw)
-    _common_flags(pw)
+    pw.add_argument("--p", type=float, default=0.05)
+    pw.add_argument("--q", type=float, default=0.05)
+    pw.add_argument("--timing", action="store_true",
+                    help="write measured wall_ms into the CSV (breaks byte reproducibility)")
+    _config_flags(pw)
+    _instance_flags(pw)
+    _grid_run_flags(pw)
 
     pe = sub.add_parser("study-eps", help="w1 success rate vs fixed eps at one sparsity")
     pe.add_argument("--k", type=int, default=15)
     pe.add_argument("--p", type=float, default=0.05)
-    pe.add_argument("--eps-list", default=DEFAULT_EPS_LIST)
-    pe.add_argument("--clamp", choices=("abs", "floor", "none"), default="abs")
-    pe.add_argument("--clamp-floor", type=float, default=1e-8)
-    _dist_flags(pe)
-    _common_flags(pe)
+    _grid_flag(pe, "--eps-list", float, DEFAULT_EPS_LIST)
+    _config_flags(pe, eps_rule=False)
 
     pp = sub.add_parser("study-p", help="w1 success rate over a p grid at fixed sparsities")
-    pp.add_argument("--p-grid", default=DEFAULT_GRID, help="start:step:stop or comma list")
-    pp.add_argument("--k-list", default=DEFAULT_STUDY_K)
-    pp.add_argument("--eps-rule", choices=("fixed", "halving", "cwb"), default="halving")
-    pp.add_argument("--eps0", type=float, default=None)
-    pp.add_argument("--clamp", choices=("abs", "floor", "none"), default="abs")
-    pp.add_argument("--clamp-floor", type=float, default=1e-8)
-    _dist_flags(pp)
-    _common_flags(pp)
+    _grid_flag(pp, "--p-grid", float, DEFAULT_GRID)
 
     pq = sub.add_parser("study-pq", help="w2 success rate over a q grid at fixed p and sparsities")
     pq.add_argument("--fixed-p", type=float, default=0.08)
-    pq.add_argument("--q-grid", default=DEFAULT_GRID, help="start:step:stop or comma list")
-    pq.add_argument("--k-list", default=DEFAULT_STUDY_K)
-    pq.add_argument("--eps-rule", choices=("fixed", "halving", "cwb"), default="halving")
-    pq.add_argument("--eps0", type=float, default=None)
-    pq.add_argument("--clamp", choices=("abs", "floor", "none"), default="abs")
-    pq.add_argument("--clamp-floor", type=float, default=1e-8)
-    _dist_flags(pq)
-    _common_flags(pq)
+    _grid_flag(pq, "--q-grid", float, DEFAULT_GRID)
+
+    for study in (pp, pq):
+        _grid_flag(study, "--k-list", int, DEFAULT_STUDY_K)
+        _config_flags(study)
+    for study in (pe, pp, pq):
+        _instance_flags(study)
+        _grid_run_flags(study)
 
     pl = sub.add_parser("plot", help="render a results CSV as an SVG line plot")
     pl.add_argument("csv_in")
@@ -135,17 +163,16 @@ def build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# flag -> domain object helpers
+# flags -> domain objects
 
 
-def _check_range(name: str, value: float, lo: float, hi: float,
-                 lo_open: bool = True, hi_open: bool = False):
-    bad = value <= lo if lo_open else value < lo
-    bad = bad or (value >= hi if hi_open else value > hi)
-    if bad:
-        left = "(" if lo_open else "["
-        right = ")" if hi_open else "]"
-        raise CliError(f"{name} must be in {left}{lo}, {hi}{right} (got {value:g})")
+@contextmanager
+def _flag_errors():
+    """Report a domain object's rejection of a flag value as a CliError."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _dist_from_args(args) -> DistributionSpec:
@@ -157,78 +184,13 @@ def _dist_from_args(args) -> DistributionSpec:
         "gamma": (args.gamma_shape, args.gamma_scale),
         "uniform": (args.uniform_high,),
     }[args.dist]
-    try:
-        return DistributionSpec(args.dist, params)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return DistributionSpec(args.dist, params)
 
 
-def _scheme_from_args(kind: str, p: float, q: float) -> WeightScheme:
-    if kind in ("zl", "w1", "w2"):
-        _check_range("p", p, 0.0, 1.0)
-    if kind == "w2":
-        _check_range("q", q, 0.0, 1.0)
-    return WeightScheme(kind, p=p, q=q)
-
-
-def _clamp_from_args(args) -> WeightClamp:
-    if args.clamp == "floor" and args.clamp_floor <= 0:
-        raise CliError(f"--clamp-floor must be > 0 (got {args.clamp_floor:g})")
-    return WeightClamp(args.clamp, floor=args.clamp_floor)
-
-
-def _schedule_from_args(rule: str, eps0: float | None) -> EpsilonSchedule:
-    if eps0 is None:
-        eps0 = DEFAULT_EPS0[rule]
-    if eps0 <= 0:
-        raise CliError(f"--eps0 must be > 0 (got {eps0:g})")
-    return EpsilonSchedule(rule, eps0=eps0)
-
-
-def _parse_int_list(text: str, name: str) -> list[int]:
-    try:
-        if ":" in text:
-            lo, hi = text.split(":")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError("empty range")
-            return list(range(lo, hi + 1))
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise CliError(f"cannot parse {name} {text!r}: {exc}") from exc
-
-
-def _parse_float_list(text: str, name: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise CliError(f"cannot parse {name} {text!r}: {exc}") from exc
-
-
-def _parse_grid(text: str, name: str) -> list[float]:
-    """start:step:stop (stop inclusive when reached exactly) or a comma list."""
-    if ":" not in text:
-        return _parse_float_list(text, name)
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise CliError(f"{name} grid must be start:step:stop, got {text!r}")
-    try:
-        start, step, stop = (float(v) for v in parts)
-    except ValueError as exc:
-        raise CliError(f"cannot parse {name} {text!r}: {exc}") from exc
-    if step <= 0 or stop < start:
-        raise CliError(f"{name} grid requires step > 0 and stop >= start")
-    count = int((stop - start) / step + 1e-9)
-    return [round(start + i * step, 10) for i in range(count + 1)]
-
-
-def _validate_size(m: int, n: int, trials: int = 1, workers: int = 1):
-    if m < 1 or n < 1 or m >= n:
-        raise CliError(f"need 1 <= m < n (got m={m}, n={n})")
-    if trials < 1:
-        raise CliError(f"--trials must be >= 1 (got {trials})")
-    if workers < 1:
-        raise CliError(f"--workers must be >= 1 (got {workers})")
+def _config(args, rule: str, eps0: float | None) -> SolverConfig:
+    return SolverConfig(
+        schedule=EpsilonSchedule(rule, eps0=DEFAULT_EPS0[rule] if eps0 is None else eps0),
+        clamp=WeightClamp(args.clamp, floor=args.clamp_floor))
 
 
 def _write_text(path: str, text: str):
@@ -244,22 +206,15 @@ def _write_text(path: str, text: str):
 
 
 def cmd_solve(args) -> int:
-    config = SolverConfig(schedule=_schedule_from_args(args.eps_rule, args.eps0),
-                          clamp=_clamp_from_args(args))
-    scheme = _scheme_from_args(args.scheme, args.p, args.q)
-    if args.instance is not None:
-        try:
+    with _flag_errors():
+        config = _config(args, args.eps_rule, args.eps0)
+        scheme = WeightScheme(args.scheme, p=args.p, q=args.q)
+        if args.instance is not None:
             inst = load_instance(args.instance)
-        except (OSError, InstanceParseError, InstanceValidationError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        if args.k is None:
+        elif args.k is None:
             raise CliError("solve needs --instance or --k for generation")
-        _validate_size(args.m, args.n)
-        if not 1 <= args.k <= args.m:
-            raise CliError(f"need 1 <= k <= m (got k={args.k}, m={args.m})")
-        inst = make_instance(_dist_from_args(args), args.m, args.n, args.k, args.seed)
+        else:
+            inst = make_instance(_dist_from_args(args), args.m, args.n, args.k, args.seed)
 
     try:
         result: ReweightedResult = reweighted_l1(inst.a, inst.b, scheme, config)
@@ -275,24 +230,20 @@ def cmd_solve(args) -> int:
     print(f"nnz: {count_nonzeros(x, 1e-6)}")
     print(f"residual_inf: {residual:.3e}")
     print(f"iterations: {result.iterations_used}")
-    ok = is_success(x, inst.x_true, 1e-4)
+    ok = is_success(x, inst.x_true, SUCCESS_TOL)
     print(f"success: {'true' if ok else 'false'}")
     return 0
 
 
-def _build_sweep_spec(args, k_values, schemes) -> SweepSpec:
-    return SweepSpec(
-        dist=_dist_from_args(args),
-        m=args.m,
-        n=args.n,
-        k_values=tuple(k_values),
-        schemes=tuple(schemes),
-        trials=args.trials,
-        seed_base=args.seed,
-    )
-
-
-def _print_scheme_summary(result: SweepResult):
+def _run_grid(args, k_values, values, member) -> SweepResult:
+    """The one run path of sweep and the studies: a sweep over ``k_values``
+    with one scheme per entry of ``values`` (``member(value)`` gives its
+    (scheme, config)), then a per-scheme summary on stdout."""
+    with _flag_errors():
+        spec = SweepSpec(dist=_dist_from_args(args), m=args.m, n=args.n,
+                         k_values=tuple(k_values), schemes=tuple(member(v) for v in values),
+                         trials=args.trials, seed_base=args.seed)
+    result = sweep(spec, workers=args.workers)
     print(f"{'scheme':<10}{'cells':>6}{'trials':>8}{'mean rate':>11}{'mean iters':>12}"
           f"{'mean pivots':>13}{'wall s':>9}")
     seen: dict[int, list] = {}
@@ -307,45 +258,29 @@ def _print_scheme_summary(result: SweepResult):
         wall = sum(c.wall_ms for c in cells) / 1e3
         print(f"{label:<10}{len(cells):>6}{cells[0].trials * len(cells):>8}"
               f"{rate:>11.3f}{iters:>12.2f}{pivots:>13.1f}{wall:>9.2f}")
+    return result
 
 
 def cmd_sweep(args) -> int:
-    _validate_size(args.m, args.n, args.trials, args.workers)
-    k_values = _parse_int_list(args.k, "--k")
-    if not k_values or any(k < 1 or k > args.m for k in k_values):
-        raise CliError(f"--k values must lie in [1, m={args.m}]")
     kinds = [tok.strip() for tok in args.schemes.split(",") if tok.strip()]
-    if not kinds:
-        raise CliError("--schemes must name at least one scheme")
-    for kind in kinds:
-        if kind not in SCHEME_CHOICES:
-            raise CliError(f"unknown scheme {kind!r}, expected one of {SCHEME_CHOICES}")
-    config = SolverConfig(schedule=_schedule_from_args(args.eps_rule, args.eps0),
-                          clamp=_clamp_from_args(args))
-    schemes = [(_scheme_from_args(kind, args.p, args.q), config) for kind in kinds]
-
-    spec = _build_sweep_spec(args, k_values, schemes)
-    result = sweep(spec, workers=args.workers)
-    _print_scheme_summary(result)
+    result = _run_grid(args, args.k, kinds, lambda kind: (
+        WeightScheme(kind, p=args.p, q=args.q), _config(args, args.eps_rule, args.eps0)))
     if args.out:
         _write_text(args.out, result.to_csv(include_timing=args.timing))
         print(f"wrote {args.out}")
     return 0
 
 
-def _study(args, schemes, k_values, first_col: str, first_vals) -> int:
-    """Shared machinery of the three parameter studies."""
-    _validate_size(args.m, args.n, args.trials, args.workers)
-    spec = _build_sweep_spec(args, k_values, schemes)
-    result = sweep(spec, workers=args.workers)
-    lines = [f"{first_col},k,trials,successes,success_rate"]
+def _study(args, column: str, values: list[float], k_values: list[int], member) -> int:
+    """A grid with one scheme per study value; one CSV row per (value, k)."""
+    result = _run_grid(args, k_values, values, member)
+    lines = [f"{column},k,trials,successes,success_rate"]
     by_index = {(c.scheme_index, c.k): c for c in result.cells}
-    for si, val in enumerate(first_vals):
+    for si, val in enumerate(values):
         for k in k_values:
             c = by_index[(si, k)]
             lines.append(f"{val!r},{k},{c.trials},{c.successes},{c.success_rate!r}")
     csv_text = "\n".join(lines) + "\n"
-    _print_scheme_summary(result)
     if args.out:
         _write_text(args.out, csv_text)
         print(f"wrote {args.out}")
@@ -355,49 +290,18 @@ def _study(args, schemes, k_values, first_col: str, first_vals) -> int:
 
 
 def cmd_study_eps(args) -> int:
-    _check_range("p", args.p, 0.0, 1.0)
-    if not 1 <= args.k <= args.m:
-        raise CliError(f"need 1 <= k <= m (got k={args.k}, m={args.m})")
-    eps_values = _parse_float_list(args.eps_list, "--eps-list")
-    if not eps_values:
-        raise CliError("--eps-list must contain at least one value")
-    for eps in eps_values:
-        if eps <= 0:
-            raise CliError(f"eps values must be > 0 (got {eps:g})")
-    clamp = _clamp_from_args(args)
-    schemes = [
-        (WeightScheme("w1", p=args.p),
-         SolverConfig(schedule=EpsilonSchedule("fixed", eps0=eps), clamp=clamp))
-        for eps in eps_values
-    ]
-    return _study(args, schemes, [args.k], "eps", eps_values)
+    return _study(args, "eps", args.eps_list, [args.k], lambda eps: (
+        WeightScheme("w1", p=args.p), _config(args, "fixed", eps)))
 
 
 def cmd_study_p(args) -> int:
-    grid = _parse_grid(args.p_grid, "--p-grid")
-    for v in grid:
-        _check_range("p", v, 0.0, 1.0)
-    k_values = _parse_int_list(args.k_list, "--k-list")
-    if not k_values or any(k < 1 or k > args.m for k in k_values):
-        raise CliError(f"--k-list values must lie in [1, m={args.m}]")
-    config = SolverConfig(schedule=_schedule_from_args(args.eps_rule, args.eps0),
-                          clamp=_clamp_from_args(args))
-    schemes = [(WeightScheme("w1", p=v), config) for v in grid]
-    return _study(args, schemes, k_values, "p", grid)
+    return _study(args, "p", args.p_grid, args.k_list, lambda p: (
+        WeightScheme("w1", p=p), _config(args, args.eps_rule, args.eps0)))
 
 
 def cmd_study_pq(args) -> int:
-    _check_range("p", args.fixed_p, 0.0, 1.0)
-    grid = _parse_grid(args.q_grid, "--q-grid")
-    for v in grid:
-        _check_range("q", v, 0.0, 1.0)
-    k_values = _parse_int_list(args.k_list, "--k-list")
-    if not k_values or any(k < 1 or k > args.m for k in k_values):
-        raise CliError(f"--k-list values must lie in [1, m={args.m}]")
-    config = SolverConfig(schedule=_schedule_from_args(args.eps_rule, args.eps0),
-                          clamp=_clamp_from_args(args))
-    schemes = [(WeightScheme("w2", p=args.fixed_p, q=v), config) for v in grid]
-    return _study(args, schemes, k_values, "q", grid)
+    return _study(args, "q", args.q_grid, args.k_list, lambda q: (
+        WeightScheme("w2", p=args.fixed_p, q=q), _config(args, args.eps_rule, args.eps0)))
 
 
 # ---------------------------------------------------------------------------

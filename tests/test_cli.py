@@ -261,7 +261,7 @@ BAD_FLAGS = [
     (["sweep", "--k", "2", "--trials", "1", "--workers", "0"], "must be >= 1"),
     (["study-pq", "--k-list", "2", "--trials", "1", "--workers", "0"], "must be >= 1"),
     (["sweep", "--k", "2", "--schemes", "l1,omp", "--trials", "1"], "unknown scheme 'omp'"),
-    (["study-eps", "--eps-list", ",", "--trials", "1"], "--eps-list must contain at least one value"),
+    (["study-eps", "--eps-list", ",", "--trials", "1"], "must contain at least one value"),
     (["sweep", "--k", "2", "--sigma", "0", "--trials", "1"], "sigma must be > 0"),
     (["solve", "--k", "2", "--sigma", "-1"], "sigma must be > 0"),
     (["solve", "--instance", "{tmp}/tall.json"], "m=3, n=2"),
@@ -285,3 +285,40 @@ def test_bad_flag_exits_1_before_any_trial(argv, fragment, tmp_path, monkeypatch
         code = exc.code
     assert code == 1
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,cast,expected", [
+    ("2", int, [2]),
+    (" 2, 4,,6 ", int, [2, 4, 6]),
+    ("1:4", int, [1, 2, 3, 4]),
+    ("1:3:8", int, [1, 4, 7]),
+    ("3:3", int, [3]),
+    ("1e-3,0.1", float, [1e-3, 0.1]),
+    ("0.25:1", float, [0.25]),
+    ("0.04:0.3:1", float, [0.04, 0.34, 0.64, 0.94]),
+])
+def test_grid_syntax(text, cast, expected):
+    from rwl1.cli import _parse_grid
+
+    assert _parse_grid(text, cast) == expected
+
+
+def test_default_grid_has_thirteen_points_ending_at_one():
+    from rwl1.cli import DEFAULT_GRID, _parse_grid
+
+    grid = _parse_grid(DEFAULT_GRID, float)
+    assert len(grid) == 13 and grid[0] == 0.04 and grid[-1] == 1.0
+
+
+@pytest.mark.parametrize("text", ["", ",", "5:3", "1:0:4", "1:2:3:4", "1:x", "1.5"])
+def test_bad_grid_exits_1(text):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--k", text, "--trials", "1"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("study", ["study-eps", "study-p", "study-pq"])
+def test_timing_is_sweep_only(study):
+    with pytest.raises(SystemExit) as exc:
+        main([study, "--timing", "--trials", "1"])
+    assert exc.value.code == 1
