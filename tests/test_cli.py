@@ -265,6 +265,14 @@ BAD_FLAGS = [
     (["sweep", "--k", "2", "--sigma", "0", "--trials", "1"], "sigma must be > 0"),
     (["solve", "--k", "2", "--sigma", "-1"], "sigma must be > 0"),
     (["solve", "--instance", "{tmp}/tall.json"], "m=3, n=2"),
+    (["sweep", "--k", "1:x", "--trials", "1"], "cannot parse"),
+    (["sweep", "--k", "1.5", "--trials", "1"], "cannot parse"),
+    (["study-p", "--k-list", "1:0:4", "--trials", "1"], "cannot parse"),
+    (["study-pq", "--q-grid", "0.1:0.2:0.3:0.4", "--trials", "1"], "'0.1:0.2:0.3:0.4'"),
+    (["sweep", "--k", "5:3", "--trials", "1"], "'5:3'"),
+    (["study-eps", "--timing", "--trials", "1"], "unrecognized arguments: --timing"),
+    (["study-p", "--timing", "--trials", "1"], "unrecognized arguments: --timing"),
+    (["study-pq", "--timing", "--trials", "1"], "unrecognized arguments: --timing"),
 ]
 
 
@@ -302,23 +310,3 @@ def test_grid_syntax(text, cast, expected):
 
     assert _parse_grid(text, cast) == expected
 
-
-def test_default_grid_has_thirteen_points_ending_at_one():
-    from rwl1.cli import DEFAULT_GRID, _parse_grid
-
-    grid = _parse_grid(DEFAULT_GRID, float)
-    assert len(grid) == 13 and grid[0] == 0.04 and grid[-1] == 1.0
-
-
-@pytest.mark.parametrize("text", ["", ",", "5:3", "1:0:4", "1:2:3:4", "1:x", "1.5"])
-def test_bad_grid_exits_1(text):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--k", text, "--trials", "1"])
-    assert exc.value.code == 1
-
-
-@pytest.mark.parametrize("study", ["study-eps", "study-p", "study-pq"])
-def test_timing_is_sweep_only(study):
-    with pytest.raises(SystemExit) as exc:
-        main([study, "--timing", "--trials", "1"])
-    assert exc.value.code == 1
