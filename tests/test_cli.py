@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from rwl1.cli import main
+from rwl1.cli import _parse_grid, main
+from test_instances import TALL_INSTANCE
 
 
 def run(argv, capsys):
@@ -215,8 +217,6 @@ GOLDEN_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_golden_artifact_digests(name, tmp_path, capsys):
-    import hashlib
-
     argv, csv_digest, svg_digest = GOLDEN_RUNS[name]
     csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
     assert run(argv + ["--out", str(csv_path)], capsys)[0] == 0
@@ -278,8 +278,6 @@ BAD_FLAGS = [
 
 @pytest.mark.parametrize("argv,fragment", BAD_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLAGS])
 def test_bad_flag_exits_1_before_any_trial(argv, fragment, tmp_path, monkeypatch, capsys):
-    from test_instances import TALL_INSTANCE
-
     (tmp_path / "tall.json").write_text(json.dumps(TALL_INSTANCE))
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     def no_solve(*args, **kwargs):
@@ -306,7 +304,5 @@ def test_bad_flag_exits_1_before_any_trial(argv, fragment, tmp_path, monkeypatch
     ("0.04:0.3:1", float, [0.04, 0.34, 0.64, 0.94]),
 ])
 def test_grid_syntax(text, cast, expected):
-    from rwl1.cli import _parse_grid
-
     assert _parse_grid(text, cast) == expected
 
