@@ -4,7 +4,8 @@ import json
 import pytest
 
 from rwl1.cli import _parse_grid, main
-from test_instances import TALL_INSTANCE
+from rwl1.simplex import SolverError
+from test_instances import IDENTITY_INSTANCE, TALL_INSTANCE
 
 
 def run(argv, capsys):
@@ -41,6 +42,23 @@ class TestSolve:
         code, _, err = run(["solve"], capsys)
         assert code == 1
         assert "--k" in err
+
+    def test_invalid_instance_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**IDENTITY_INSTANCE, "dist": {"name": "cauchy"}}))
+        code, _, err = run(["solve", "--instance", str(path)], capsys)
+        assert code == 1
+        assert "unknown distribution 'cauchy'" in err
+
+    def test_solver_error_exits_2(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise SolverError("simplex stalled")
+
+        monkeypatch.setattr("rwl1.cli.reweighted_l1", fail)
+        code, out, err = run(["solve", "--k", "3"], capsys)
+        assert code == 2
+        assert err == "solver error: simplex stalled\n"
+        assert out == ""
 
     @pytest.mark.parametrize("argv", [["solve", "--nope"], ["solve", "--m", "notanint"]])
     def test_bad_flags_exit_1_via_parser(self, argv):
@@ -90,6 +108,13 @@ class TestSweep:
         code, _, err = run(["sweep", "--k", "2", "--schemes", "l1,omp", "--trials", "1"], capsys)
         assert code == 1
         assert "omp" in err
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        out_csv = tmp_path / "missing" / "out.csv"
+        code, _, err = run(["sweep", "--m", "8", "--n", "20", "--k", "2", "--schemes", "l1",
+                            "--trials", "1", "--out", str(out_csv)], capsys)
+        assert code == 1
+        assert f"cannot write {out_csv}" in err
 
 
 class TestStudies:
@@ -168,6 +193,20 @@ class TestPlot:
         code, _, err = run(["plot", str(path), str(tmp_path / "x.svg")], capsys)
         assert code == 1
         assert "line 3" in err
+
+    @pytest.mark.parametrize("text,fragment", [
+        (None, "cannot read"),
+        ("eps,k,trials,successes,success_rate\n0.01,3,2,1,half\n", "line 2: bad number 'half'"),
+        ("x,k,trials\n0.01,3,2\n", "unrecognized CSV header 'x,k,trials'"),
+    ], ids=["missing-file", "non-numeric-cell", "unknown-header"])
+    def test_unreadable_csv_exits_1(self, text, fragment, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        if text is not None:
+            path.write_text(text)
+        code, _, err = run(["plot", str(path), str(tmp_path / "x.svg")], capsys)
+        assert code == 1
+        assert fragment in err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_study_csv_plots(self, tmp_path, capsys):
         path = tmp_path / "eps.csv"

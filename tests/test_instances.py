@@ -182,7 +182,32 @@ class TestMakeInstance:
             assert abs(cnt / total - 1.0 / 45.0) < 0.01, pair
 
 
+# a valid file: a square identity system, whose unique solution is b itself
+IDENTITY_INSTANCE = {"m": 2, "n": 2, "k": 2, "dist": {"name": "normal", "mu": 0.0, "sigma": 1.0},
+                     "seed": 0, "A": [1.0, 0.0, 0.0, 1.0], "b": [3.0, -4.0],
+                     "x_true": [3.0, -4.0]}
+
+# fields replacing IDENTITY_INSTANCE's (or a whole document) and what the error says
+BAD_FILES = [
+    ([1.0, 2.0], "must contain a JSON object"),
+    ({"m": "two"}, "m, n, k, seed must be integers"),
+    ({"seed": None}, "m, n, k, seed must be integers"),
+    ({"A": [1.0, "zero", 0.0, 1.0]}, "A, b, x_true must be arrays of finite reals"),
+    ({"A": [1.0, 0.0, 0.0]}, "field 'A' has 3 entries, expected m*n = 4"),
+    ({"x_true": [3.0, -4.0, 0.0]}, "field 'x_true' has length 3, expected n = 2"),
+    ({"dist": "normal"}, "dist must be an object with a 'name' field"),
+    ({"dist": {"name": "cauchy"}}, "unknown distribution 'cauchy'"),
+    ({"dist": {"name": "normal", "mu": 0.0}}, "dist field missing parameter 'sigma'"),
+    ({"dist": {"name": "normal", "mu": 0.0, "sigma": 0.0}}, "sigma must be > 0"),
+]
+
+
 class TestInstanceFiles:
+    def test_identity_file_loads(self, tmp_path):
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps(IDENTITY_INSTANCE))
+        assert load_instance(path).x_true.tolist() == IDENTITY_INSTANCE["x_true"]
+
     def test_round_trip_identity(self, tmp_path):
         inst = make_instance(DistributionSpec.default("f"), 8, 20, 3, 77)
         path = tmp_path / "inst.json"
@@ -233,6 +258,15 @@ class TestInstanceFiles:
         path.write_text(json.dumps(TALL_INSTANCE))
         with pytest.raises(InstanceValidationError, match="m=3, n=2"):
             load_instance(path)
+
+    @pytest.mark.parametrize("patch,fragment", BAD_FILES, ids=[f for _, f in BAD_FILES])
+    def test_malformed_file_rejected(self, patch, fragment, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**IDENTITY_INSTANCE, **patch}
+                                   if isinstance(patch, dict) else patch))
+        with pytest.raises(InstanceParseError) as exc:
+            load_instance(path)
+        assert fragment in str(exc.value)
 
 
 # consistent in every field, but with more rows than columns

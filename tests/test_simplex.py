@@ -72,6 +72,18 @@ class TestSolveStandardForm:
         with pytest.raises(SimplexStalledError):
             solve(np.abs(rng.normal(size=9)) + 0.1, a, b, max_pivots=1)
 
+    def test_phase1_drives_out_a_degenerate_artificial(self):
+        # b = 0: phase I is optimal at once with its artificial basic at zero,
+        # and one degenerate pivot brings a structural column in for it
+        sol = solve([1.0, 2.0], [[-1.0, -1.0]], [0.0])
+        assert sol.status is LPStatus.OPTIMAL
+        np.testing.assert_array_equal(sol.z, [0.0, 0.0])
+        assert sol.objective == 0.0
+        assert sol.pivots == sol.phase1_pivots == 1
+        with pytest.raises(SimplexStalledError) as exc:  # the drive-out pivot needs budget too
+            solve([1.0, 2.0], [[-1.0, -1.0]], [0.0], max_pivots=0)
+        assert exc.value.pivots == 0
+
     def test_matches_bfs_enumeration_on_seeded_lps(self):
         # feasible bounded LPs: b from an interior point, strictly positive costs
         rng = np.random.default_rng(11)
@@ -175,6 +187,12 @@ class TestWeightedL1:
     def test_unique_feasible_point(self):
         x, _, _, _ = weighted_l1_lp([3.0, 5.0], np.eye(2), [3.0, -4.0])
         np.testing.assert_allclose(x, [3.0, -4.0], atol=1e-12)
+
+    def test_no_rows_gives_zero(self):
+        # the crash basis of a 0-row system is empty and must still be accepted
+        x, obj, pivots, basis = weighted_l1_lp(np.ones(3), np.zeros((0, 3)), [])
+        np.testing.assert_array_equal(x, np.zeros(3))
+        assert obj == 0.0 and pivots == 0 and basis.size == 0
 
     def test_tied_vertices_fix_objective_only(self):
         _, obj, _, _ = weighted_l1_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
