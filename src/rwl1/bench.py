@@ -129,15 +129,11 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def is_success(x_hat, x_true, success_tol: float = SUCCESS_TOL) -> bool:
-    """Exact-recovery test: inf-norm deviation within success_tol."""
-    if success_tol <= 0:
-        raise ValueError(f"success_tol must be > 0, got {success_tol}")
+def is_success(x_hat, x_true) -> bool:
+    """Exact-recovery test: inf-norm deviation within SUCCESS_TOL."""
     xh = as_vector(x_hat)
-    xt = as_vector(x_true)
-    if xh.shape[0] != xt.shape[0]:
-        raise ValueError(f"length mismatch: {xh.shape[0]} vs {xt.shape[0]}")
-    return bool(np.max(np.abs(xh - xt)) <= success_tol)
+    xt = as_vector(x_true, length=xh.shape[0])
+    return bool(np.max(np.abs(xh - xt)) <= SUCCESS_TOL)
 
 
 def trial_seed(seed_base: int, k: int, scheme_index: int, trial_index: int) -> int:
@@ -190,8 +186,8 @@ def sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         results.append(CellResult(
             distribution=spec.dist.label,
             scheme=scheme.label,
-            p=scheme.p if scheme.kind in ("zl", "w1", "w2") else None,
-            q=scheme.q if scheme.kind == "w2" else None,
+            p=scheme.p,
+            q=scheme.q,
             eps_rule=config.schedule.rule if scheme.kind != "l1" else "",
             k=k,
             trials=spec.trials,

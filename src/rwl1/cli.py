@@ -19,15 +19,23 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .bench import CSV_HEADER, SUCCESS_TOL, SweepResult, SweepSpec, is_success, sweep
+from .bench import CSV_HEADER, SweepResult, SweepSpec, is_success, sweep
 from .instances import DISTRIBUTIONS, DistributionSpec, load_instance, make_instance
-from .linalg import count_nonzeros
+from .linalg import SUPPORT_TOL
 from .merit import CLAMP_KINDS, SCHEME_KINDS, WeightClamp, WeightScheme
 from .simplex import SolverError
 from .solver import EPS_RULES, EpsilonSchedule, ReweightedResult, SolverConfig, reweighted_l1
 from .svgplot import render_lines
 
-DEFAULT_EPS0 = {"fixed": 0.01, "halving": 1.0, "cwb": 1.0}
+# the flag of each distribution parameter, in DISTRIBUTIONS order (defaults from there)
+DIST_FLAGS = {
+    "normal": ("--mu", "--sigma"),
+    "poisson": ("--lam",),
+    "exponential": ("--exp-mean",),
+    "f": ("--f-d1", "--f-d2"),
+    "gamma": ("--gamma-shape", "--gamma-scale"),
+    "uniform": ("--uniform-high",),
+}
 DEFAULT_EPS_LIST = "1e-5,1e-4,1e-3,1e-2,1e-1"
 DEFAULT_GRID = "0.04:0.08:1"
 DEFAULT_STUDY_K = "5,10,15,20"
@@ -54,15 +62,9 @@ def positive_int(text: str) -> int:
 
 def _instance_flags(p: argparse.ArgumentParser):
     p.add_argument("--dist", choices=sorted(DISTRIBUTIONS), default="normal")
-    p.add_argument("--mu", type=float, default=0.0, help="normal mean")
-    p.add_argument("--sigma", type=float, default=1.0, help="normal std dev")
-    p.add_argument("--lam", type=float, default=2.0, help="poisson rate")
-    p.add_argument("--exp-mean", type=float, default=5.0, help="exponential mean")
-    p.add_argument("--f-d1", type=float, default=1.0, help="f-dist numerator dof")
-    p.add_argument("--f-d2", type=float, default=6.0, help="f-dist denominator dof")
-    p.add_argument("--gamma-shape", type=float, default=5.0)
-    p.add_argument("--gamma-scale", type=float, default=10.0)
-    p.add_argument("--uniform-high", type=float, default=10.0)
+    for dist, flags in DIST_FLAGS.items():
+        for flag, name, default in zip(flags, *DISTRIBUTIONS[dist]):
+            p.add_argument(flag, dest=f"{dist}_{name}", type=float, default=default)
     p.add_argument("--m", type=positive_int, default=50)
     p.add_argument("--n", type=positive_int, default=200)
     p.add_argument("--seed", type=int, default=42)
@@ -74,7 +76,7 @@ def _config_flags(p: argparse.ArgumentParser, eps_rule: bool = True):
     if eps_rule:
         p.add_argument("--eps-rule", choices=EPS_RULES, default="halving")
         p.add_argument("--eps0", type=float, default=None,
-                       help="initial eps (default: 0.01 fixed, 1.0 otherwise)")
+                       help="initial eps (default: the rule's own, set by the solver)")
 
 
 def _grid_run_flags(p: argparse.ArgumentParser):
@@ -176,21 +178,13 @@ def _flag_errors():
 
 
 def _dist_from_args(args) -> DistributionSpec:
-    params = {
-        "normal": (args.mu, args.sigma),
-        "poisson": (args.lam,),
-        "exponential": (args.exp_mean,),
-        "f": (args.f_d1, args.f_d2),
-        "gamma": (args.gamma_shape, args.gamma_scale),
-        "uniform": (args.uniform_high,),
-    }[args.dist]
-    return DistributionSpec(args.dist, params)
+    names, _ = DISTRIBUTIONS[args.dist]
+    return DistributionSpec(args.dist, [getattr(args, f"{args.dist}_{name}") for name in names])
 
 
 def _config(args, rule: str, eps0: float | None) -> SolverConfig:
-    return SolverConfig(
-        schedule=EpsilonSchedule(rule, eps0=DEFAULT_EPS0[rule] if eps0 is None else eps0),
-        clamp=WeightClamp(args.clamp, floor=args.clamp_floor))
+    return SolverConfig(schedule=EpsilonSchedule(rule, eps0=eps0),
+                        clamp=WeightClamp(args.clamp, floor=args.clamp_floor))
 
 
 def _write_text(path: str, text: str):
@@ -222,16 +216,14 @@ def cmd_solve(args) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 
-    x = result.x_hat
-    support = [int(i) for i in np.flatnonzero(np.abs(x) > 1e-6)]
-    residual = float(np.max(np.abs(inst.a @ x - inst.b)))
+    x, last = result.x_hat, result.history[-1]
+    support = [int(i) for i in np.flatnonzero(np.abs(x) > SUPPORT_TOL)]
     print(f"scheme: {scheme.label}")
     print(f"support: {' '.join(map(str, support)) if support else '(empty)'}")
-    print(f"nnz: {count_nonzeros(x, 1e-6)}")
-    print(f"residual_inf: {residual:.3e}")
+    print(f"nnz: {last.support_size}")
+    print(f"residual_inf: {last.residual_inf:.3e}")
     print(f"iterations: {result.iterations_used}")
-    ok = is_success(x, inst.x_true, SUCCESS_TOL)
-    print(f"success: {'true' if ok else 'false'}")
+    print(f"success: {'true' if is_success(x, inst.x_true) else 'false'}")
     return 0
 
 

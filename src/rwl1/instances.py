@@ -49,7 +49,6 @@ DISTRIBUTIONS = {
 }
 
 MIN_NONZERO = 0.1  # planted entries are bounded away from zero by this margin
-SUPPORT_TOL = 1e-6
 
 
 class InstanceParseError(ValueError):
@@ -384,7 +383,7 @@ def load_instance(path) -> ProblemInstance:
     if m > n:
         raise InstanceValidationError(f"need a wide or square system (m <= n), got m={m}, n={n}")
     a = as_matrix(flat.reshape(m, n))
-    nnz = count_nonzeros(x_true, SUPPORT_TOL)
+    nnz = count_nonzeros(x_true)
     if nnz != k:
         raise InstanceValidationError(f"x_true has {nnz} nonzeros, expected k = {k}")
     if not np.allclose(a @ x_true, b, rtol=0.0, atol=1e-9 * max(1.0, float(np.max(np.abs(b)) if b.size else 1.0))):

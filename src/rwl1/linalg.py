@@ -11,6 +11,8 @@ import numpy as np
 
 __all__ = ["as_matrix", "as_vector", "count_nonzeros"]
 
+SUPPORT_TOL = 1e-6  # an entry of a solution counts as nonzero above this magnitude
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-D float64 array."""
@@ -34,9 +36,7 @@ def as_vector(x, length: int | None = None) -> np.ndarray:
     return v
 
 
-def count_nonzeros(x, tol: float = 1e-6) -> int:
-    """Number of entries with magnitude above ``tol``."""
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+def count_nonzeros(x) -> int:
+    """Number of entries with magnitude above SUPPORT_TOL."""
     v = as_vector(x)
-    return int(np.count_nonzero(np.abs(v) > tol))
+    return int(np.count_nonzero(np.abs(v) > SUPPORT_TOL))

@@ -33,24 +33,26 @@ CLAMP_KINDS = ("abs", "floor", "none")
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """Tagged choice of weighting rule; p and q are read only where relevant.
+    """Tagged choice of weighting rule.
 
-    p is used by zl/w1/w2 and q by w2, each in (0, 1].  The value 1.0 is a
-    degenerate endpoint admitted so parameter studies can sweep a grid up to
-    and including it.
+    p is used by zl/w1/w2 and q by w2, each in (0, 1]; a kind that ignores
+    p or q stores it as None.  The value 1.0 is a degenerate endpoint
+    admitted so parameter studies can sweep a grid up to and including it.
     """
 
     kind: str
-    p: float = 0.05
-    q: float = 0.05
+    p: float | None = 0.05
+    q: float | None = 0.05
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme {self.kind!r}, expected one of {SCHEME_KINDS}")
-        if self.kind in ("zl", "w1", "w2") and not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must be in (0.0, 1.0], got {self.p}")
-        if self.kind == "w2" and not 0.0 < self.q <= 1.0:
-            raise ValueError(f"q must be in (0.0, 1.0], got {self.q}")
+        for name, kinds in (("p", ("zl", "w1", "w2")), ("q", ("w2",))):
+            value = getattr(self, name)
+            if self.kind not in kinds:
+                object.__setattr__(self, name, None)
+            elif not 0.0 < value <= 1.0:
+                raise ValueError(f"{name} must be in (0.0, 1.0], got {value}")
 
     @property
     def label(self) -> str:

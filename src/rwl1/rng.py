@@ -45,11 +45,9 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
+        z = mix64(self.state)
         self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return z
 
     def next_unit(self) -> float:
         """Uniform double in the open interval (0, 1)."""

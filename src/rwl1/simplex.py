@@ -23,12 +23,12 @@ the warm or crash path, only by the phase-I fallback.
 Every solve returns its optimal basis.  Between the LPs of a reweighting run
 only the cost vector (w, w) changes, so the previous optimal basis is still
 primal-feasible and the next LP can start phase II from it directly
-(warm start; Chvatal, Linear Programming, 1983).  A supplied basis is
-accepted only if it is square, numerically invertible (its computed inverse
-satisfies B B^-1 = I to BASIS_INVERSE_TOL) and primal-feasible within
-feas_tol; otherwise the solve falls back to phase I.  Either way the result
-passes the same explicit certification checks, which raise
-CertificationError and, unlike asserts, also run under ``python -O``.
+(warm start; Chvatal, Linear Programming, 1983).  A supplied basis, warm
+or crash, is accepted only if it is square, numerically invertible (its
+computed inverse satisfies B B^-1 = I to BASIS_INVERSE_TOL) and
+primal-feasible within feas_tol; otherwise the solve falls back to phase I.
+Either way the result passes the same explicit certification checks, which
+raise CertificationError and, unlike asserts, also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ __all__ = [
 PIVOT_TOL = 1e-10
 # Full basis-inverse rebuild cadence; also triggered by small pivot elements.
 REFACTOR_EVERY = 50
-# Condition-number ceiling for accepting a crash basis in weighted_l1_lp.
-CRASH_COND_LIMIT = 1e10
+# Default feas_tol: bound of the certification checks and of basis feasibility.
+FEAS_TOL = 1e-9
 # Largest entry of |B B^-1 - I| for which a supplied basis counts as
 # invertible.  np.linalg.inv raises only on exact singularity; a basis with a
 # repeated column inverts to entries of ~1e16 and misses I by O(1), while the
@@ -280,7 +280,7 @@ def _run_phase(state: _Basis, b: np.ndarray, c: np.ndarray, feas_tol: float,
         pivots_used += 1
 
 
-def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
+def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
                         max_pivots: int | None = None,
                         initial_basis: np.ndarray | None = None) -> LPSolution:
     """Two-phase revised simplex.
@@ -316,7 +316,7 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
             cand = (_SplitBasis if split else _Basis)(e, initial_basis)
         except np.linalg.LinAlgError:
             cand = None  # singular or non-square start: fall back to phase I
-        if cand is not None and _inverts(cand) and (cand.binv @ b).min() >= -feas_tol:
+        if cand is not None and _inverts(cand) and (cand.binv @ b).min(initial=0.0) >= -feas_tol:
             state = cand
 
     if state is None:
@@ -362,7 +362,7 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = 1e-9,
 def _inverts(state: _Basis) -> bool:
     """Whether the computed B^-1 of ``state`` is an inverse to BASIS_INVERSE_TOL."""
     identity_error = state.columns(state.basis) @ state.binv - np.eye(len(state.basis))
-    return float(np.max(np.abs(identity_error))) <= BASIS_INVERSE_TOL
+    return float(np.max(np.abs(identity_error), initial=0.0)) <= BASIS_INVERSE_TOL
 
 
 def _residual(problem: LPProblem, z: np.ndarray) -> float:
@@ -423,23 +423,18 @@ def _crash_basis(am: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
 
     Uses the first m columns of A; for each, the u-copy or the v-copy is
     picked so the basic values come out nonnegative.  Returns None when the
-    leading block is singular or too ill-conditioned to trust.
+    leading block is singular; solve_standard_form vets the rest like any basis.
     """
     m, n = am.shape
-    block = am[:, :m]
     try:
-        if np.linalg.cond(block) > CRASH_COND_LIMIT:
-            return None
-        x = np.linalg.solve(block, bv)
+        x = np.linalg.solve(am[:, :m], bv)
     except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(x)):
         return None
     cols = np.arange(m)
     return np.where(x >= 0, cols, cols + n)
 
 
-def weighted_l1_lp(w, a, b, feas_tol: float = 1e-9, max_pivots: int | None = None,
+def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
                    initial_basis: np.ndarray | None = None
                    ) -> tuple[np.ndarray, float, int, np.ndarray]:
     """Minimize sum_i w_i |x_i| subject to A x = b, via the split x = u - v.
@@ -461,12 +456,9 @@ def weighted_l1_lp(w, a, b, feas_tol: float = 1e-9, max_pivots: int | None = Non
         raise ValueError(f"standard form requires rows <= cols, "
                          f"got {am.shape[0]}x{2 * am.shape[1]}")
     split = _SplitLP(np.concatenate([wv, wv]), am, bv)
-    if max_pivots is None:
-        max_pivots = default_pivot_budget(split.m, split.n)
     if initial_basis is None:
         initial_basis = _crash_basis(am, bv)
-    sol = solve_standard_form(split, feas_tol=feas_tol, max_pivots=max_pivots,
-                              initial_basis=initial_basis)
+    sol = solve_standard_form(split, feas_tol=feas_tol, initial_basis=initial_basis)
     if sol.status is LPStatus.INFEASIBLE:
         raise LPInfeasibleError("system A x = b is infeasible")
     if sol.status is not LPStatus.OPTIMAL:  # positive weights rule out unboundedness

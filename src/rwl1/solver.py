@@ -4,8 +4,8 @@ Starting from the plain l1 minimizer, each pass evaluates the scheme's
 weights at the current iterate, solves the weighted-l1 LP, and updates eps
 per the configured schedule (fixed / halving / the largest-entry rule).
 Iterations are counted as LP solves: history[0] is the l1-min starting
-point and max_iter caps the total number of LP solves, so a run never costs
-more than max_iter subproblems.
+point and the constant SolverConfig.max_iter caps the number of LP solves,
+so a run never costs more than max_iter subproblems.
 
 The LPs of one run share A and b and differ only in their weights, so each
 LP after the first is warm-started from the previous LP's optimal basis,
@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .linalg import as_matrix, as_vector, count_nonzeros
 from .merit import WeightClamp, WeightScheme, merit_value, weights
-from .simplex import CertificationError, SolverError, weighted_l1_lp
+from .simplex import FEAS_TOL, CertificationError, SolverError, weighted_l1_lp
 
 __all__ = [
     "EpsilonSchedule",
@@ -37,8 +38,8 @@ __all__ = [
 ]
 
 EPS_RULES = ("fixed", "halving", "cwb")
+DEFAULT_EPS0 = {"fixed": 0.01, "halving": 1.0, "cwb": 1.0}  # each rule's eps0 when none is given
 CWB_FLOOR = 0.001  # lower bound of the cwb rule's eps
-SUPPORT_TOL = 1e-6
 
 
 class ReweightedSolveError(SolverError):
@@ -54,11 +55,13 @@ class EpsilonSchedule:
     """eps-update rule: fixed | halving | cwb (largest-entry rule, natural log)."""
 
     rule: str = "halving"
-    eps0: float = 1.0
+    eps0: float | None = None
 
     def __post_init__(self):
         if self.rule not in EPS_RULES:
             raise ValueError(f"unknown eps rule {self.rule!r}, expected one of {EPS_RULES}")
+        if self.eps0 is None:
+            object.__setattr__(self, "eps0", DEFAULT_EPS0[self.rule])
         if self.eps0 <= 0:
             raise ValueError(f"eps0 must be > 0, got {self.eps0}")
 
@@ -66,25 +69,18 @@ class EpsilonSchedule:
 @dataclass(frozen=True)
 class SolverConfig:
     schedule: EpsilonSchedule = EpsilonSchedule()
-    max_iter: int = 10
-    x_change_tol: float = 1e-8
     clamp: WeightClamp = WeightClamp()
-    feas_tol: float = 1e-9
 
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.x_change_tol <= 0:
-            raise ValueError(f"x_change_tol must be > 0, got {self.x_change_tol}")
-        if self.feas_tol <= 0:
-            raise ValueError(f"feas_tol must be > 0, got {self.feas_tol}")
+    max_iter: ClassVar[int] = 10  # LP solves per run
+    x_change_tol: ClassVar[float] = 1e-8  # inf-norm iterate change that stops a run
+    feas_tol: ClassVar[float] = FEAS_TOL  # certified primal residual of every iterate
 
 
 @dataclass(frozen=True)
 class IterationRecord:
     """Diagnostics for one LP solve: the eps its weights used, the iterate's
-    support size at tol 1e-6, its merit value (None if undefined), the LP
-    objective, the pivot count, and the primal residual."""
+    support size (count_nonzeros), its merit value (None if undefined), the
+    LP objective, the pivot count, and the primal residual."""
 
     eps: float
     support_size: int
@@ -133,7 +129,7 @@ def _record(scheme: WeightScheme, x: np.ndarray, eps: float, objective: float,
     residual = float(np.max(np.abs(a @ x - b)))
     return IterationRecord(
         eps=eps,
-        support_size=count_nonzeros(x, SUPPORT_TOL),
+        support_size=count_nonzeros(x),
         merit=merit_value(scheme, x, eps),
         lp_objective=objective,
         lp_pivots=pivots,
@@ -161,8 +157,7 @@ def reweighted_l1(a, b, scheme: WeightScheme,
         """Certified LP solve from ``basis``; appends its record and returns
         the iterate with its optimal basis."""
         try:
-            x, objective, pivots, basis = weighted_l1_lp(
-                w, am, bv, feas_tol=config.feas_tol, initial_basis=basis)
+            x, objective, pivots, basis = weighted_l1_lp(w, am, bv, initial_basis=basis)
             record = _record(scheme, x, eps, objective, pivots, am, bv)
             if record.residual_inf > config.feas_tol:
                 raise CertificationError(f"iterate residual {record.residual_inf:.3g} "

@@ -2,7 +2,7 @@
 
 Pure string construction with fixed-precision coordinates, so a given
 series list always renders to byte-identical output.  One polyline per
-series, y fixed to [0, 1], optional log10 x axis for epsilon studies.
+series, y the success rate in [0, 1], optional log10 x axis for eps studies.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ def _f(v: float) -> str:
 
 
 def render_lines(series: list[tuple[str, list[tuple[float, float]]]],
-                 x_label: str, y_label: str = "success rate",
-                 title: str = "", log_x: bool = False) -> str:
+                 x_label: str, title: str = "", log_x: bool = False) -> str:
     """Render labelled (x, y) series with y in [0, 1] to an SVG document."""
     if not series or all(not pts for _, pts in series):
         raise ValueError("nothing to plot: no data points")
@@ -70,7 +69,7 @@ def render_lines(series: list[tuple[str, list[tuple[float, float]]]],
     out.append(f'<text x="{x0 + plot_w // 2}" y="{HEIGHT - 16}" text-anchor="middle">{_esc(x_label)}</text>')
     out.append(
         f'<text x="18" y="{MARGIN_T + plot_h // 2}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {MARGIN_T + plot_h // 2})">{_esc(y_label)}</text>'
+        f'transform="rotate(-90 18 {MARGIN_T + plot_h // 2})">success rate</text>'
     )
 
     # data + legend

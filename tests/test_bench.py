@@ -23,17 +23,17 @@ def small_spec(k_values=(2,), kinds=("cwb",), trials=5, seed_base=42, m=10, n=30
 class TestIsSuccess:
     def test_identical(self):
         x = np.array([1.0, 0.0, -2.0])
-        assert is_success(x, x, 1e-4)
+        assert is_success(x, x)
 
     def test_boundary_violation(self):
         x = np.array([1.0, 0.0])
         y = x.copy()
         y[0] += 2e-4
-        assert not is_success(y, x, 1e-4)
+        assert not is_success(y, x)
 
     def test_within_band_everywhere(self):
         x = np.array([1.0, -1.0, 0.5])
-        assert is_success(x + 0.5e-4, x, 1e-4)
+        assert is_success(x + 0.5e-4, x)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rwl1.linalg import as_matrix, as_vector, count_nonzeros
+from rwl1.linalg import SUPPORT_TOL, as_matrix, as_vector, count_nonzeros
 
 
 @pytest.mark.parametrize("x, tol, expected", [
@@ -10,12 +10,8 @@ from rwl1.linalg import as_matrix, as_vector, count_nonzeros
     ((1.0, -1.0, 0.5), 1e-6, 3),
 ])
 def test_count_nonzeros(x, tol, expected):
-    assert count_nonzeros(x, tol) == expected
-
-
-def test_count_nonzeros_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        count_nonzeros([1.0], 0.0)
+    assert tol == SUPPORT_TOL
+    assert count_nonzeros(x) == expected
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -27,6 +27,14 @@ class TestSchemeValidation:
         with pytest.raises(ValueError, match="q must be"):
             WeightScheme("w2", p=0.5, q=1.01)
 
+    @pytest.mark.parametrize("kind,p,q", [("l1", None, None), ("cwb", None, None),
+                                          ("zl", 0.3, None), ("w1", 0.3, None), ("w2", 0.3, 0.7)])
+    def test_unused_parameters_stored_as_none(self, kind, p, q):
+        scheme = WeightScheme(kind, p=0.3, q=0.7)
+        assert (scheme.p, scheme.q) == (p, q)
+        if p is None:  # ignored values are not checked and do not tell schemes apart
+            assert WeightScheme(kind, p=5.0, q=-1.0) == WeightScheme(kind)
+
     def test_clamp_validation(self):
         with pytest.raises(ValueError):
             WeightClamp("magnitude")

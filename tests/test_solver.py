@@ -41,6 +41,11 @@ class TestEpsilonUpdate:
         with pytest.raises(ValueError, match="m < n"):
             epsilon_update(sched, 1.0, [1.0], 4, 4)
 
+    @pytest.mark.parametrize("rule,eps0", [("fixed", 0.01), ("halving", 1.0), ("cwb", 1.0)])
+    def test_default_eps0_per_rule(self, rule, eps0):
+        assert EpsilonSchedule(rule).eps0 == eps0
+        assert EpsilonSchedule(rule) == EpsilonSchedule(rule, eps0=eps0)
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             EpsilonSchedule("doubling")
@@ -81,11 +86,11 @@ class TestReweightedL1:
         res = reweighted_l1(inst.a, inst.b, WeightScheme("cwb"))
         assert all(rec.residual_inf <= 1e-9 for rec in res.history)
 
-    def test_iteration_budget(self):
+    def test_iteration_budget(self, monkeypatch):
         inst = make_instance(DistributionSpec.default("normal"), 20, 50, 18, 3)
         for max_iter in [1, 3, 10]:
-            cfg = SolverConfig(max_iter=max_iter)
-            res = reweighted_l1(inst.a, inst.b, WeightScheme("w1"), cfg)
+            monkeypatch.setattr(SolverConfig, "max_iter", max_iter)
+            res = reweighted_l1(inst.a, inst.b, WeightScheme("w1"), SolverConfig())
             assert res.iterations_used <= max_iter
             assert len(res.history) == res.iterations_used
 
@@ -197,9 +202,3 @@ class TestReweightedL1:
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == ["solver check fired", "simplex check fired"]
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            SolverConfig(x_change_tol=0.0)
