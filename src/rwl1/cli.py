@@ -104,7 +104,9 @@ def _parse_grid(text: str, cast) -> list:
             if step <= 0:
                 raise ValueError("step must be > 0")
             count = math.floor((stop - start) / step + 1e-9)
-            values = [round(start + i * step, 10) for i in range(count + 1)]
+            values = [start + i * step for i in range(count + 1)]
+            if cast is float:  # shed the accumulated rounding error of i * step
+                values = [float(f"{v:.12g}") for v in values]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}: {exc}") from exc
     if not values:

@@ -341,6 +341,8 @@ def test_bad_flag_exits_1_before_any_trial(argv, fragment, tmp_path, monkeypatch
     ("1e-3,0.1", float, [1e-3, 0.1]),
     ("0.25:1", float, [0.25]),
     ("0.04:0.3:1", float, [0.04, 0.34, 0.64, 0.94]),
+    ("5e-11:1e-10:1e-9", float, [5e-11, 1.5e-10, 2.5e-10, 3.5e-10, 4.5e-10, 5.5e-10, 6.5e-10,
+                                 7.5e-10, 8.5e-10, 9.5e-10]),
 ])
 def test_grid_syntax(text, cast, expected):
     assert _parse_grid(text, cast) == expected
