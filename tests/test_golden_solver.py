@@ -1,4 +1,8 @@
-"""Golden SHA-256 digests of solver trajectories.
+"""Golden values and SHA-256 digests of solver trajectories.
+
+The value golden (``golden_values.txt``) pins what a run computes, not how:
+the LP count, each LP objective (rel 1e-9) and ``x_hat`` (abs 1e-9).  It
+holds for any pivot path that reaches the same optima.
 
 Each digest hashes the recovered ``x_hat`` bytes, then for every LP of the
 reweighting run its pivot count, objective and eps, and the optimal basis
@@ -16,6 +20,7 @@ implementation.
 
 import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +67,29 @@ def special_instance(case: str):
     else:
         a[1] = a[0]
     return a, a @ inst.x_true
+
+
+def case_system(case: str, k: int, seed: int):
+    if case in ("crash", "rowdrop"):
+        return special_instance(case)
+    inst = make_instance(DistributionSpec.default(case), M, N, k, seed)
+    return inst.a, inst.b
+
+
+def load_value_golden() -> dict:
+    """(case, k, seed, scheme) -> (support bitmask, LP objectives) from
+    golden_values.txt."""
+    golden = {}
+    for line in (Path(__file__).parent / "golden_values.txt").read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        case, k, seed, kind, mask, *objectives = line.split()
+        golden[(case, int(k), int(seed), kind)] = (int(mask, 16),
+                                                   [float(v) for v in objectives])
+    return golden
+
+
+VALUE_GOLDEN = load_value_golden()
 
 
 # (distribution, k, seed, scheme) -> digest; special cases use ("crash" |
@@ -267,8 +295,8 @@ SPECIAL = [(case, 8, 0, kind) for case in ("crash", "rowdrop") for kind in KINDS
 @pytest.mark.parametrize("dist, k, seed, kind", CASES,
                          ids=[f"{d}-k{k}-seed{s}-{kind}" for d, k, s, kind in CASES])
 def test_trajectory_digest(dist, k, seed, kind):
-    inst = make_instance(DistributionSpec.default(dist), M, N, k, seed)
-    assert trajectory_digest(inst.a, inst.b, kind) == GOLDEN[(dist, k, seed, kind)]
+    a, b = case_system(dist, k, seed)
+    assert trajectory_digest(a, b, kind) == GOLDEN[(dist, k, seed, kind)]
 
 
 @pytest.mark.parametrize("case, k, seed, kind", SPECIAL,
@@ -276,3 +304,20 @@ def test_trajectory_digest(dist, k, seed, kind):
 def test_phase_one_trajectory_digest(case, k, seed, kind):
     a, b = special_instance(case)
     assert trajectory_digest(a, b, kind) == GOLDEN[(case, k, seed, kind)]
+
+
+@pytest.mark.parametrize("case, k, seed, kind", CASES + SPECIAL,
+                         ids=[f"{c}-k{k}-seed{s}-{kind}" for c, k, s, kind in CASES + SPECIAL])
+def test_values(case, k, seed, kind):
+    """The LP count, every LP objective and x_hat, whatever path the simplex
+    takes to them."""
+    a, b = case_system(case, k, seed)
+    result = reweighted_l1(a, b, WeightScheme(kind), SolverConfig())
+    mask, objectives = VALUE_GOLDEN[(case, k, seed, kind)]
+    assert len(result.history) == len(objectives)
+    for rec, objective in zip(result.history, objectives):
+        assert rec.lp_objective == pytest.approx(objective, rel=1e-9, abs=0.0)
+    support = [i for i in range(N) if mask >> i & 1]
+    expected = np.zeros(N)
+    expected[support] = np.linalg.lstsq(a[:, support], b, rcond=None)[0]
+    np.testing.assert_allclose(result.x_hat, expected, rtol=0.0, atol=1e-9)
