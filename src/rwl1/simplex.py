@@ -65,6 +65,10 @@ FEAS_TOL = 1e-9
 # repeated column inverts to entries of ~1e16 and misses I by O(1), while the
 # warm and crash bases of 50x200 instances miss it by under 1e-11.
 BASIS_INVERSE_TOL = 1e-6
+# Reweighted least-squares steps that rank the crash basis columns, and the
+# smoothing of their weights as a fraction of the iterate's largest entry.
+CRASH_IRLS_STEPS = 5
+CRASH_IRLS_EPS = 1e-3
 
 
 class SolverError(Exception):
@@ -419,19 +423,57 @@ def _drive_out_artificials(e: np.ndarray, b: np.ndarray, state: _Basis, n: int,
 
 
 def _crash_basis(am: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
-    """Feasible starting basis for the split LP, if the leading columns allow.
+    """Feasible starting basis for the split LP, if the ranked columns allow.
 
-    Uses the first m columns of A; for each, the u-copy or the v-copy is
-    picked so the basic values come out nonnegative.  Returns None when the
-    leading block is singular; solve_standard_form vets the rest like any basis.
+    Takes the m columns of A with the largest entries of _crash_ranking's
+    iterate (lower index first on ties, kept in index order); for each, the
+    u-copy or the v-copy is picked so the basic values come out
+    nonnegative.  A zero iterate ranks the columns in index order, i.e. the
+    leading m columns.  Returns None when the picked block is singular or
+    not square; solve_standard_form vets the rest like any basis.
     """
     m, n = am.shape
+    cols = np.argsort(-np.abs(_crash_ranking(am, bv)), kind="stable")[:m]
     try:
-        x = np.linalg.solve(am[:, :m], bv)
+        x = np.linalg.solve(am[:, cols], bv)
     except np.linalg.LinAlgError:
         return None
-    cols = np.arange(m)
     return np.where(x >= 0, cols, cols + n)
+
+
+def _crash_ranking(am: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """Iteratively reweighted least-squares estimate of a sparse solution.
+
+    Starts from the min-norm solution A^T (A A^T)^-1 b and takes
+    CRASH_IRLS_STEPS steps x <- D A^T (A D A^T)^-1 b with
+    D = diag((|x| + eps)^2), eps = CRASH_IRLS_EPS * max|x| of the min-norm
+    solution (Chartrand and Yin, ICASSP 2008).  A step that fails ends the
+    loop with the last good iterate, which is all zeros if the min-norm
+    step fails.
+    """
+    x = _min_weighted_norm(am, bv, np.ones(am.shape[1]))
+    if x is None:
+        return np.zeros(am.shape[1])
+    eps = CRASH_IRLS_EPS * float(np.abs(x).max())
+    for _ in range(CRASH_IRLS_STEPS):
+        step = _min_weighted_norm(am, bv, np.abs(x) + eps)
+        if step is None:
+            break
+        x = step
+    return x
+
+
+def _min_weighted_norm(am: np.ndarray, bv: np.ndarray, s: np.ndarray) -> np.ndarray | None:
+    """D A^T (A D A^T)^-1 b with D = diag(s^2), the solution of A x = b with
+    the least sum of (x_i / s_i)^2; None when the solve raises LinAlgError
+    or gives a non-finite or all-zero x."""
+    scaled = am * s  # A D A^T = (A S)(A S)^T
+    try:
+        y = np.linalg.solve(scaled @ scaled.T, bv)
+    except np.linalg.LinAlgError:
+        return None
+    x = s * (scaled.T @ y)
+    return x if np.isfinite(x).all() and x.any() else None
 
 
 def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,

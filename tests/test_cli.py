@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from rwl1.cli import _parse_grid, main
+from rwl1.cli import _parse_grid, build_parser, main
+from rwl1.merit import WeightClamp, WeightScheme
 from rwl1.simplex import SolverError
+from rwl1.solver import EpsilonSchedule
 from test_instances import IDENTITY_INSTANCE, TALL_INSTANCE
 
 
@@ -223,13 +225,13 @@ GOLDEN_RUNS = {
     "sweep-normal-five-schemes": (
         ["sweep", "--m", "10", "--n", "30", "--k", "1:4", "--schemes", "l1,cwb,zl,w1,w2",
          "--trials", "3", "--seed", "5"],
-        "3fd1e25644158a16455ddec0dfd98a7f79c7ef592d732bfe544d53ddb50dc46e",
+        "0f7e63357142c17ca78dd545aa0a7fea0d58a808c7a8384a0e6c2d3af685c903",
         "810098e84e4cabe2500f96a0a45a4a9c2c79a4cce74d655325ebad7c7e1f650f"),
     "sweep-poisson-floor-cwb": (
         ["sweep", "--dist", "poisson", "--m", "8", "--n", "24", "--k", "2,3",
          "--schemes", "w1,w2", "--p", "0.3", "--q", "0.2", "--eps-rule", "cwb",
          "--clamp", "floor", "--clamp-floor", "1e-6", "--trials", "2", "--seed", "9"],
-        "7c46190397c64733485077ebe6d6c444535dd0d678fe0a2b532d9f28e3743f86",
+        "38cb2a0ce65315627d5a87cc2b8c3116407ccf146b740bae3e0285acee76516f",
         "e335cc7cdf55e4865b725fe121d67150683c2507f2125f45ce575978f2fdff0b"),
     "study-eps": (
         ["study-eps", "--m", "10", "--n", "30", "--k", "3", "--eps-list", "1e-3,1e-2,1e-1",
@@ -347,3 +349,21 @@ def test_bad_flag_exits_1_before_any_trial(argv, fragment, tmp_path, monkeypatch
 def test_grid_syntax(text, cast, expected):
     assert _parse_grid(text, cast) == expected
 
+
+# each flag that restates a library default, by the subcommands that have it
+LIBRARY_DEFAULTS = {
+    "p": (WeightScheme("w2").p, ("solve", "sweep", "study-eps")),
+    "q": (WeightScheme("w2").q, ("solve", "sweep")),
+    "clamp": (WeightClamp().kind, ("solve", "sweep", "study-eps", "study-p", "study-pq")),
+    "clamp_floor": (WeightClamp().floor, ("solve", "sweep", "study-eps", "study-p", "study-pq")),
+    "eps_rule": (EpsilonSchedule().rule, ("solve", "sweep", "study-p", "study-pq")),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "study-eps", "study-p", "study-pq"])
+def test_flag_defaults_are_the_library_defaults(command):
+    args = vars(build_parser().parse_args([command]))
+    expected = {dest: default for dest, (default, commands) in LIBRARY_DEFAULTS.items()
+                if command in commands}
+    assert {dest: args[dest] for dest in expected} == expected
+    assert not {dest for dest in LIBRARY_DEFAULTS if dest not in expected} & set(args)

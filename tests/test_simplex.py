@@ -8,6 +8,7 @@ from rwl1.simplex import (REFACTOR_EVERY, LPInfeasibleError, LPProblem, LPStatus
                           solve_standard_form, weighted_l1_lp)
 
 from oracles import enumerate_standard_form_optimum, enumerate_weighted_l1_optimum
+from test_golden_solver import special_instance
 
 
 def solve(c, a, b, **kw):
@@ -323,6 +324,68 @@ class TestCounters:
 
     def test_long_solve_refactors(self):
         a, b = self.instance()
-        _, cold = split_solve(np.ones(200), a, b)
+        # from a rejected basis: phase I and phase II together take over 200 pivots
+        _, cold = split_solve(np.ones(200), a, b, initial_basis=[0] * 50)
         assert cold.pivots > REFACTOR_EVERY
         assert cold.refactors >= cold.pivots // REFACTOR_EVERY >= 1
+
+
+class TestCrashBasis:
+    """The cold l1 LP starts from the m columns that a reweighted
+    least-squares estimate ranks largest; a failed estimate falls back to the
+    leading m columns, and a rejected basis to phase I."""
+
+    DISTS = ("normal", "poisson", "exponential", "f", "gamma", "uniform")
+
+    def test_accepted_and_short_on_all_distributions(self):
+        pivots = []
+        for dist in self.DISTS:
+            for seed, k in enumerate((6, 12, 18, 24)):
+                inst = make_instance(DistributionSpec.default(dist), 50, 200, k, seed)
+                _, sol = split_solve(np.ones(200), inst.a, inst.b)
+                assert sol.phase1_pivots == 0, f"{dist} k {k} seed {seed}"
+                pivots.append(sol.pivots)
+        # 82.75 pivots per LP; the leading-columns crash basis took 198.7 here
+        assert np.mean(pivots) < 100
+
+    @staticmethod
+    def assert_oracle_optimum(w, a, b, oracle_a, oracle_b):
+        (x, obj, _, _), sol = split_solve(w, a, b)
+        assert sol.status is LPStatus.OPTIMAL
+        assert np.max(np.abs(a @ x - b)) <= 1e-9
+        assert obj == pytest.approx(float(w @ np.abs(x)), abs=1e-9)
+        assert obj == pytest.approx(enumerate_weighted_l1_optimum(w, oracle_a, oracle_b),
+                                    abs=1e-8)
+        return sol
+
+    def test_zero_rhs_takes_the_leading_columns(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, 8))
+        b = np.zeros(3)
+        np.testing.assert_array_equal(_crash_basis(a, b), np.arange(3))
+        sol = self.assert_oracle_optimum(np.abs(rng.normal(size=8)) + 0.2, a, b, a, b)
+        assert sol.phase1_pivots == 0
+
+    def test_rank_deficient_system(self):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(4, 9))
+        a[3] = a[0] + a[1]  # every 4-column basis is singular: phase I drops a row
+        b = a @ np.where(np.arange(9) % 3 == 0, 1.5, 0.0)
+        sol = self.assert_oracle_optimum(np.abs(rng.normal(size=9)) + 0.2, a, b, a[:3], b[:3])
+        assert sol.phase1_pivots > 0
+
+    def test_repeated_column(self):
+        # the ranking puts both copies of the planted column in the crash basis
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(4, 9))
+        a[:, 5] = a[:, 2]
+        x0 = np.zeros(9)
+        x0[2], x0[6] = 2.0, -1.0
+        b = a @ x0
+        self.assert_oracle_optimum(np.abs(rng.normal(size=9)) + 0.2, a, b, a, b)
+
+    @pytest.mark.parametrize("case", ["crash", "rowdrop"])
+    def test_golden_special_cases_run_phase_one(self, case):
+        a, b = special_instance(case)
+        _, sol = split_solve(np.ones(200), a, b)
+        assert sol.phase1_pivots > 0
