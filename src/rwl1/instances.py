@@ -350,6 +350,13 @@ def save_instance(inst: ProblemInstance, path) -> None:
         fh.write("\n")
 
 
+def _as_int(value) -> int:
+    """int(value), refusing to truncate a non-integral number."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not integral")
+    return int(value)
+
+
 def load_instance(path) -> ProblemInstance:
     """Load and validate an instance file; raises InstanceParseError /
     InstanceValidationError with field context on bad input."""
@@ -364,7 +371,7 @@ def load_instance(path) -> ProblemInstance:
         if fld not in doc:
             raise InstanceParseError(f"missing field {fld!r}")
     try:
-        m, n, k, seed = int(doc["m"]), int(doc["n"]), int(doc["k"]), int(doc["seed"])
+        m, n, k, seed = (_as_int(doc[fld]) for fld in ("m", "n", "k", "seed"))
     except (TypeError, ValueError) as exc:
         raise InstanceParseError(f"m, n, k, seed must be integers: {exc}") from exc
     dist = DistributionSpec.from_json(doc["dist"])

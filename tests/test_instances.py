@@ -192,6 +192,9 @@ BAD_FILES = [
     ([1.0, 2.0], "must contain a JSON object"),
     ({"m": "two"}, "m, n, k, seed must be integers"),
     ({"seed": None}, "m, n, k, seed must be integers"),
+    ({"k": 2.7}, "m, n, k, seed must be integers: 2.7 is not integral"),
+    ({"seed": 0.9}, "m, n, k, seed must be integers: 0.9 is not integral"),
+    ({"n": float("inf")}, "m, n, k, seed must be integers: inf is not integral"),
     ({"A": [1.0, "zero", 0.0, 1.0]}, "A, b, x_true must be arrays of finite reals"),
     ({"A": [1.0, 0.0, 0.0]}, "field 'A' has 3 entries, expected m*n = 4"),
     ({"x_true": [3.0, -4.0, 0.0]}, "field 'x_true' has length 3, expected n = 2"),
@@ -207,6 +210,13 @@ class TestInstanceFiles:
         path = tmp_path / "identity.json"
         path.write_text(json.dumps(IDENTITY_INSTANCE))
         assert load_instance(path).x_true.tolist() == IDENTITY_INSTANCE["x_true"]
+
+    def test_integral_float_fields_load(self, tmp_path):
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps({**IDENTITY_INSTANCE, "k": 2.0, "seed": 7.0}))
+        inst = load_instance(path)
+        assert (inst.k, inst.seed) == (2, 7)
+        assert isinstance(inst.k, int) and isinstance(inst.seed, int)
 
     def test_round_trip_identity(self, tmp_path):
         inst = make_instance(DistributionSpec.default("f"), 8, 20, 3, 77)
