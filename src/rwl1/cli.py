@@ -70,11 +70,19 @@ def _instance_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=42)
 
 
+# --p, --q, --clamp, --clamp-floor and --eps-rule default to the library's own
+# defaults, read from WeightScheme, WeightClamp and EpsilonSchedule
+def _scheme_flags(p: argparse.ArgumentParser, q: bool = True):
+    p.add_argument("--p", type=float, default=WeightScheme.p)
+    if q:
+        p.add_argument("--q", type=float, default=WeightScheme.q)
+
+
 def _config_flags(p: argparse.ArgumentParser, eps_rule: bool = True):
-    p.add_argument("--clamp", choices=CLAMP_KINDS, default="abs")
-    p.add_argument("--clamp-floor", type=float, default=1e-8)
+    p.add_argument("--clamp", choices=CLAMP_KINDS, default=WeightClamp.kind)
+    p.add_argument("--clamp-floor", type=float, default=WeightClamp.floor)
     if eps_rule:
-        p.add_argument("--eps-rule", choices=EPS_RULES, default="halving")
+        p.add_argument("--eps-rule", choices=EPS_RULES, default=EpsilonSchedule.rule)
         p.add_argument("--eps0", type=float, default=None,
                        help="initial eps (default: the rule's own, set by the solver)")
 
@@ -122,16 +130,14 @@ def build_parser() -> _Parser:
     ps.add_argument("--instance", default=None, help="instance JSON file (overrides generation flags)")
     ps.add_argument("--k", type=int, default=None, help="planted sparsity when generating")
     ps.add_argument("--scheme", choices=SCHEME_KINDS, default="w1")
-    ps.add_argument("--p", type=float, default=0.05)
-    ps.add_argument("--q", type=float, default=0.05)
+    _scheme_flags(ps)
     _config_flags(ps)
     _instance_flags(ps)
 
     pw = sub.add_parser("sweep", help="success-rate grid over sparsity levels and schemes")
     _grid_flag(pw, "--k", int, "1:26")
     pw.add_argument("--schemes", default="l1,cwb,w1,w2", help="comma list of schemes")
-    pw.add_argument("--p", type=float, default=0.05)
-    pw.add_argument("--q", type=float, default=0.05)
+    _scheme_flags(pw)
     pw.add_argument("--timing", action="store_true",
                     help="write measured wall_ms into the CSV (breaks byte reproducibility)")
     _config_flags(pw)
@@ -140,7 +146,7 @@ def build_parser() -> _Parser:
 
     pe = sub.add_parser("study-eps", help="w1 success rate vs fixed eps at one sparsity")
     pe.add_argument("--k", type=int, default=15)
-    pe.add_argument("--p", type=float, default=0.05)
+    _scheme_flags(pe, q=False)
     _grid_flag(pe, "--eps-list", float, DEFAULT_EPS_LIST)
     _config_flags(pe, eps_rule=False)
 
