@@ -3,10 +3,15 @@
 Solves  min c'z  s.t.  E z = b,  z >= 0  with an explicit basis inverse that
 is rebuilt from scratch every REFACTOR_EVERY pivots for numerical stability.
 Pivot selection is fully deterministic: the entering variable takes the most
-negative reduced cost (smallest index on ties) and the leaving row is chosen
-by minimum ratio with lexicographic tie-breaking over the basis-inverse
-rows, which resolves the heavily degenerate vertices that weighted-l1
-programs produce without stalling or cycling.
+negative reduced cost (smallest index on ties) and the leaving row comes from
+Harris's two-pass ratio test (Harris, Math. Programming 5, 1973), which lets
+a step leave the heavily degenerate vertices of weighted-l1 programs at once
+instead of stepping between their bases.  Harris's test can cycle, so a
+stall guard switches to Bland's rule (Bland, Math. Oper. Res. 2, 1977) after
+a run of degenerate pivots far longer than the workloads make; the pivot
+budget stays the last backstop.  A step may leave basics up to HARRIS_TOL
+below zero, and dual simplex pivots lift them back before certification, so
+the certified point is the basic solution, not one clipped at zero.
 
 The weighted-l1 subproblem  min sum_i w_i |x_i|  s.t.  A x = b  is reduced
 to standard form by the split x = u - v with cost (w, w) and equality block
@@ -31,8 +36,12 @@ primal-feasible and the next LP can start phase II from it directly
 or crash, is accepted only if it is square, numerically invertible (its
 computed inverse satisfies B B^-1 = I to BASIS_INVERSE_TOL) and
 primal-feasible within feas_tol; otherwise the solve falls back to phase I.
-Either way the result passes the same explicit certification checks, which
-raise CertificationError and, unlike asserts, also run under ``python -O``.
+When phase I drops redundant rows, the optimal basis spans the kept rows
+only and the solution names them, so that a caller can warm-start later LPs
+on those rows.  Either way the result passes the same explicit
+certification checks, on its primal residual and on the reduced costs
+recomputed from the final basis inverse, which raise CertificationError
+and, unlike asserts, also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -60,6 +69,17 @@ __all__ = [
 # Entries smaller than this are treated as zero in ratio tests and when
 # deciding whether a column can pivot an artificial out of the basis.
 PIVOT_TOL = 1e-10
+# How far below zero the Harris ratio test lets a basic value go; a pivot
+# whose leaving value is at most this counts as degenerate.
+HARRIS_TOL = 1e-9
+# A run of STALL_GUARD * (m + n) consecutive degenerate pivots in a phase
+# switches it to Bland's rule until a step moves: 900 at 50x400, where the
+# benchmark workloads' longest run is 129.
+STALL_GUARD = 2
+# Basic values below -LIFT_TOL at the optimum are lifted back by dual
+# simplex pivots before certification.  Smaller drift is rounding noise:
+# chasing it costs pivots, and at 0 the dual pivots can cycle.
+LIFT_TOL = 1e-12
 # Full basis-inverse rebuild cadence; also triggered by small pivot elements.
 REFACTOR_EVERY = 50
 # Default feas_tol: bound of the certification checks and of basis feasibility.
@@ -142,10 +162,14 @@ class _SplitLP:
 @dataclass
 class LPSolution:
     """``basis`` holds the optimal basis's column indices (None unless OPTIMAL);
-    it has fewer than m entries when phase I dropped redundant rows.
-    ``phase1_pivots`` counts the pivots of phase I and of driving out its
-    artificials, 0 when the supplied basis was accepted; ``refactors`` counts
-    the rebuilds of B^-1 from scratch after a basis was first inverted."""
+    when phase I dropped redundant rows it has fewer than m entries and
+    ``rows`` holds the indices of the kept rows, which the basis spans (None
+    when every row was kept).  ``phase1_pivots`` counts the pivots of phase I
+    and of driving out its artificials, 0 when the supplied basis was
+    accepted; ``degenerate_pivots`` those whose leaving basic value was at
+    most HARRIS_TOL, so that the step did not move; ``guard_pivots`` those
+    made by the stall guard's Bland rule.  ``refactors`` counts the rebuilds
+    of B^-1 from scratch after a basis was first inverted."""
 
     status: LPStatus
     z: np.ndarray | None
@@ -154,6 +178,24 @@ class LPSolution:
     basis: np.ndarray | None = None
     phase1_pivots: int = 0
     refactors: int = 0
+    degenerate_pivots: int = 0
+    guard_pivots: int = 0
+    rows: np.ndarray | None = None
+
+
+@dataclass
+class _Tally:
+    """Pivot counts of one solve, across its phases."""
+
+    pivots: int = 0
+    degenerate: int = 0
+    guarded: int = 0
+
+    def solution(self, status: LPStatus, z, objective: float, refactors: int,
+                 **fields) -> LPSolution:
+        return LPSolution(status, z, objective, self.pivots, refactors=refactors,
+                          degenerate_pivots=self.degenerate, guard_pivots=self.guarded,
+                          **fields)
 
 
 def default_pivot_budget(m: int, n: int) -> int:
@@ -226,67 +268,100 @@ class _SplitBasis(_Basis):
         np.add(c[n:], g, out=out[n:])
 
 
-def _leaving_row(state: _Basis, d: np.ndarray, xb: np.ndarray) -> int | None:
-    """Minimum-ratio row, ties resolved lexicographically over B^-1 rows.
+def _leaving_row(d: np.ndarray, xb: np.ndarray, bland_basis: np.ndarray | None = None
+                 ) -> int | None:
+    """Harris's two-pass ratio test (Harris, Math. Programming 5, 1973).
 
-    Returns None when no component blocks (unbounded direction).  Because
-    the rows of B^-1 are linearly independent, the lexicographic comparison
-    always singles out one row; the final fallback to the smallest basic
-    index is unreachable short of severe numerical degradation.
+    Pass 1 bounds the step by theta = min (xb_i + HARRIS_TOL) / d_i over the
+    blocking rows (d_i > PIVOT_TOL); pass 2 takes the largest d_i among the
+    rows whose ratio xb_i / d_i is at most theta.  Under the stall guard
+    (``bland_basis`` given) it is Bland's rule instead: the exact minimum
+    ratio, ties to the smallest basic index.  None means no row blocks.
     """
     blocking = (d > PIVOT_TOL).nonzero()[0]
-    if blocking.size < 2:
-        return int(blocking[0]) if blocking.size else None
-    ratios = xb[blocking] / d[blocking]
-    best = float(ratios.min())
-    rows = blocking[ratios <= best + 1e-9 * (1.0 + abs(best))]
-    if rows.size == 1:
-        return int(rows[0])
-    col = 0
-    m = state.binv.shape[1]
-    while rows.size > 1 and col < m:
-        keys = state.binv[rows, col] / d[rows]
-        kbest = keys.min()
-        rows = rows[keys <= kbest + 1e-12 * (1.0 + abs(kbest))]
-        col += 1
-    if rows.size > 1:
-        return int(rows[np.argmin(state.basis[rows])])
-    return int(rows[0])
+    if blocking.size == 0:
+        return None
+    xbb, db = xb[blocking], d[blocking]
+    ratios = xbb / db
+    if bland_basis is not None:
+        rows = blocking[ratios <= ratios.min()]
+        return int(rows[bland_basis[rows].argmin()])
+    near = ratios <= ((xbb + HARRIS_TOL) / db).min()
+    return int(blocking[near][db[near].argmax()])
+
+
+def _reduced_costs(state: _Basis, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """c - y E with y = c_B B^-1 into ``out``, basic entries set to +inf."""
+    state.price(c, c[state.basis] @ state.binv, out)
+    out[state.basis] = np.inf
+    return out
 
 
 def _run_phase(state: _Basis, b: np.ndarray, c: np.ndarray, feas_tol: float,
-               max_pivots: int, pivots_used: int) -> tuple[str, int]:
+               max_pivots: int, tally: _Tally) -> str:
     """Pivot until optimal or unbounded; raises SimplexStalledError when the
     shared pivot budget runs out.
 
     The entering column is the nonbasic one with the most negative reduced
     cost below -feas_tol, smallest index on ties: basic entries are set to
-    +inf, so one argmin finds it.
+    +inf, so one argmin finds it; the leaving row comes from _leaving_row's
+    Harris test.  Harris's test can cycle among degenerate vertices, so after
+    STALL_GUARD * (m + n) consecutive degenerate pivots the phase makes
+    Bland's smallest-index choices (Bland, Math. Oper. Res. 2, 1977), which
+    cannot cycle, until a step moves.
     """
     if c.shape[0] == 0:
-        return "optimal", pivots_used  # no column can enter
-    cb = c[state.basis]
+        return "optimal"  # no column can enter
     reduced = np.empty(c.shape[0])
+    stall_limit = STALL_GUARD * (len(state.basis) + c.shape[0])
+    stalled = 0
     while True:
-        y = cb @ state.binv
-        state.price(c, y, reduced)
-        reduced[state.basis] = np.inf
-        entering = int(reduced.argmin())
+        _reduced_costs(state, c, reduced)
+        guard = stalled >= stall_limit
+        entering = int((reduced < -feas_tol).argmax() if guard else reduced.argmin())
         if not reduced[entering] < -feas_tol:
-            return "optimal", pivots_used
+            return "optimal"
 
-        if pivots_used >= max_pivots:
-            raise SimplexStalledError(pivots_used)
+        if tally.pivots >= max_pivots:
+            raise SimplexStalledError(tally.pivots)
 
         d = state.direction(entering)
         xb = state.binv @ b
-        np.maximum(xb, 0.0, out=xb)  # degenerate drift below zero is noise
-        row = _leaving_row(state, d, xb)
+        row = _leaving_row(d, xb, state.basis if guard else None)
         if row is None:
-            return "unbounded", pivots_used
+            return "unbounded"
+        degenerate = bool(xb[row] <= HARRIS_TOL)
+        stalled = stalled + 1 if degenerate else 0
+        tally.pivots += 1
+        tally.degenerate += degenerate
+        tally.guarded += guard
         state.pivot(row, entering, d)
-        cb[row] = c[entering]
-        pivots_used += 1
+
+
+def _lift_negative_basics(state: _Basis, b: np.ndarray, c: np.ndarray, max_pivots: int,
+                          tally: _Tally) -> None:
+    """Dual simplex pivots from an optimal basis until no basic value is below
+    -LIFT_TOL.  The most negative basic leaves; the dual ratio test picks the
+    entering column among the leaving row's negative entries, the one with
+    the least reduced cost per unit of entry, which keeps the reduced costs
+    nonnegative."""
+    while True:
+        xb = state.binv @ b
+        if xb.min(initial=0.0) >= -LIFT_TOL:
+            return
+        r = int(xb.argmin())
+        reduced = _reduced_costs(state, c, np.empty(c.shape[0]))
+        row = np.empty(c.shape[0])
+        state.price(np.zeros(c.shape[0]), state.binv[r], row)  # minus row r of B^-1 E
+        row[state.basis] = 0.0
+        cand = (row > PIVOT_TOL).nonzero()[0]
+        if cand.size == 0:
+            return  # row r proves infeasibility; certification reports the residual
+        if tally.pivots >= max_pivots:
+            raise SimplexStalledError(tally.pivots)
+        entering = int(cand[np.argmin(np.maximum(reduced[cand], 0.0) / row[cand])])
+        state.pivot(r, entering, state.direction(entering))
+        tally.pivots += 1
 
 
 def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
@@ -317,8 +392,9 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
         e[flip] *= -1.0
         b[flip] *= -1.0
 
-    pivots = 0
+    tally = _Tally()
     refactors = 0
+    rows = None
     state = None
     if initial_basis is not None:
         try:
@@ -335,37 +411,50 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
         e1 = np.hstack([e, np.eye(m)])
         c1 = np.concatenate([np.zeros(n), np.ones(m)])
         state = _Basis(e1, np.arange(n, n + m))
-        status, pivots = _run_phase(state, b, c1, feas_tol, max_pivots, pivots)
+        status = _run_phase(state, b, c1, feas_tol, max_pivots, tally)
         if status != "optimal":  # phase I is bounded below by 0
             raise CertificationError(f"phase I ended {status}")
         xb = np.maximum(state.binv @ b, 0.0)
         if float(c1[state.basis] @ xb) > feas_tol:
-            return LPSolution(LPStatus.INFEASIBLE, None, 0.0, pivots,
-                              phase1_pivots=pivots, refactors=state.refactors)
-        e, b, state, pivots = _drive_out_artificials(e, b, state, n, pivots, max_pivots)
+            return tally.solution(LPStatus.INFEASIBLE, None, 0.0, state.refactors,
+                                  phase1_pivots=tally.pivots)
+        e, b, state, kept = _drive_out_artificials(e, b, state, n, tally, max_pivots)
+        rows = kept if kept.size < m else None
         refactors = state.refactors
         state = _Basis(e, state.basis)
-    phase1_pivots = pivots
+    phase1_pivots = tally.pivots
 
     # Phase II on the structural columns only.
-    status, pivots = _run_phase(state, b, problem.c, feas_tol, max_pivots, pivots)
+    c = problem.c
+    status = _run_phase(state, b, c, feas_tol, max_pivots, tally)
     if status == "unbounded":
-        return LPSolution(LPStatus.UNBOUNDED, None, float("-inf"), pivots,
-                          phase1_pivots=phase1_pivots, refactors=refactors + state.refactors)
+        return tally.solution(LPStatus.UNBOUNDED, None, float("-inf"),
+                              refactors + state.refactors, phase1_pivots=phase1_pivots)
+    _lift_negative_basics(state, b, c, max_pivots, tally)
+    z = _certified_point(problem, state, b, c, feas_tol)
+    return tally.solution(LPStatus.OPTIMAL, z, float(c @ z), refactors + state.refactors,
+                          phase1_pivots=phase1_pivots, basis=state.basis, rows=rows)
 
-    z = np.zeros(n)
-    z[state.basis] = np.maximum(state.binv @ b, 0.0)
-    residual = _residual(problem, z)
-    if residual > feas_tol:
-        # One fresh factorization before giving up on certification.
-        state.refactor()
-        z = np.zeros(n)
+
+def _certified_point(problem: LPProblem, state: _Basis, b: np.ndarray, c: np.ndarray,
+                     feas_tol: float) -> np.ndarray:
+    """The basic solution z of ``state``, certified by an explicit check of
+    its primal residual (at most feas_tol) and of the reduced costs of the
+    basis (at least -feas_tol); one fresh factorization of B before a miss
+    raises CertificationError."""
+    reduced = np.empty(c.shape[0])
+    for attempt in range(2):
+        if attempt:
+            state.refactor()
+        z = np.zeros(problem.n)
         z[state.basis] = np.maximum(state.binv @ b, 0.0)
         residual = _residual(problem, z)
+        worst = float(_reduced_costs(state, c, reduced).min(initial=np.inf))
+        if residual <= feas_tol and worst >= -feas_tol:
+            return z
     if residual > feas_tol:
         raise CertificationError(f"primal residual {residual:.3g} exceeds feas_tol {feas_tol:g}")
-    return LPSolution(LPStatus.OPTIMAL, z, float(problem.c @ z), pivots, state.basis,
-                      phase1_pivots=phase1_pivots, refactors=refactors + state.refactors)
+    raise CertificationError(f"reduced cost {worst:.3g} below -feas_tol {feas_tol:g}")
 
 
 def _inverts(state: _Basis) -> bool:
@@ -386,15 +475,17 @@ def _residual(problem: LPProblem, z: np.ndarray) -> float:
 
 
 def _drive_out_artificials(e: np.ndarray, b: np.ndarray, state: _Basis, n: int,
-                           pivots: int, max_pivots: int):
+                           tally: _Tally, max_pivots: int):
     """Pivot artificials out of the phase-I basis; drop rows proven redundant.
 
     Drive-out pivots are degenerate (the leaving artificial sits at zero), so
     a negative pivot element is acceptable.  When a basis position has no
     usable structural column, its tableau row certifies a linear dependence
     among the original constraints; the row with the largest basis-inverse
-    weight is deleted, which keeps the remaining basis nonsingular.
+    weight is deleted, which keeps the remaining basis nonsingular.  Also
+    returns the indices of the kept rows.
     """
+    rows = np.arange(e.shape[0])
     while True:
         art_positions = np.flatnonzero(state.basis >= n)
         if art_positions.size == 0:
@@ -404,16 +495,17 @@ def _drive_out_artificials(e: np.ndarray, b: np.ndarray, state: _Basis, n: int,
         row[state.basis[state.basis < n]] = 0.0
         usable = np.flatnonzero(np.abs(row) > PIVOT_TOL)
         if usable.size > 0:
-            if pivots >= max_pivots:
-                raise SimplexStalledError(pivots)
+            if tally.pivots >= max_pivots:
+                raise SimplexStalledError(tally.pivots)
             entering = int(usable[0])
             state.pivot(r, entering, state.direction(entering))
-            pivots += 1
+            tally.pivots += 1
         else:
             drop = int(np.argmax(np.abs(state.binv[r, :])))
             keep = [i for i in range(e.shape[0]) if i != drop]
             e = e[keep, :]
             b = b[keep]
+            rows = rows[keep]
             basis = []
             for pos in range(len(state.basis)):
                 if pos == r:
@@ -424,7 +516,7 @@ def _drive_out_artificials(e: np.ndarray, b: np.ndarray, state: _Basis, n: int,
                     v = n + (i if i < drop else i - 1)
                 basis.append(v)
             state = _Basis(np.hstack([e, np.eye(e.shape[0])]), basis, state.refactors)
-    return e, b, state, pivots
+    return e, b, state, rows
 
 
 def _crash_basis(am: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
@@ -484,15 +576,18 @@ def _min_weighted_norm(am: np.ndarray, bv: np.ndarray, s: np.ndarray) -> np.ndar
 
 def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
                    initial_basis: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, float, int, np.ndarray]:
+                   ) -> tuple[np.ndarray, float, int, np.ndarray, np.ndarray | None]:
     """Minimize sum_i w_i |x_i| subject to A x = b, via the split x = u - v.
 
     Requires strictly positive weights (which also guarantees a bounded LP).
     ``initial_basis`` is a starting basis of the split LP, typically the basis
     returned by a previous solve on the same A and b; by default the crash
-    basis.  Returns (x, objective, pivots, basis) with the optimal basis of
-    the split LP.  Raises LPInfeasibleError if the system has no solution and
-    propagates SimplexStalledError and CertificationError from the simplex.
+    basis.  Returns (x, objective, pivots, basis, rows) with the optimal
+    basis of the split LP; ``rows`` is None unless phase I dropped redundant
+    rows, and then holds the kept rows: the basis is a warm start for the
+    same LP on A[rows], b[rows].  Raises LPInfeasibleError if the system has
+    no solution and propagates SimplexStalledError and CertificationError
+    from the simplex.
     """
     am = as_matrix(a)
     bv = as_vector(b, length=am.shape[0])
@@ -513,4 +608,4 @@ def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
         raise CertificationError(f"weighted-l1 LP ended {sol.status.value}")
     ncols = am.shape[1]
     x = sol.z[:ncols] - sol.z[ncols:]
-    return x, sol.objective, sol.pivots, sol.basis
+    return x, sol.objective, sol.pivots, sol.basis, sol.rows

@@ -10,8 +10,10 @@ so a run never costs more than max_iter subproblems.
 The LPs of one run share A and b and differ only in their weights, so each
 LP after the first is warm-started from the previous LP's optimal basis,
 which is still primal-feasible; the simplex goes straight to phase II from
-it instead of from a fresh crash basis.  Every iterate is certified by its
-own primal residual; a miss raises ReweightedSolveError caused by a
+it instead of from a fresh crash basis.  When phase I of the first LP drops
+redundant rows of A, the later LPs solve on the kept rows, which the
+returned basis spans.  Every iterate is certified by its own primal
+residual on all rows; a miss raises ReweightedSolveError caused by a
 CertificationError, which a sweep records as a failed trial.
 """
 
@@ -154,10 +156,12 @@ def reweighted_l1(a, b, scheme: WeightScheme,
     history: list[IterationRecord] = []
 
     def solve(w, eps, basis):
-        """Certified LP solve from ``basis``; appends its record and returns
-        the iterate with its optimal basis."""
+        """Certified LP solve on rows ``lp_rows`` from ``basis``; appends its
+        record and returns the iterate, its optimal basis and the rows phase I
+        kept (None if it dropped none)."""
         try:
-            x, objective, pivots, basis = weighted_l1_lp(w, am, bv, initial_basis=basis)
+            x, objective, pivots, basis, rows = weighted_l1_lp(w, am[lp_rows], bv[lp_rows],
+                                                               initial_basis=basis)
             record = _record(scheme, x, eps, objective, pivots, am, bv)
             if record.residual_inf > config.feas_tol:
                 raise CertificationError(f"iterate residual {record.residual_inf:.3g} "
@@ -165,10 +169,15 @@ def reweighted_l1(a, b, scheme: WeightScheme,
         except SolverError as exc:
             raise ReweightedSolveError(len(history) + 1, exc) from exc
         history.append(record)
-        return x, basis
+        return x, basis, rows
 
     eps = config.schedule.eps0
-    x, basis = solve(np.ones(n), eps, None)
+    lp_rows = slice(None)
+    x, basis, rows = solve(np.ones(n), eps, None)
+    if rows is not None:
+        # phase I dropped redundant rows; the later LPs leave them out too, so
+        # that they can warm-start from the previous basis
+        lp_rows = rows
 
     if scheme.kind == "l1":
         return ReweightedResult(x_hat=x, iterations_used=1, history=history)
@@ -182,7 +191,7 @@ def reweighted_l1(a, b, scheme: WeightScheme,
                 len(history) + 1,
                 f"weights left the positive domain (min {np.min(w):.3g}, eps {eps:g})",
             )
-        x_new, basis = solve(w, eps, basis)
+        x_new, basis, _ = solve(w, eps, basis)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
         if change < config.x_change_tol:

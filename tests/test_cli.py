@@ -225,13 +225,13 @@ GOLDEN_RUNS = {
     "sweep-normal-five-schemes": (
         ["sweep", "--m", "10", "--n", "30", "--k", "1:4", "--schemes", "l1,cwb,zl,w1,w2",
          "--trials", "3", "--seed", "5"],
-        "0f7e63357142c17ca78dd545aa0a7fea0d58a808c7a8384a0e6c2d3af685c903",
+        "52feae7fd101ec1cd2da6f1b52d55f1c9823c72df13363cbab7d222dc0c96644",
         "810098e84e4cabe2500f96a0a45a4a9c2c79a4cce74d655325ebad7c7e1f650f"),
     "sweep-poisson-floor-cwb": (
         ["sweep", "--dist", "poisson", "--m", "8", "--n", "24", "--k", "2,3",
          "--schemes", "w1,w2", "--p", "0.3", "--q", "0.2", "--eps-rule", "cwb",
          "--clamp", "floor", "--clamp-floor", "1e-6", "--trials", "2", "--seed", "9"],
-        "38cb2a0ce65315627d5a87cc2b8c3116407ccf146b740bae3e0285acee76516f",
+        "d60c2ba6c1c2190d1c9ff6a9850e21afa750f1a078f60b2ee40d7985fcfbe8e5",
         "e335cc7cdf55e4865b725fe121d67150683c2507f2125f45ce575978f2fdff0b"),
     "study-eps": (
         ["study-eps", "--m", "10", "--n", "30", "--k", "3", "--eps-list", "1e-3,1e-2,1e-1",

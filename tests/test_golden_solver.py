@@ -12,13 +12,15 @@ rounding step in the objectives and ``x_hat``.  Two extra cases leave the
 crash-basis path: one with a repeated column that the crash ranking puts in
 the crash basis, so the basis is singular and the first LP runs phase I, and
 one with a repeated row, so ``A A^T`` is singular, the crash basis falls back
-to the leading columns and phase I deletes a row; every LP of that case
-falls back to phase I.
+to the leading columns and phase I deletes a row; the later LPs of that case
+solve on the kept rows, warm-started.
 
-The digests of the ``CASES`` were re-pinned once, when the crash basis began
-ranking columns by a reweighted least-squares estimate: the pivot path moves
-with the starting basis, and the value golden passed unchanged.  They are not
-to be regenerated to fit a new implementation otherwise.
+The digests of the ``CASES`` were re-pinned when the crash basis began
+ranking columns by a reweighted least-squares estimate (the pivot path moves
+with the starting basis), and the moved digests of the ``CASES`` and the
+special cases when the leaving-row rule changed to Harris's ratio test; the
+value golden passed unchanged both times.  They are not to be regenerated
+to fit a new implementation otherwise.
 """
 
 import hashlib
@@ -28,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rwl1.simplex
 import rwl1.solver
 from rwl1.instances import DistributionSpec, make_instance
 from rwl1.merit import WeightScheme
@@ -98,26 +101,26 @@ VALUE_GOLDEN = load_value_golden()
 # (distribution, k, seed, scheme) -> digest; special cases use ("crash" |
 # "rowdrop", 8, 0, scheme)
 GOLDEN = {
-    ('normal', 4, 0, 'l1'): "f37a3c9fdec772524fec2f153e8c0e2788b32ed84b633f0e14071545cc581eba",
-    ('normal', 4, 0, 'cwb'): "3966b26003a0eff53970807908dd81327a973325be7133f47655eeee2a5e3653",
-    ('normal', 4, 0, 'zl'): "e444ba17fce33ec4150805843b945cb8afcab0e8140ae9dbcef62e080c20ece1",
-    ('normal', 4, 0, 'w1'): "312aa6db487c92cfe2ed4b813f00e89e356239c0bebf55521e4c5955a5f78df3",
-    ('normal', 4, 0, 'w2'): "1a8773527e8a8e92953cd687c89eeac5a6b404fa3b54d18e5fe37f8a944531f6",
-    ('normal', 4, 42, 'l1'): "ee9e358982d62d48a5c109032ae8b1aba9ed7a1284d812746303bd50dd019ec5",
-    ('normal', 4, 42, 'cwb'): "3ea1fe23e736281c1d6cb58f0a39cb076fb91d9cf376e46988e3a64f0961587c",
-    ('normal', 4, 42, 'zl'): "0a48d4c22c0f9701d1403fc6c2f9b5fc46e77896bb9ad12db614f2a82f608852",
-    ('normal', 4, 42, 'w1'): "26015fe0830222777fd9d8a7965fd7945f80d13a92d5c414ff17a44c3e5bdcbf",
-    ('normal', 4, 42, 'w2'): "80373727df0e4229a4e0d76ea3ad95ec5a1fb28dbd929f36d08c609fdbcbe419",
-    ('normal', 16, 0, 'l1'): "7cd6e8c22fd09d3e819251fc07accc87e4b39ba5de6c124edc8cc9125b066664",
-    ('normal', 16, 0, 'cwb'): "c393abf0088dd401648fcea61da53e60acc3baa45df6fc353d763b916952266c",
-    ('normal', 16, 0, 'zl'): "e89561a39a7356c07876eaea564c678bbd4a1e76dcf566263d5a70a4903c5a77",
-    ('normal', 16, 0, 'w1'): "8dc06384f6114e47f19f594ba8ccb9bdda8ca3ea07b418cb718de2f0b383203d",
-    ('normal', 16, 0, 'w2'): "599c612b28cc2b09981894ea850863409c998a0a091ec7b2164f1e0596474aae",
+    ('normal', 4, 0, 'l1'): "0e4ba6dac891c5998904b9a92ec215ab12ba76cc2ac921e329667718f8dc6955",
+    ('normal', 4, 0, 'cwb'): "126fc4ee62b76a5125bf81fc63bdae2140fc4267d5c1feec05c97060da23d36f",
+    ('normal', 4, 0, 'zl'): "eb62f70e50309f9429da875f9e92bd1bc7461c10d288b3c4cd3ab7d4e7a85c09",
+    ('normal', 4, 0, 'w1'): "271372695d48325508766ea6f076e4bf30a7ebb4e82a1189c778d854b3306f29",
+    ('normal', 4, 0, 'w2'): "3db247908acab64f3e9c6935da67c1e6b4f77e249941c3c8def5a890c9bb7f9e",
+    ('normal', 4, 42, 'l1'): "fe0fa24c3757e18eb99a1560a1eafdbb6ae1513b6755801721dca09301d630b2",
+    ('normal', 4, 42, 'cwb'): "2540bf8df910784309f8db942c561e2fa5e391bb4f6c7c9977c25062862d7325",
+    ('normal', 4, 42, 'zl'): "335ef60ce42c3ac7ba5a10d953e9cdd8704ffd8cfccdb90fa079c492df4c4491",
+    ('normal', 4, 42, 'w1'): "da305e97348ab4c71ca7c81cc5ac63cd739041d90ae879415d49526cdc60a1be",
+    ('normal', 4, 42, 'w2'): "27ffb7700f609afadfd20afcb3cf9364df81d1017b1382c36d3c7a45d8bcd824",
+    ('normal', 16, 0, 'l1'): "d68ad9e1e3b53aee905d38efa64ec4f0ebd34e16d681d899fe84b0e41c92efaa",
+    ('normal', 16, 0, 'cwb'): "93a4ef6025b81a16810f59b5336c713a73cee3aec53a88a4e4cb1385513d0de8",
+    ('normal', 16, 0, 'zl'): "0cc51aa4c96ef268244b910eaa4c1fda1704d334533924f40caca5f54da4fd28",
+    ('normal', 16, 0, 'w1'): "43ba035ec5748f8cf070ddaabfca594cfa1518f01f34fd156df610ae07de414c",
+    ('normal', 16, 0, 'w2'): "eda90e295aa91ae539bc5535c0d26140ea8a2d704ebcc731f6e78f6b28afcdde",
     ('normal', 16, 42, 'l1'): "a95f9a083e607ef69a347a85bee29b08d4e1bcdab69213a8576c0edc92277a63",
     ('normal', 16, 42, 'cwb'): "414856152d2e539f6872801e2ddc2b02e96c41b865b48f7640299ab64f61e2fe",
     ('normal', 16, 42, 'zl'): "733c5b2e853e0a7549317cf40eaeba1f6a2ca17f6a66f762e80ff73caca1a6f7",
-    ('normal', 16, 42, 'w1'): "7b0895a6cfed67fbda863546db65322aef13f22fe8796092155b6e2f490d965e",
-    ('normal', 16, 42, 'w2'): "6a39da9739ed3bf5e4e19dec187e752f1891371137b4b801a8fbb6ce31170a93",
+    ('normal', 16, 42, 'w1'): "e1690301e79a2d75d5ff4dda4e2215c4f0e1d2d3d283c6f759cdc1d78d6b8167",
+    ('normal', 16, 42, 'w2'): "48f8d7c2684eb7a5d899eec9921cee2bed4302e155270440d359b8e527faced9",
     ('normal', 24, 0, 'l1'): "6baece11b8217dd9e872205dff7a6e1b169b38aaa5c0eaa7588b1e028b2e3fa1",
     ('normal', 24, 0, 'cwb'): "eda8c30fb8d6fdeea5d539b3cc3ea68741f3c71655c53e81f5941ebc7baf5708",
     ('normal', 24, 0, 'zl'): "4c06a6874560c2a1cd7df2fdceb0528daebc0c43e50e37b470e34280c79ce24f",
@@ -128,26 +131,26 @@ GOLDEN = {
     ('normal', 24, 42, 'zl'): "79bf75ebcf92aa1fb62cc2339626a9fe560fd69310e83951dfe728e91cd533d4",
     ('normal', 24, 42, 'w1'): "c9434338688f86a964b7275889ca90c862244f46df5bdfe6c12c9107186041e1",
     ('normal', 24, 42, 'w2'): "ccdc61042c3d58d67c62593c47ae8cd761ce9697ddfeb517e71c65a29cc6d911",
-    ('poisson', 4, 0, 'l1'): "e79b6143fde640989d3293308e91a3d518fc21642ff463892b8f2d099d52d2ed",
-    ('poisson', 4, 0, 'cwb'): "81d711ae9290646b1a9a5d4b78c1cae59f0e00f6ccdcf73ed5e309cb4173aa72",
-    ('poisson', 4, 0, 'zl'): "3e2a3c268ca1640a05f0ced15f724bf94368db80b4a445ac6a6ece1e28ce7188",
-    ('poisson', 4, 0, 'w1'): "863111eb377d54ffc0a4680536332694298da1b156d4a146691c06ae4817272d",
-    ('poisson', 4, 0, 'w2'): "2e525d5db25c1fe358bdd95c071d763549dc3e502aacf0e842e5c403a1831003",
-    ('poisson', 4, 42, 'l1'): "288c904e45998d1addb4b6a1fc3857868ab03a13ad3f47aa0e5e5627e2c8bd5c",
-    ('poisson', 4, 42, 'cwb'): "4e65f2cf68829730b538dc3b3cd7aa060cd233493e9c529cbf1b08b25fde6c2b",
-    ('poisson', 4, 42, 'zl'): "c1e37b4223b02b1c7bd433e9763622516ffe1657f97ed14e357a2cf025a7f1e8",
-    ('poisson', 4, 42, 'w1'): "c3f84f0527ebd06512b3121b5accd8ae556de093394fcc23de685c428db4862a",
-    ('poisson', 4, 42, 'w2'): "140c165c980db4f3c133ae14ba7439d370d27f86430eb3ab51b84e83bf413ff0",
+    ('poisson', 4, 0, 'l1'): "ddc78d0faa14171bfb6c16c0525643ccb4d1c44991f7fd4db4cbb7137b965e22",
+    ('poisson', 4, 0, 'cwb'): "bc62cb8be45242d577b044ca2ec2f06a720afa2ff7f079eafa5218fc4239658a",
+    ('poisson', 4, 0, 'zl'): "c369992efda8633d304eeba357af1453e96ac60e7fa6572c1b3c6b3a8cd6aa1d",
+    ('poisson', 4, 0, 'w1'): "787b64e43364ff00cfe5fdbf01edde2fa6a3b843133603ac391884d344ef198d",
+    ('poisson', 4, 0, 'w2'): "4798b351db4cc2768b9dcc6af4eda9646906f43f4ac05ff16aad985ce0d51c57",
+    ('poisson', 4, 42, 'l1'): "4d5a0bad2889cda2fae7e564ccbf37610f1dbb00513ee3413183821b278da9bd",
+    ('poisson', 4, 42, 'cwb'): "45a27158160e711f767c94ffe4e1f03485e531fde1ba62b0d69a911a9b72cffe",
+    ('poisson', 4, 42, 'zl'): "2a7a0951b8ae81995fa607b51593da14dd905cf92d94d3a3c17bebb0d07cbf8b",
+    ('poisson', 4, 42, 'w1'): "cce9573ac2b5898f8ee4b7fe87dc283d6c2c94ce20ce549c2d8007a72f24e6a2",
+    ('poisson', 4, 42, 'w2'): "41d18d854117c1365d46371ffbd5403d25a0fec0f7392d7a6ef0b5dd69aafa0d",
     ('poisson', 16, 0, 'l1'): "ac5345e05358c8feb4040483d07b3adf43b1ff6f73841e0c96919ae8a0d1b5ef",
     ('poisson', 16, 0, 'cwb'): "d0cbdfe64eec3ad2e68e0b02239a47c3bc0861c204e1d8d165bf889e95508e2c",
     ('poisson', 16, 0, 'zl'): "6d23ecceec2838dabdcea2e3c36f9d8b08d6b5dc7f47bcd5f3809ce3bb6f6408",
     ('poisson', 16, 0, 'w1'): "7b6ca11c67851021077d2033998cac16fd86d4326dc09229e0288dd64b938717",
     ('poisson', 16, 0, 'w2'): "08e49b05b015363d341fec5fada02ce5b100d02fc31035f0b01d28636fe84f39",
     ('poisson', 16, 42, 'l1'): "02a64b5017e0c22b4193978c762d1d3beddab8abdad4a635bfcacb24ab8b7227",
-    ('poisson', 16, 42, 'cwb'): "a3652037f105061de0253135f1ef90ec503f709701a9afc1e7fcb81b30a22c24",
-    ('poisson', 16, 42, 'zl'): "569cfd527e8efdd55858a997fff9c18d074ce4d545e23756904236982f37ebda",
-    ('poisson', 16, 42, 'w1'): "2aab8b9460531fda2719eba99d09759a7688c8a818cef021e7fb7ae221fcc372",
-    ('poisson', 16, 42, 'w2'): "7db0fc24eb96ad05c5606322c1576384bafe3a61be2ccdea6014c4fe76e19368",
+    ('poisson', 16, 42, 'cwb'): "4e88694b405ea6955b691b2b880c064b7b4ccd24e629d0b2e52a72be440665b0",
+    ('poisson', 16, 42, 'zl'): "bf766d630b27cd3b651da85040e1df5538480128aaeea32ccb12118bb30a864b",
+    ('poisson', 16, 42, 'w1'): "887b587de6f6bda7116fbba85e3338c699f1657b9e87bec205b08b815d095659",
+    ('poisson', 16, 42, 'w2'): "013e146358a5a4bbeb9c833335777000686a55c514ff24ed543a07657cdedbd7",
     ('poisson', 24, 0, 'l1'): "ca0beeb17593edccc87726b0aaec1886aaf11dc43c418650d5a45703c012d121",
     ('poisson', 24, 0, 'cwb'): "35f347e9d693b070cafa9f4d4317f7bcdaada1c2249fabc9bcf1b831ae936b92",
     ('poisson', 24, 0, 'zl'): "1e80ba51aa12f35adfa6fd8be45126cf010acdd6120d41bc9a37bd1e5f9a48b9",
@@ -158,26 +161,26 @@ GOLDEN = {
     ('poisson', 24, 42, 'zl'): "98d21d1c35fdc79cf2c12162636409fded78ba5cdcc8f6d6b0dbf5c577a08dc1",
     ('poisson', 24, 42, 'w1'): "388d329d00395fece555ed9631c6659db7a472bded6d6a7ee8d045bc3408342f",
     ('poisson', 24, 42, 'w2'): "9bbe6011b3912e8bea00691dfc8b3505ea0b82482c8e45837cb1af3472612341",
-    ('exponential', 4, 0, 'l1'): "2023b4c6b6b0f0dfbd1751e4114fbad492f71bc963098ae811504081e5895844",
-    ('exponential', 4, 0, 'cwb'): "a157bf54fbd2172cd831dd312ba0427de1db7d723fdd692085a5e03f6f8293b1",
-    ('exponential', 4, 0, 'zl'): "31f1965ca492e1a350697f40746ff06a18feca578c324b3122c152fecc903be6",
-    ('exponential', 4, 0, 'w1'): "c787b26a7d258fe98716439e76fa83644f6a1af6393b5b3c77207d7eb55a8594",
-    ('exponential', 4, 0, 'w2'): "fc7e84b7f142f76f75d4c1194b2b93b13f1bcbf5b313575bfd31fed818a1bdf5",
-    ('exponential', 4, 42, 'l1'): "09480c9c337aedf541f1badb2df1dcfd0f7f82b408ec2d39e32b2ef71c2e6f62",
-    ('exponential', 4, 42, 'cwb'): "0dc3e9d665012be92beaf62f00bb535ab75432741f56db531740434805a1f334",
-    ('exponential', 4, 42, 'zl'): "f3fb1f8983f5262d193e459c04f41c3fd85262a43a22f3ba27b44aa9a09f2098",
-    ('exponential', 4, 42, 'w1'): "940f3a11b6a5ef36bf832b12721a2c262dae1469f59985ccb2b65ab66c4cfd7c",
-    ('exponential', 4, 42, 'w2'): "e8cb347995468b36a66ee4af0aa89f23af545cf93ea7dbc21f1c0829dd0af932",
+    ('exponential', 4, 0, 'l1'): "51867259b62ee2a0acda8e63a803b8966fe00a32c8e4c13672a32cf0a50e49b8",
+    ('exponential', 4, 0, 'cwb'): "f5bfdb56e8816166c6151e9775e37343e1c9d6fd04e5a27f3a0273041e3855c7",
+    ('exponential', 4, 0, 'zl'): "4551f060546aacea2053a9667323d9dde0eacb69ad9ffd7e265bbaa45397e541",
+    ('exponential', 4, 0, 'w1'): "da817eb48f67cfb8cd0b2c88ec6b4aa3a1108a624c5287022145a905d25c978f",
+    ('exponential', 4, 0, 'w2'): "26081878ff7f4a64b59f7c221c9c1a5333e1c12cb25a3bb8ee31472c12955b1c",
+    ('exponential', 4, 42, 'l1'): "f115142fa186a0512dacda07bb95dbe1568bd5c7c6d63edb45c73cb3c3dcfc44",
+    ('exponential', 4, 42, 'cwb'): "11dd33de779025b0bd7001c8d7b4ef5b36868da07cf96541ee5adea0402a5ae9",
+    ('exponential', 4, 42, 'zl'): "205fa96ea2b4d03371c1cd89563e2bab82f7bdcd6637bb0b84dde753cdf94805",
+    ('exponential', 4, 42, 'w1'): "e134cfc55deab9abd7b0bc48bd8f3271b3848aea8b582adf87d522971a60d940",
+    ('exponential', 4, 42, 'w2'): "d91532fc96bff911d36817e3c88b168c4ad9794e960060fc3db85cfcd8a7a443",
     ('exponential', 16, 0, 'l1'): "a0e779a352b03284960dd0067a8669afc19d0dd13392b6ac355e360ffffd7abd",
-    ('exponential', 16, 0, 'cwb'): "02837ec095319178b61269f7cf90ff68767d72650a1652f0c1725cd5d03c63ee",
-    ('exponential', 16, 0, 'zl'): "f0bfd49f5ca8dd5d11090628d2b44d9303db0b6d3b2dbcb10b17f72eca8ea9a2",
-    ('exponential', 16, 0, 'w1'): "598a1edba36738e673b66bf58cfd1d3db4397723b3695e827f6f1ad906c724b8",
-    ('exponential', 16, 0, 'w2'): "6e52664509e1accdcd12e1dfc7e87a4eebd4159e72c60e3595f47b460c1216e7",
-    ('exponential', 16, 42, 'l1'): "7de086a8b5d14747c0c65ebb8c254a4d213bb99b1a533d65b7f6d3a6763f0e08",
-    ('exponential', 16, 42, 'cwb'): "d5475bb328e5661ea3c4cd054eaa89a641e19f24f5951ea51dd7948561cc207e",
-    ('exponential', 16, 42, 'zl'): "21dde4a1c1185323bf8cdb734272846ca9ee88ffad89356cef2a9a383d2267af",
-    ('exponential', 16, 42, 'w1'): "258fdb49f1553db18b9d438d19d1dde1496997db47ade97c0ff4910458e0914c",
-    ('exponential', 16, 42, 'w2'): "03dbe1e33ac29769d6d26563ecb717197d89e8416099c2d78694ccb28ada82ff",
+    ('exponential', 16, 0, 'cwb'): "46e3e9e771221ce0c3627eabbf43f640b534a598ac10e2be92dd186d21cf5d83",
+    ('exponential', 16, 0, 'zl'): "3e53c6f2fe1e5b7ae819b8afbc03254ecb444c27a883014ff184c53908343491",
+    ('exponential', 16, 0, 'w1'): "661704f996ff637503bfe923627c79c83353cd517b91eb2851a7f563d8095d7e",
+    ('exponential', 16, 0, 'w2'): "5939d6696852c95d8cb193e384be30ed601f9df1fbff6eb300ca69e4eb8cfef5",
+    ('exponential', 16, 42, 'l1'): "bc82a221b38c7eaa88762e96fc3528bb1045c2fa01d1048c4391832dd7c65ea7",
+    ('exponential', 16, 42, 'cwb'): "0b038f1372f34edbbe58add7176c98c5f8d3b19315bcd03717b08b7ffa9c56aa",
+    ('exponential', 16, 42, 'zl'): "971dd4de144297480387dfc1192cfc3d06bae7446ce71c42e73fcf9252022fec",
+    ('exponential', 16, 42, 'w1'): "d9c62d2995297da09379dd906d31c67a3524e5c564c631716f534e540a54b90c",
+    ('exponential', 16, 42, 'w2'): "e88396dc1917c6e491b259f60ae5de6b4ce4c1ca2da0e1d84bc1a3867a0b7cd0",
     ('exponential', 24, 0, 'l1'): "a107a9b390e001361451155fd506e45c61c4eff52b5997105d530bb3056b5257",
     ('exponential', 24, 0, 'cwb'): "9716a1c25c79f6713c45794cde8a1ac4d050bbc208ca6ddff8b997906ddbb4b1",
     ('exponential', 24, 0, 'zl'): "82b22abf3ed00313b0964c03f3412452bd023fdefc93d753b95b77c408f71c7a",
@@ -188,16 +191,16 @@ GOLDEN = {
     ('exponential', 24, 42, 'zl'): "6d7cb0598dc5d7d87b14b479e995a0476c676701afd4acb5cd003473f5dd772d",
     ('exponential', 24, 42, 'w1'): "5dc2072f00150ea4d6cd351a88d4580f2525ac01b3346e74b0131ccb4665c2ab",
     ('exponential', 24, 42, 'w2'): "cdd788c6f97a95fb602fc695215a433a8a915b549bc8177564f3fdf60c6afed6",
-    ('f', 4, 0, 'l1'): "2d56fa3cc511398b8becd3bfd18878d58afe4f5e72280cf8e591c36907a590cc",
-    ('f', 4, 0, 'cwb'): "04ee329e00a3666f1615c62f1a4e33766e7657a5e33dd2f2c89efe98305ade1e",
-    ('f', 4, 0, 'zl'): "327432fabd2abcd78c2cbbb4ca005e0e038870ce93d1aa927aa1311b64466bc8",
-    ('f', 4, 0, 'w1'): "4015f642acf654306948b5070f3426dde83e470d2086138ee76fdde6f4ce02e4",
-    ('f', 4, 0, 'w2'): "84bba29daa4acc45eb158f3733eb9e62c71d69817ae072e61adc9be4997fd91a",
-    ('f', 4, 42, 'l1'): "be1e2d1cbb4afd72f9d5df7e54b841d4ab147e00922262cd584c545cb1ab57fa",
-    ('f', 4, 42, 'cwb'): "14b1be6467a2333c57f37ecf913aeabffb588dd89a1b4cc4b37892939373f0c1",
-    ('f', 4, 42, 'zl'): "985919ad52ecf9de4599459cf76f6562ced44fd243bc901d68e0f0f80c4e478d",
-    ('f', 4, 42, 'w1'): "460e3e23e2d631570cfd76bd270530f97328b3f308a38b211089ea41e2579da5",
-    ('f', 4, 42, 'w2'): "85b9b2e137f08022b4479816d80b2d17585e2ecdf4d3eb5e0b7578c5dc76ebeb",
+    ('f', 4, 0, 'l1'): "23706675a0bd9c8cde85a8c8cc9e4804e042802645dd1038568182b07e86a11e",
+    ('f', 4, 0, 'cwb'): "f25cdba7447d83fcb2eb9220d8d040efc0ed1aa59dd552f65292b2a277e5ca53",
+    ('f', 4, 0, 'zl'): "d18d37b6424e35d55861251fc157c42731389156f0af2bfc08f89988252d0cb9",
+    ('f', 4, 0, 'w1'): "b96e5c43fe6d8f75d1f998cf0d7628e8ccb92ab096f3ec2026a119143b691ae0",
+    ('f', 4, 0, 'w2'): "587b5e83e2ec3ee7eda9181d886ea2d2e4982ed44aecf393e139752f81797af3",
+    ('f', 4, 42, 'l1'): "87bb8159c5259a24382533872af0e91fa4ffcfb47b5197d678f01b2e75ede411",
+    ('f', 4, 42, 'cwb'): "066db4b4cbed79cc348bf67104a1489f3f8f134f69b8bba1c3422eeda65a6c53",
+    ('f', 4, 42, 'zl'): "7bcc5a4f35bad9769f2027d9f8a05ad18fb8098efbd987acf39ed9843f349873",
+    ('f', 4, 42, 'w1'): "80a48ae2ba564b8f131e8deca54a95d98e5f1babcb081a427c6641e71bc90273",
+    ('f', 4, 42, 'w2'): "7586335be3676a0fa422739cc0d5f364bd6892f290131defa563cb44d77b3020",
     ('f', 16, 0, 'l1'): "976208b6522608cdd191fcf8ffb3e93dec57567227f98a533c35eea40192e3a7",
     ('f', 16, 0, 'cwb'): "2c319469e4596b07f3d67f39c38ca1da08de554863d7f155250e8390ec61e627",
     ('f', 16, 0, 'zl'): "09820f57f500d7b2189a941aa0bfbf7cd2436f7ddb77947fa092d3862d05693f",
@@ -207,7 +210,7 @@ GOLDEN = {
     ('f', 16, 42, 'cwb'): "65e54760454b3d47775e22be8a47fb38f09a08646a9a2ccd0cbe61e51d403ab9",
     ('f', 16, 42, 'zl'): "1bd14e01206684a7bf18bfeb91dc97ac96eb18485fcdb4d4d43c2bf0feaabff1",
     ('f', 16, 42, 'w1'): "e2c35c51c0d518bdeb3b7929d17f47a75b4afd8e9f41cedad340ddf1c6419a78",
-    ('f', 16, 42, 'w2'): "ec894cffd4c5c38fb1b340d50f858386a063e751a12e93883b43a01733eac0e6",
+    ('f', 16, 42, 'w2'): "646e44e58c67289cc9741813abeb368fc6c45426d62640bf5ba801a7f6f89be4",
     ('f', 24, 0, 'l1'): "cd8f36e815cba58f168210dc0da08a564941227a2acd491bb5d0d0f8d407240b",
     ('f', 24, 0, 'cwb'): "be9dcbf0c44c4e78ad04f7762e323c9ae7f324a444e5b83f54999a698df0db27",
     ('f', 24, 0, 'zl'): "22866d1ab6bd2fdc7fd45437426a84053c38de96418dccb0e883c7303d21e7bb",
@@ -218,26 +221,26 @@ GOLDEN = {
     ('f', 24, 42, 'zl'): "84dc9820a7c59d5bfa64dae9efb09dd2c47a70426f1acc85524f96ee686aedae",
     ('f', 24, 42, 'w1'): "1b30803d5b8ebfad0c7c5e0e2e368c94b456fb689e3d828d6143e264e24652c2",
     ('f', 24, 42, 'w2'): "f13457bbe112f492d53bce14a7b6540ea55b85325e7e2a2027342a221ac5bf94",
-    ('gamma', 4, 0, 'l1'): "939d6e895e3879ea5423e27b0692454b4c12f44f5bbd8cea07e0cac7b8d934f9",
-    ('gamma', 4, 0, 'cwb'): "dd4e4dd6aca7dc919be18bd4600531999dbaf69175ca1fa241aacc04b0e029be",
-    ('gamma', 4, 0, 'zl'): "fa50fe1fa4e4250bfd902382cd0eb64dec6a814aa115771f1861fb0e801c3cb9",
-    ('gamma', 4, 0, 'w1'): "787feb8583217e814fa39a1053aaf293b3aed4b2e8ed6f632d0ceb49c964300f",
-    ('gamma', 4, 0, 'w2'): "4c5e27ddb40e50ee14ee19e8ff7819808cb00eef67ab8e3fda9137378c45a030",
-    ('gamma', 4, 42, 'l1'): "2bf0371b42303ea757ffc093dd280d600dbb02971e9cc36a240b417808ecbdeb",
-    ('gamma', 4, 42, 'cwb'): "e7dd44d843303872026b38daa836c955c0759294a12804cdb58eee7e19ffbbd0",
-    ('gamma', 4, 42, 'zl'): "928845fed41d2bf191c1fcb377a0aeac901cdf7ab56b0858c7aa0ef4b7efeecd",
-    ('gamma', 4, 42, 'w1'): "2dbef2a5de4272c887a5ca9918e25e81791a00cb365cf0cd08db85e4861a6a13",
-    ('gamma', 4, 42, 'w2'): "895f6fcb2e4699d9f32fd435e2f02b20bfc7b9a51e63aa68a1878f7bf400567c",
+    ('gamma', 4, 0, 'l1'): "90004269c3777fce38b9936f6a3badd993330491efc060783d13a10561464b20",
+    ('gamma', 4, 0, 'cwb'): "82912a1ab6af0c891ec67198aa57fe51ab1e6333b913ddc1b150a23086277603",
+    ('gamma', 4, 0, 'zl'): "25e063d002ea1851ad89b63d08ef9b9c9e2d8fb28a4d730fb465e7aed1df68df",
+    ('gamma', 4, 0, 'w1'): "3306824bf125a465fd108ad87be12e2ba7e6165d5ad50a3ea2a91f9ff6486e16",
+    ('gamma', 4, 0, 'w2'): "ef8ef8ea35fbcbe3b38918a14a8f0e2129608d65d53b32b40f30981869d65f85",
+    ('gamma', 4, 42, 'l1'): "19f8ea578d68f88b470483752a9369895f49acd6c045d05354c0ddabf961f366",
+    ('gamma', 4, 42, 'cwb'): "397e43fb44c8270e5804b5d0a1c4c4799261b681d2f30c80a33b5c37b2785a0a",
+    ('gamma', 4, 42, 'zl'): "5cbab0dab702dc5fd435351bb9f72615527f85d79c7665fa9960eaea1a5e7c1d",
+    ('gamma', 4, 42, 'w1'): "5135c44af9353c8d977389ec2066dd53896c243cb207e8feb49732137c6ec754",
+    ('gamma', 4, 42, 'w2'): "89a15fbf7b4ff21a0ba0ef83da9bfe9357102fc5c8ec95838543576e310e13c0",
     ('gamma', 16, 0, 'l1'): "728b76fd17de1fd23980039d23dc63bb5c95a2e636f9ba23adaca21fc00ecacf",
-    ('gamma', 16, 0, 'cwb'): "5c4197a8b28668c04a9b24da0e4a8f2818eef4e6f98975bfd2e5715cc20af7ae",
-    ('gamma', 16, 0, 'zl'): "99778e8f27743d5e92122eed7aadb7d85a95d80275f51d2fc246d0f60aa800ca",
-    ('gamma', 16, 0, 'w1'): "7f54d8f28c179dfe2fb1bdd0825183686896c91679062376f3f084c5e436d98b",
-    ('gamma', 16, 0, 'w2'): "3d86e394b69d3fac646595b18ef15421a58177ff2774d8761bd327d2fbbdaa1b",
-    ('gamma', 16, 42, 'l1'): "59d8af15b15f30fd3d1cb7e6e8c3d733513122ac8870e5659740df1ec42e5220",
-    ('gamma', 16, 42, 'cwb'): "1bed5f4a09cada4972cd73a345d77b252ccf64c5bb16ee4296a9d80a04a975bb",
-    ('gamma', 16, 42, 'zl'): "73e2cc97a5ae1a0ca5c6fb481c1a6c96602ff642f8ed53c3fa2dc761f20b01e2",
-    ('gamma', 16, 42, 'w1'): "63ae62f8883e421249f4c5363a35aba484db1468e970783790fde5df517e448f",
-    ('gamma', 16, 42, 'w2'): "76927a08b6d638c40a45814cf32c9fa20c022cc37cf18ff3390fb116fd9e6ab7",
+    ('gamma', 16, 0, 'cwb'): "bce41fc75a189331ef73ec6be6dfc52bb0ab78d65ba6d014e0754f5c4f40b839",
+    ('gamma', 16, 0, 'zl'): "70aa0ce4e9ef02366a264e5f547bb6a18b47c71f60593abe3035fda33b204c57",
+    ('gamma', 16, 0, 'w1'): "5d83c42c6c701dbc43a22ccf91172513de45b4b43a19607de5897ddd53ea94e8",
+    ('gamma', 16, 0, 'w2'): "66a20606b5ae2f0e353c5296a1cd4ca292483f2db412d0d1f36e1c17135af90b",
+    ('gamma', 16, 42, 'l1'): "c72b8c4b9f2178699f5c84d5f8c56a9dc4f8dd74fa8db1a85d2cd8f312e71dd0",
+    ('gamma', 16, 42, 'cwb'): "1b85920402ca61b614bd5aa571b8d6a9d0362476a531410cb3fba9c7d2a6f264",
+    ('gamma', 16, 42, 'zl'): "72c0d078049a403e1086cca97a53a7a7ca1dbb293d94253022928f41347fe51f",
+    ('gamma', 16, 42, 'w1'): "2858338e60d36b5d86d489bc0f9be5e313af6379cb6d31b1409a759004b75ca0",
+    ('gamma', 16, 42, 'w2'): "f76c7ba1cee976c63f738458e2df5119768174dc461d43fe2c423646f1e8d125",
     ('gamma', 24, 0, 'l1'): "16367cc0ff5ee35aabe7215150d1891658a8f619b1632ebc3fce0684a0d09215",
     ('gamma', 24, 0, 'cwb'): "1a12e185163c9ea97eb693ad89c28c353bdb99bd6e91f8eb23441226db484c64",
     ('gamma', 24, 0, 'zl'): "b8599f9829616085250cb75a27916ea7483b7012be2e792486ff851446c37adf",
@@ -248,26 +251,26 @@ GOLDEN = {
     ('gamma', 24, 42, 'zl'): "5a758151c2daa3c809f2d3f481c5c7c2b10ef7b768ddef4d98fed454b1ba35be",
     ('gamma', 24, 42, 'w1'): "68f9ed3de08d26305a64b61e956b060368a12eccf7e760315dc722886396718a",
     ('gamma', 24, 42, 'w2'): "6dc99e5c626304434b460534d43096b9e964ab41dadf74bb9338994e216a003e",
-    ('uniform', 4, 0, 'l1'): "1b3e586dc68b613dfb3481d11d6b4b63e2758ae08f10dcc0cbabdaae3183b9a6",
-    ('uniform', 4, 0, 'cwb'): "93a12deb7aadeba09f2e61840393708ee33ae5c95360dc40b58dbbeb5a839d37",
-    ('uniform', 4, 0, 'zl'): "fc5398605ed6edcf5ad5e6818218eba2eda74f651dffcc002047d7e9d80256f5",
-    ('uniform', 4, 0, 'w1'): "b2daa63fc20f18e4d0999ad39e5a7f4b1db4371b25f5c86eab87b1e9efd90777",
-    ('uniform', 4, 0, 'w2'): "501aec4b85df8fd68d2f1aa05efbd74948364514c09f3ae4f4bfa1b9cde6de30",
-    ('uniform', 4, 42, 'l1'): "ed90d1fbdd23f5c7c46f0f607bbb69aa65394ea5a0c31206b30103648fa7e91d",
-    ('uniform', 4, 42, 'cwb'): "ce309677f965b3aaa8dd73ac96e93e766a7d307ebb5af0d6f05a9521edd67a0b",
-    ('uniform', 4, 42, 'zl'): "56f6f98f3403a085e5cfb99f2d6266d27b4f13a3d23ccc873db1792641326adf",
-    ('uniform', 4, 42, 'w1'): "e3f26cc915402249e9772567b82848639ba2482382c2b8ece92fad2cae40975b",
-    ('uniform', 4, 42, 'w2'): "13326a98763c1e2fa6e3f8fbd16838d3b4a6ec88d464253930eae536558ffca0",
+    ('uniform', 4, 0, 'l1'): "0037d5003fe4a2ce05d28dc0b155f212e85c10cf7f5f505a162594e444fbf524",
+    ('uniform', 4, 0, 'cwb'): "81ff0548d6e78663a9986cdb25778af8be400b159b684c67b7e48467f722279c",
+    ('uniform', 4, 0, 'zl'): "a620751d7a7aa591006848accf610bf1426d7258bb80e2b65fb3b3f54f6d81d8",
+    ('uniform', 4, 0, 'w1'): "7e279e1af2460df589c35cff21f38242208e94c44cdc13b7aada525fc2ffba16",
+    ('uniform', 4, 0, 'w2'): "073929f35acf98d43dffb427b440f582c74b1cce3ddeaf9593c650d4094accaa",
+    ('uniform', 4, 42, 'l1'): "f693014f98f2dfd897e3c4d3f25073fbbc3f4e493606f76b56060aec156a2658",
+    ('uniform', 4, 42, 'cwb'): "8e14c8df8633f53d7461ae74c6d7a7a7d134a8164cddfbaa8a9c5abf573ce64d",
+    ('uniform', 4, 42, 'zl'): "df7de149b21f0d3d22c1720dd612d16af5d17f4cd4a33252ecb681d575fae9fa",
+    ('uniform', 4, 42, 'w1'): "59b271fdcf8961a09776227c0fb640c35277ff60ed09b78bf66cf1ffd7be96f0",
+    ('uniform', 4, 42, 'w2'): "60f370c3cda68f51f20291aa98af6979130166ad83c0dea66cbd4d3ed6e8de37",
     ('uniform', 16, 0, 'l1'): "7c3ce267390a3bb0d3e9e45fea33e79e442d36f9dfd81ad9a1cad8d3815294cc",
-    ('uniform', 16, 0, 'cwb'): "41186d98935c54815691f15ca34dac873d22029594aad52fc0465a05a1ed2846",
-    ('uniform', 16, 0, 'zl'): "933768c1c6e3b8e248ac332e8be499d12c98d198bd1c1f4626ce2f460f270d70",
-    ('uniform', 16, 0, 'w1'): "ffaf3953ff96da87f0814bdb652750bbed54f25176279d7303fc1cf75a32726e",
-    ('uniform', 16, 0, 'w2'): "cb574e80ee5e1c2263b0390c4a3c948cf631090955a98bb74c0b3e8e32e3410f",
+    ('uniform', 16, 0, 'cwb'): "b3215cae612fc270984cd10fb0bb7e9edc477c9efc30f610531338463a25e659",
+    ('uniform', 16, 0, 'zl'): "b444ac7ec93bba682e5b9882a9db795ca3508f421a29c1c91ef61d63a1900928",
+    ('uniform', 16, 0, 'w1'): "788fb0853732ba2f733a1c3882b9ea97fb0ba7012ccb2c608cff2d22b9ea5feb",
+    ('uniform', 16, 0, 'w2'): "e37976b45c5258e4106cc9d8b5594a467aba5a5ef4258b74a498b156b484ec8e",
     ('uniform', 16, 42, 'l1'): "add8445b2242a254ef018c45ad2b38f5b7dd318b50aef59cdc47592373bde3b7",
     ('uniform', 16, 42, 'cwb'): "9e81425da49338d33211fd80d1ee9fdb1b03dafc75f2cc027146e0cb6045c42d",
     ('uniform', 16, 42, 'zl'): "0a6ca1f2e3b4dde4426a5dffda3a5ca344eb3a932d1aed44095df9865743e8b2",
-    ('uniform', 16, 42, 'w1'): "f23eae50c58a10f7d554cd3a0da540202ff37036fed164f1735990b45f8787d0",
-    ('uniform', 16, 42, 'w2'): "9d1878c47393a27229339a50096bdb5a6f90aa24b08bc8708b13d1b1548f9410",
+    ('uniform', 16, 42, 'w1'): "221230e88fd059f0ab67c9e67572716612a407495fd73085aa26d09613a58add",
+    ('uniform', 16, 42, 'w2'): "bbb8e020306e45a947116632c5ccace70198ee214a89d305c74df320763ad9ca",
     ('uniform', 24, 0, 'l1'): "087f20844debd0a93d1938b1fdaed9d345520460d138dfb807aac938c563046f",
     ('uniform', 24, 0, 'cwb'): "d127b7d08d7e3591f5ac9001f0d210213d305cd533def83e24fe76e2b4b0711d",
     ('uniform', 24, 0, 'zl'): "de11e2d7ed40f289addddd39a1ffbf7a8b98553e41e2b34534fcee4e84094c5a",
@@ -278,16 +281,16 @@ GOLDEN = {
     ('uniform', 24, 42, 'zl'): "4f9581b19e0a988aad8470bd7ddcf3e083c25a92d918650fb4c6cddada0dbe54",
     ('uniform', 24, 42, 'w1'): "0e144a7ab5c93a7cbd5087a41f43ea7afbfb4f869b383436ee4199c991f814c0",
     ('uniform', 24, 42, 'w2'): "4a33834026f927e7abda92284ec3bf72079c7acef666a8bfe1e609b82efc3c8a",
-    ('crash', 8, 0, 'l1'): "497de5758240d9dfae3ea9d7e81848c0550cc9e01dc5887573ee2166da004be5",
-    ('crash', 8, 0, 'cwb'): "caf4c987d6dcb12326334ceb82330159877c31398952c4b592a265cfcdf65d52",
-    ('crash', 8, 0, 'zl'): "bff1f2fc007a16c8122e9438f98c84f8cbb8c101169f9601e5ddf2bf5e301e1f",
-    ('crash', 8, 0, 'w1'): "c19bf6caffdc53597e852ea40d217d893b424745208a29e5ec91f5328888ca1d",
-    ('crash', 8, 0, 'w2'): "03d7949e56e5dfb7923eae6338ba043b33e8c59b35e995b4a5e3cf08967b54a3",
-    ('rowdrop', 8, 0, 'l1'): "34b2f10e2b06945516bb889d97eb5102a170c5f4551c235091af52cba751ab9a",
-    ('rowdrop', 8, 0, 'cwb'): "4dfd3739e1992111c43d61a973a4e26fd76d4782060289b8bf5c84596a20340d",
-    ('rowdrop', 8, 0, 'zl'): "ca3b368d6a0b16677923e29248de41d5dceae931007c357c79e6e35114b0dc0b",
-    ('rowdrop', 8, 0, 'w1'): "55e202a2f65757d09a5792b65861fbd0349e99b9239e3749fa3fc063cceabc2a",
-    ('rowdrop', 8, 0, 'w2'): "b3b98795ab29ca23eb9a98c72b51ab505b10d8adecfdd3fd2272d5a12580e600",
+    ('crash', 8, 0, 'l1'): "d2c36308436dfd2ef2789efbcca348f0da2319562fe1ecf52c154d21a1832177",
+    ('crash', 8, 0, 'cwb'): "3f2bb6ee9afc1005800df5a7bf9312d45393d06b45e72df3ffb7df045c0bd646",
+    ('crash', 8, 0, 'zl'): "b138b0cc35a68dc5badd853dc5bdcd221ea78f0c7698317ef90e6c5661731bed",
+    ('crash', 8, 0, 'w1'): "97f77f7a4a1c126a0b5da04b69aa94820f78e45511cf2ad517ebe45b1a02e308",
+    ('crash', 8, 0, 'w2'): "2b25d553dcf2ee9cc6fa5034e5f2c0e6c4755cb7b9f0595c619e5281461a79c1",
+    ('rowdrop', 8, 0, 'l1'): "c8d72608e22c06d05f63287162b152af6e06bda46901fcaf6db3b606c14b0eaa",
+    ('rowdrop', 8, 0, 'cwb'): "f4379960d48928086a2ea1441b80dc3605ab136ad7a8f2df1c881a41be996f72",
+    ('rowdrop', 8, 0, 'zl'): "383eb60179a367b6cd0ca12e191b63872ef6752c5cecdcc7107d7c859fc72604",
+    ('rowdrop', 8, 0, 'w1'): "aa869991da32d000d3046425d0b7ac868ffdb772b60aa06041aa0b39bd25446a",
+    ('rowdrop', 8, 0, 'w2'): "0d30095faae3bd2d2f15eea31261dfca7a3607a53bf62c019877233d66777c46",
 }
 
 CASES = [(d, k, seed, kind) for d in DISTS for k in (4, 16, 24) for seed in (0, 42)
@@ -307,6 +310,24 @@ def test_trajectory_digest(dist, k, seed, kind):
 def test_phase_one_trajectory_digest(case, k, seed, kind):
     a, b = special_instance(case)
     assert trajectory_digest(a, b, kind) == GOLDEN[(case, k, seed, kind)]
+
+
+def test_stall_guard_idle(monkeypatch):
+    """The longest run of degenerate pivots in these runs is far below the
+    stall guard's 2 (m + n), so Harris's test makes every choice."""
+    sols = []
+    real = rwl1.simplex.solve_standard_form
+
+    def recording(*args, **kwargs):
+        sols.append(real(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(rwl1.simplex, "solve_standard_form", recording)
+    for case, k, seed, kind in CASES + SPECIAL:
+        reweighted_l1(*case_system(case, k, seed), WeightScheme(kind), SolverConfig())
+    assert len(sols) > len(CASES + SPECIAL)
+    assert sum(sol.guard_pivots for sol in sols) == 0
+    assert 0 < sum(sol.degenerate_pivots for sol in sols) < sum(sol.pivots for sol in sols)
 
 
 @pytest.mark.parametrize("case, k, seed, kind", CASES + SPECIAL,

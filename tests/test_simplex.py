@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import rwl1.simplex
+from rwl1.bench import trial_seed
 from rwl1.instances import DistributionSpec, make_instance
-from rwl1.simplex import (REFACTOR_EVERY, LPInfeasibleError, LPProblem, LPStatus,
-                          SimplexStalledError, _crash_basis, default_pivot_budget,
-                          solve_standard_form, weighted_l1_lp)
+from rwl1.simplex import (REFACTOR_EVERY, CertificationError, LPInfeasibleError, LPProblem,
+                          LPStatus, SimplexStalledError, _Basis, _certified_point, _crash_basis,
+                          default_pivot_budget, solve_standard_form, weighted_l1_lp)
 
 from oracles import enumerate_standard_form_optimum, enumerate_weighted_l1_optimum
-from test_golden_solver import special_instance
+from test_golden_solver import case_system, special_instance
 
 
 def solve(c, a, b, **kw):
@@ -105,6 +106,69 @@ class TestSolveStandardForm:
             assert np.max(np.abs(a @ sol.z - b)) <= 1e-9
 
 
+class TestCycling:
+    """Textbook LPs on which a degenerate pivoting rule can cycle, each from
+    its slack basis.  Harris's ratio test alone cycles on Kuhn's example until
+    the pivot budget runs out; the stall guard's Bland rule ends the cycle."""
+
+    # (A, b, c, starting basis, optimum)
+    KUHN = ([[-2, -9, 1, 9, 1, 0, 0],
+             [1 / 3, 1, -1 / 3, -2, 0, 1, 0],
+             [2, 3, -1, -12, 0, 0, 1]],
+            [0, 0, 2], [-2, -3, 1, 12, 0, 0, 0], [4, 5, 6], -2.0)
+    BEALE = ([[1, 0, 0, 1 / 4, -8, -1, 9],
+              [0, 1, 0, 1 / 2, -12, -1 / 2, 3],
+              [0, 0, 1, 0, 0, 1, 0]],
+             [0, 0, 1], [0, 0, 0, -3 / 4, 20, -1 / 2, 6], [0, 1, 2], -1.25)
+
+    @pytest.mark.parametrize("example", ["KUHN", "BEALE"])
+    def test_reaches_optimum(self, example):
+        a, b, c, basis, optimum = getattr(self, example)
+        sol = solve(c, a, b, initial_basis=basis)
+        assert sol.status is LPStatus.OPTIMAL
+        assert sol.phase1_pivots == 0
+        assert sol.objective == pytest.approx(optimum, abs=1e-12)
+
+    def test_stall_guard_fires_on_kuhns_example(self):
+        a, b, c, basis, _ = self.KUHN
+        sol = solve(c, a, b, initial_basis=basis)
+        # the guard starts after 2 (m + n) = 20 degenerate pivots
+        assert 0 < sol.guard_pivots < sol.pivots
+        assert sol.degenerate_pivots >= 20
+
+
+class TestCertification:
+    """Every OPTIMAL LP passes explicit primal-residual and reduced-cost checks."""
+
+    def test_reduced_cost_check_rejects_a_non_optimal_basis(self):
+        problem = LPProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+        z = _certified_point(problem, _Basis(problem.a_eq, [0]), problem.b_eq, problem.c, 1e-9)
+        np.testing.assert_array_equal(z, [1.0, 0.0])
+        # z = (0, 1) is feasible, but column 0 prices out at 1 - 2 = -1
+        state = _Basis(problem.a_eq, [1])
+        with pytest.raises(CertificationError, match="reduced cost -1 below"):
+            _certified_point(problem, state, problem.b_eq, problem.c, 1e-9)
+        assert state.refactors == 1  # one fresh factorization before giving up
+
+    def test_near_degenerate_right_hand_sides_certify(self):
+        # the l1 LPs of the figure grid with b moved by B_crash delta,
+        # delta_i = 1e-9 max|b|: still feasible from the crash basis, but
+        # nearly degenerate, so pivots leave basics a little below zero, and
+        # clipping those at zero misses the residual bound on about half of
+        # these 130 LPs, by up to 5e-8
+        for k in range(1, 26, 2):
+            for t in range(10):
+                inst = make_instance(DistributionSpec.default("normal"), 50, 200, k,
+                                     trial_seed(42, k, 0, t))
+                a = inst.a
+                basis = _crash_basis(a, inst.b)
+                signed = np.where(basis < 200, 1.0, -1.0) * a[:, basis % 200]
+                b = inst.b + signed @ np.full(50, 1e-9 * np.abs(inst.b).max())
+                (x, *_), sol = split_solve(np.ones(200), a, b)
+                assert sol.status is LPStatus.OPTIMAL, f"k {k} trial {t}"
+                assert np.max(np.abs(a @ x - b)) <= 1e-9
+
+
 class TestInitialBasis:
     """solve_standard_form from a supplied basis: warm start or phase-I fallback."""
 
@@ -181,22 +245,22 @@ class TestInitialBasis:
 
 class TestWeightedL1:
     def test_two_vertex_example(self):
-        x, obj, _, _ = weighted_l1_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
+        x, obj, *_ = weighted_l1_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-12)
         assert obj == pytest.approx(1.0, abs=1e-12)
 
     def test_unique_feasible_point(self):
-        x, _, _, _ = weighted_l1_lp([3.0, 5.0], np.eye(2), [3.0, -4.0])
+        x, *_ = weighted_l1_lp([3.0, 5.0], np.eye(2), [3.0, -4.0])
         np.testing.assert_allclose(x, [3.0, -4.0], atol=1e-12)
 
     def test_no_rows_gives_zero(self):
         # the crash basis of a 0-row system is empty and must still be accepted
-        x, obj, pivots, basis = weighted_l1_lp(np.ones(3), np.zeros((0, 3)), [])
+        x, obj, pivots, basis, _ = weighted_l1_lp(np.ones(3), np.zeros((0, 3)), [])
         np.testing.assert_array_equal(x, np.zeros(3))
         assert obj == 0.0 and pivots == 0 and basis.size == 0
 
     def test_tied_vertices_fix_objective_only(self):
-        _, obj, _, _ = weighted_l1_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
+        _, obj, *_ = weighted_l1_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
         assert obj == pytest.approx(1.0, abs=1e-12)
 
     def test_nonpositive_weights_rejected(self):
@@ -216,7 +280,7 @@ class TestWeightedL1:
             x0 = rng.normal(size=n)
             b = a @ x0
             w = np.abs(rng.normal(size=n)) + 0.2
-            x, obj, _, _ = weighted_l1_lp(w, a, b)
+            x, obj, *_ = weighted_l1_lp(w, a, b)
             oracle = enumerate_weighted_l1_optimum(w, a, b)
             assert obj == pytest.approx(oracle, abs=1e-8), f"trial {trial}"
             assert obj == pytest.approx(float(w @ np.abs(x)), abs=1e-9)
@@ -227,26 +291,26 @@ class TestWeightedL1:
         a = rng.normal(size=(4, 10))
         b = a @ rng.normal(size=10)
         w = np.abs(rng.normal(size=10)) + 0.3
-        x1, obj1, _, _ = weighted_l1_lp(w, a, b)
-        x2, obj2, _, _ = weighted_l1_lp(10.0 * w, a, b)
+        x1, obj1, *_ = weighted_l1_lp(w, a, b)
+        x2, obj2, *_ = weighted_l1_lp(10.0 * w, a, b)
         assert obj2 == pytest.approx(10.0 * obj1, rel=1e-9)
         np.testing.assert_allclose(x1, x2, atol=1e-8)
 
     def test_pivot_budget_suffices_at_benchmark_scale(self):
         inst = make_instance(DistributionSpec.default("normal"), 50, 200, 12, 404)
         budget = default_pivot_budget(50, 400)
-        _, _, pivots, _ = weighted_l1_lp(np.ones(200), inst.a, inst.b)
+        _, _, pivots, *_ = weighted_l1_lp(np.ones(200), inst.a, inst.b)
         assert 0 < pivots < budget
 
     def test_zero_rhs(self):
-        x, obj, _, _ = weighted_l1_lp([1.0, 2.0, 3.0], [[1.0, 2.0, -1.0]], [0.0])
+        x, obj, *_ = weighted_l1_lp([1.0, 2.0, 3.0], [[1.0, 2.0, -1.0]], [0.0])
         np.testing.assert_array_equal(x, np.zeros(3))
         assert obj == 0.0
 
     def test_duplicated_columns(self):
         a = np.array([[1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 1.0, 1.0]])
         b = np.array([3.0, 1.0])
-        x, obj, _, _ = weighted_l1_lp(np.ones(4), a, b)
+        x, obj, *_ = weighted_l1_lp(np.ones(4), a, b)
         assert obj == pytest.approx(2.0, abs=1e-9)
         assert np.max(np.abs(a @ x - b)) <= 1e-9
 
@@ -259,7 +323,7 @@ class TestWeightedL1:
         xt = np.zeros(12)
         xt[3] = 2.0
         b = a @ xt
-        x, _, _, _ = weighted_l1_lp(np.ones(12), a, b)
+        x, *_ = weighted_l1_lp(np.ones(12), a, b)
         assert np.max(np.abs(a @ x - b)) <= 1e-9
 
     def test_badly_scaled_columns_stay_certified(self):
@@ -267,7 +331,7 @@ class TestWeightedL1:
         a = rng.normal(size=(8, 20))
         a[:, :10] *= 1e6
         b = a @ np.where(np.arange(20) == 13, 5.0, 0.0)
-        x, obj, _, _ = weighted_l1_lp(np.ones(20), a, b)
+        x, obj, *_ = weighted_l1_lp(np.ones(20), a, b)
         assert np.max(np.abs(a @ x - b)) <= 1e-9
         assert obj <= 5.0 + 1e-9  # never worse than the planted representation
 
@@ -287,7 +351,7 @@ class TestSplitPricing:
         for w in (np.ones(200), rng.uniform(0.1, 10.0, size=200)):  # cold, then warm
             full = LPProblem(c=np.concatenate([w, w]), a_eq=np.hstack([a, -a]), b_eq=b)
             generic = solve_standard_form(full, initial_basis=basis)
-            (x, objective, pivots, split_basis), split = split_solve(w, a, b,
+            (x, objective, pivots, split_basis, _), split = split_solve(w, a, b,
                                                                      initial_basis=basis)
             assert generic.pivots > 0
             assert split.z.tobytes() == generic.z.tobytes()
@@ -309,7 +373,7 @@ class TestCounters:
 
     def test_accepted_basis_has_no_phase_one(self):
         a, b = self.instance()
-        (_, _, pivots, basis), cold = split_solve(np.ones(200), a, b)
+        (_, _, pivots, basis, _), cold = split_solve(np.ones(200), a, b)
         assert cold.phase1_pivots == 0 and pivots == cold.pivots > 0
         _, warm = split_solve(np.ones(200), a, b, initial_basis=basis)
         assert (warm.pivots, warm.phase1_pivots, warm.refactors) == (0, 0, 0)
@@ -321,6 +385,14 @@ class TestCounters:
         c, a6, b6 = TestInitialBasis.lp()
         sol = solve(c, a6, b6)
         assert 0 < sol.phase1_pivots <= sol.pivots
+
+    def test_degenerate_pivots_counted(self):
+        # a golden case below the recovery threshold: its optimum has k = 4
+        # nonzeros among m = 50 basics, so pivots at it change the basis without moving
+        a, b = case_system("normal", 4, 0)
+        _, cold = split_solve(np.ones(200), a, b)
+        assert 0 < cold.degenerate_pivots <= cold.pivots
+        assert cold.guard_pivots == 0
 
     def test_long_solve_refactors(self):
         a, b = self.instance()
@@ -350,7 +422,7 @@ class TestCrashBasis:
 
     @staticmethod
     def assert_oracle_optimum(w, a, b, oracle_a, oracle_b):
-        (x, obj, _, _), sol = split_solve(w, a, b)
+        (x, obj, *_), sol = split_solve(w, a, b)
         assert sol.status is LPStatus.OPTIMAL
         assert np.max(np.abs(a @ x - b)) <= 1e-9
         assert obj == pytest.approx(float(w @ np.abs(x)), abs=1e-9)

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 import rwl1
+import rwl1.simplex
 import rwl1.solver
 from rwl1.instances import DistributionSpec, make_instance
 from rwl1.merit import WeightClamp, WeightScheme
 from rwl1.simplex import weighted_l1_lp
 from rwl1.solver import (EpsilonSchedule, ReweightedSolveError, SolverConfig,
                          epsilon_update, reweighted_l1)
+
+from test_golden_solver import special_instance
 
 
 class TestEpsilonUpdate:
@@ -76,7 +79,7 @@ class TestReweightedL1:
     def test_uniform_l1_equals_single_lp(self):
         inst = make_instance(DistributionSpec.default("normal"), 10, 30, 3, 5)
         res = reweighted_l1(inst.a, inst.b, WeightScheme("l1"))
-        x_direct, obj, _, _ = weighted_l1_lp(np.ones(30), inst.a, inst.b)
+        x_direct, obj, *_ = weighted_l1_lp(np.ones(30), inst.a, inst.b)
         np.testing.assert_array_equal(res.x_hat, x_direct)
         assert res.iterations_used == 1
         assert res.history[0].lp_objective == obj
@@ -162,11 +165,32 @@ class TestReweightedL1:
             assert calls[0][1] is None
             assert all(basis is not None for _, basis in calls[1:])
             cold = [weighted_l1_lp(w, inst.a, inst.b) for w, _ in calls]
-            for i, (rec, (_, cold_obj, _, _)) in enumerate(zip(res.history, cold)):
+            for i, (rec, (_, cold_obj, *_)) in enumerate(zip(res.history, cold)):
                 assert rec.lp_objective == pytest.approx(cold_obj, rel=1e-9), \
                     f"seed {seed}, LP {i + 1}"
             warm_pivots = sum(rec.lp_pivots for rec in res.history[1:])
-            assert warm_pivots < sum(pivots for _, _, pivots, _ in cold[1:]) / 2
+            assert warm_pivots < sum(pivots for _, _, pivots, *_ in cold[1:]) / 2
+
+    def test_row_drop_keeps_warm_starts(self, monkeypatch):
+        # phase I of the first LP deletes the repeated row; the later LPs
+        # solve without it and start from the previous optimal basis
+        sols = []
+        real = rwl1.simplex.solve_standard_form
+
+        def recording(*args, **kwargs):
+            sols.append(real(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(rwl1.simplex, "solve_standard_form", recording)
+        a, b = special_instance("rowdrop")
+        res = reweighted_l1(a, b, WeightScheme("w1"))
+        assert len(sols) == len(res.history) >= 2
+        assert sols[0].phase1_pivots > 0 and sols[0].rows.size == 49
+        assert 1 not in sols[0].rows  # row 1 repeats row 0
+        for sol in sols[1:]:
+            assert sol.phase1_pivots == 0 and sol.rows is None
+            assert sol.basis.size == 49
+        assert np.max(np.abs(a @ res.x_hat - b)) <= 1e-9
 
     def test_certification_survives_optimize_flag(self):
         # explicit checks, unlike asserts, still run under python -O
@@ -190,6 +214,12 @@ class TestReweightedL1:
                 if isinstance(exc.__cause__, CertificationError):
                     print("solver check fired")
             rwl1.solver.weighted_l1_lp = lp
+            problem = rwl1.simplex.LPProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+            try:  # a feasible basis that is not optimal
+                rwl1.simplex._certified_point(problem, rwl1.simplex._Basis(problem.a_eq, [1]),
+                                              problem.b_eq, problem.c, 1e-9)
+            except CertificationError:
+                print("dual check fired")
             rwl1.simplex._residual = lambda problem, z: 1.0
             try:
                 lp([1.0, 1.0], a, b)
@@ -201,4 +231,5 @@ class TestReweightedL1:
         out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["solver check fired", "simplex check fired"]
+        assert out.stdout.splitlines() == ["solver check fired", "dual check fired",
+                                           "simplex check fired"]
