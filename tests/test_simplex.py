@@ -338,29 +338,53 @@ class TestWeightedL1:
 
 class TestSplitPricing:
     """weighted_l1_lp pivots on A alone; the same LP written out as
-    LPProblem(c=[w, w], a_eq=[A, -A]) must take the same path to the bit."""
+    LPProblem(c=[w, w], a_eq=[A, -A]) must take the same path to the bit,
+    from the crash basis and through phase I from a rejected start, with or
+    without a dropped row."""
 
-    @pytest.mark.parametrize("seed", [3, 11, 2013])
-    def test_split_and_generic_paths_agree(self, seed):
-        inst = make_instance(DistributionSpec.default("normal"), 50, 200, 12, seed)
-        a, b = inst.a, inst.b
+    @pytest.mark.parametrize("system, start", [
+        pytest.param(3, "crash", id="3"),
+        pytest.param(11, "crash", id="11"),
+        pytest.param(2013, "crash", id="2013"),
+        pytest.param(3, "rejected", id="3-rejected"),
+        pytest.param(11, "rejected", id="11-rejected"),
+        pytest.param(2013, "rejected", id="2013-rejected"),
+        # singular crash basis: phase I deletes the repeated row
+        pytest.param("rowdrop", "crash", id="rowdrop"),
+    ])
+    def test_split_and_generic_paths_agree(self, system, start):
+        if system == "rowdrop":
+            a, b = special_instance("rowdrop")
+            rng = np.random.default_rng(0)
+        else:
+            inst = make_instance(DistributionSpec.default("normal"), 50, 200, 12, system)
+            a, b = inst.a, inst.b
+            rng = np.random.default_rng(system)
         assert (b < 0).any() and (b > 0).any()  # some rows are flipped, some not
-        rng = np.random.default_rng(seed)
-        basis = _crash_basis(a, b)
-        assert basis is not None
+        basis = _crash_basis(a, b) if start == "crash" else [0] * 50  # [0] * 50 is singular
+        phase1 = []
         for w in (np.ones(200), rng.uniform(0.1, 10.0, size=200)):  # cold, then warm
             full = LPProblem(c=np.concatenate([w, w]), a_eq=np.hstack([a, -a]), b_eq=b)
             generic = solve_standard_form(full, initial_basis=basis)
-            (x, objective, pivots, split_basis, _), split = split_solve(w, a, b,
-                                                                     initial_basis=basis)
+            (x, objective, pivots, split_basis, rows), split = split_solve(
+                w, a, b, initial_basis=basis)
             assert generic.pivots > 0
             assert split.z.tobytes() == generic.z.tobytes()
             assert split.objective == generic.objective == objective
             assert split.pivots == generic.pivots == pivots
+            assert split.phase1_pivots == generic.phase1_pivots
             np.testing.assert_array_equal(split.basis, generic.basis)
             np.testing.assert_array_equal(split_basis, generic.basis)
+            assert (rows is None) == (generic.rows is None)
+            if rows is not None:
+                np.testing.assert_array_equal(rows, generic.rows)
+                a, b = a[rows], b[rows]  # the warm LP solves on the kept rows
             assert x.tobytes() == (generic.z[:200] - generic.z[200:]).tobytes()
             basis = split_basis
+            phase1.append(split.phase1_pivots)
+        # the cold LP ran phase I exactly when its start was rejected; the warm one never did
+        assert (phase1[0] > 0) == (start == "rejected" or system == "rowdrop")
+        assert phase1[1] == 0
 
 
 class TestCounters:
