@@ -26,8 +26,8 @@ from the leading m columns.  The split LP is priced and pivoted from A alone
 the u-columns and w + g for the v-columns, and the entering direction of v_j
 is the negation of u_j's.  These are exact sign flips of the products on
 [A, -A], so every pivot is the same as on the full matrix, at half the
-pricing work; the 400-column block of a 50x200 instance is never formed on
-the warm or crash path, only by the phase-I fallback.
+pricing work.  Phase I prices [A, I] the same way, so the 400-column block
+of a 50x200 instance is never formed.
 
 Every solve returns its optimal basis.  Between the LPs of a reweighting run
 only the cost vector (w, w) changes, so the previous optimal basis is still
@@ -185,15 +185,17 @@ class LPSolution:
 
 @dataclass
 class _Tally:
-    """Pivot counts of one solve, across its phases."""
+    """Pivot and refactor counts of one solve, across its phases, and the
+    pivot budget they share."""
 
+    budget: float = np.inf
     pivots: int = 0
     degenerate: int = 0
     guarded: int = 0
+    refactors: int = 0
 
-    def solution(self, status: LPStatus, z, objective: float, refactors: int,
-                 **fields) -> LPSolution:
-        return LPSolution(status, z, objective, self.pivots, refactors=refactors,
+    def solution(self, status: LPStatus, z, objective: float, **fields) -> LPSolution:
+        return LPSolution(status, z, objective, self.pivots, refactors=self.refactors,
                           degenerate_pivots=self.degenerate, guard_pivots=self.guarded,
                           **fields)
 
@@ -204,33 +206,66 @@ def default_pivot_budget(m: int, n: int) -> int:
 
 class _Basis:
     """Working state of one simplex phase: column indices and B^-1 of the
-    constraint matrix ``e``."""
+    constraint matrix E, and the solve's ``tally``.
 
-    def __init__(self, e: np.ndarray, basis, refactors: int = 0):
-        self.e = e
+    Column j of E is s[:, j] for j < split, -s[:, j - split] for
+    split <= j < 2 split and s[:, j - split] after them.  A generic LP has
+    split = 0, so E is s.  The split LP of weighted_l1_lp has split = n, A's
+    column count, and s = A, or [A, I] in phase I, so [A, -A] (or
+    [A, -A, I]) is never formed; every product is an exact sign flip of the
+    same product on the formed matrix.
+    """
+
+    def __init__(self, s: np.ndarray, basis, tally: _Tally | None = None, split: int = 0):
+        self.s, self.split = s, split
+        self.tally = _Tally() if tally is None else tally
         self.basis = np.array(basis, dtype=int)
         self.binv = np.linalg.inv(self.columns(self.basis))
         self.pivots_since_refactor = 0
-        self.refactors = refactors
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
-        return self.e[:, idx]
+        n = self.split
+        cols = self.s[:, np.where(idx >= n, idx - n, idx)]
+        cols[:, (idx >= n) & (idx < 2 * n)] *= -1.0
+        return cols
 
     def direction(self, j: int) -> np.ndarray:
         """B^-1 times column j."""
-        return self.binv @ self.e[:, j]
+        n = self.split
+        if j < n:
+            return self.binv @ self.s[:, j]
+        d = self.binv @ self.s[:, j - n]
+        return np.negative(d, out=d) if j < 2 * n else d
 
     def price(self, c: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
         """Reduced costs c - y E into ``out``."""
-        np.subtract(c, y @ self.e, out=out)
+        n = self.split
+        g = y @ self.s
+        if n:
+            np.subtract(c[:n], g[:n], out=out[:n])
+            np.add(c[n:2 * n], g[:n], out=out[n:2 * n])
+        if g.shape[0] > n:  # phase I's artificials, or every column of a generic LP
+            np.subtract(c[2 * n:], g[n:], out=out[2 * n:])
+
+    def tableau_row(self, r: int) -> np.ndarray:
+        """Row r of B^-1 E, zero at the basic columns."""
+        n = self.split
+        g = self.binv[r] @ self.s
+        row = np.concatenate([g[:n], -g[:n], g[n:]])
+        row[self.basis] = 0.0
+        return row
 
     def refactor(self):
         self.binv = np.linalg.inv(self.columns(self.basis))
         self.pivots_since_refactor = 0
-        self.refactors += 1
+        self.tally.refactors += 1
 
     def pivot(self, row: int, col: int, direction: np.ndarray):
-        """Replace basis[row] by col; update B^-1 by an elimination step."""
+        """Replace basis[row] by col; update B^-1 by an elimination step.
+        Raises SimplexStalledError when the solve's pivot budget is spent."""
+        if self.tally.pivots >= self.tally.budget:
+            raise SimplexStalledError(self.tally.pivots)
+        self.tally.pivots += 1
         self.basis[row] = col
         piv = direction[row]
         binv = self.binv
@@ -240,32 +275,6 @@ class _Basis:
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= REFACTOR_EVERY or abs(piv) < 1e-6:
             self.refactor()
-
-
-class _SplitBasis(_Basis):
-    """_Basis of the split matrix [e, -e], which is never formed: column
-    j >= n is -e[:, j - n].  Every product is an exact sign flip of the same
-    product on [e, -e]."""
-
-    def columns(self, idx: np.ndarray) -> np.ndarray:
-        n = self.e.shape[1]
-        neg = idx >= n
-        cols = self.e[:, np.where(neg, idx - n, idx)]
-        cols[:, neg] *= -1.0
-        return cols
-
-    def direction(self, j: int) -> np.ndarray:
-        n = self.e.shape[1]
-        if j < n:
-            return self.binv @ self.e[:, j]
-        d = self.binv @ self.e[:, j - n]
-        return np.negative(d, out=d)
-
-    def price(self, c: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-        n = self.e.shape[1]
-        g = y @ self.e
-        np.subtract(c[:n], g, out=out[:n])
-        np.add(c[n:], g, out=out[n:])
 
 
 def _leaving_row(d: np.ndarray, xb: np.ndarray, bland_basis: np.ndarray | None = None
@@ -297,10 +306,9 @@ def _reduced_costs(state: _Basis, c: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_phase(state: _Basis, b: np.ndarray, c: np.ndarray, feas_tol: float,
-               max_pivots: int, tally: _Tally) -> str:
+def _run_phase(state: _Basis, b: np.ndarray, c: np.ndarray, feas_tol: float) -> str:
     """Pivot until optimal or unbounded; raises SimplexStalledError when the
-    shared pivot budget runs out.
+    solve's pivot budget runs out.
 
     The entering column is the nonbasic one with the most negative reduced
     cost below -feas_tol, smallest index on ties: basic entries are set to
@@ -322,9 +330,6 @@ def _run_phase(state: _Basis, b: np.ndarray, c: np.ndarray, feas_tol: float,
         if not reduced[entering] < -feas_tol:
             return "optimal"
 
-        if tally.pivots >= max_pivots:
-            raise SimplexStalledError(tally.pivots)
-
         d = state.direction(entering)
         xb = state.binv @ b
         row = _leaving_row(d, xb, state.basis if guard else None)
@@ -332,14 +337,12 @@ def _run_phase(state: _Basis, b: np.ndarray, c: np.ndarray, feas_tol: float,
             return "unbounded"
         degenerate = bool(xb[row] <= HARRIS_TOL)
         stalled = stalled + 1 if degenerate else 0
-        tally.pivots += 1
-        tally.degenerate += degenerate
-        tally.guarded += guard
+        state.tally.degenerate += degenerate
+        state.tally.guarded += guard
         state.pivot(row, entering, d)
 
 
-def _lift_negative_basics(state: _Basis, b: np.ndarray, c: np.ndarray, max_pivots: int,
-                          tally: _Tally) -> None:
+def _lift_negative_basics(state: _Basis, b: np.ndarray, c: np.ndarray) -> None:
     """Dual simplex pivots from an optimal basis until no basic value is below
     -LIFT_TOL.  The most negative basic leaves; the dual ratio test picks the
     entering column among the leaving row's negative entries, the one with
@@ -351,17 +354,12 @@ def _lift_negative_basics(state: _Basis, b: np.ndarray, c: np.ndarray, max_pivot
             return
         r = int(xb.argmin())
         reduced = _reduced_costs(state, c, np.empty(c.shape[0]))
-        row = np.empty(c.shape[0])
-        state.price(np.zeros(c.shape[0]), state.binv[r], row)  # minus row r of B^-1 E
-        row[state.basis] = 0.0
-        cand = (row > PIVOT_TOL).nonzero()[0]
+        row = state.tableau_row(r)
+        cand = (row < -PIVOT_TOL).nonzero()[0]
         if cand.size == 0:
             return  # row r proves infeasibility; certification reports the residual
-        if tally.pivots >= max_pivots:
-            raise SimplexStalledError(tally.pivots)
-        entering = int(cand[np.argmin(np.maximum(reduced[cand], 0.0) / row[cand])])
+        entering = int(cand[np.argmin(np.maximum(reduced[cand], 0.0) / -row[cand])])
         state.pivot(r, entering, state.direction(entering))
-        tally.pivots += 1
 
 
 def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
@@ -374,17 +372,26 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
     SimplexStalledError rather than returning an uncertified point, and a
     failed certification raises CertificationError.  When ``initial_basis``
     names a square, numerically invertible, primal-feasible basis, phase I is
-    skipped.  ``problem`` is an LPProblem or the split LP of weighted_l1_lp,
-    which is pivoted without forming [A, -A].
+    skipped; any other basis of column indices in [0, n) falls back to phase
+    I, and one with another entry raises ValueError.  ``problem`` is an
+    LPProblem or the split LP of weighted_l1_lp, which is pivoted without
+    forming [A, -A].
     """
     if feas_tol <= 0:
         raise ValueError(f"feas_tol must be > 0, got {feas_tol}")
     m, n = problem.m, problem.n
+    if initial_basis is not None:
+        idx = np.asarray(initial_basis)
+        if (idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu"
+                or not np.all((idx >= 0) & (idx < n))):
+            raise ValueError(f"initial_basis must list integer column indices in [0, {n})")
     if max_pivots is None:
         max_pivots = default_pivot_budget(m, n)
 
-    split = isinstance(problem, _SplitLP)
-    e = problem.a if split else problem.a_eq
+    if isinstance(problem, _SplitLP):
+        e, split = problem.a, problem.a.shape[1]
+    else:
+        e, split = problem.a_eq, 0
     b = problem.b_eq
     flip = b < 0
     if flip.any():
@@ -392,48 +399,43 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
         e[flip] *= -1.0
         b[flip] *= -1.0
 
-    tally = _Tally()
-    refactors = 0
+    tally = _Tally(max_pivots)
     rows = None
     state = None
     if initial_basis is not None:
         try:
-            cand = (_SplitBasis if split else _Basis)(e, initial_basis)
+            cand = _Basis(e, initial_basis, tally, split)
         except np.linalg.LinAlgError:
             cand = None  # singular or non-square start: fall back to phase I
         if cand is not None and _inverts(cand) and (cand.binv @ b).min(initial=0.0) >= -feas_tol:
             state = cand
 
     if state is None:
-        if split:
-            e = np.hstack([e, -e])
         # Phase I: artificial basis, minimize the sum of artificials.
-        e1 = np.hstack([e, np.eye(m)])
         c1 = np.concatenate([np.zeros(n), np.ones(m)])
-        state = _Basis(e1, np.arange(n, n + m))
-        status = _run_phase(state, b, c1, feas_tol, max_pivots, tally)
+        state = _Basis(np.hstack([e, np.eye(m)]), np.arange(n, n + m), tally, split)
+        status = _run_phase(state, b, c1, feas_tol)
         if status != "optimal":  # phase I is bounded below by 0
             raise CertificationError(f"phase I ended {status}")
         xb = np.maximum(state.binv @ b, 0.0)
         if float(c1[state.basis] @ xb) > feas_tol:
-            return tally.solution(LPStatus.INFEASIBLE, None, 0.0, state.refactors,
-                                  phase1_pivots=tally.pivots)
-        e, b, state, kept = _drive_out_artificials(e, b, state, n, tally, max_pivots)
-        rows = kept if kept.size < m else None
-        refactors = state.refactors
-        state = _Basis(e, state.basis)
+            return tally.solution(LPStatus.INFEASIBLE, None, 0.0, phase1_pivots=tally.pivots)
+        state, kept = _drive_out_artificials(state, n)
+        if kept.size < m:
+            e, b, rows = e[kept], b[kept], kept
+        state = _Basis(e, state.basis, tally, split)
     phase1_pivots = tally.pivots
 
     # Phase II on the structural columns only.
     c = problem.c
-    status = _run_phase(state, b, c, feas_tol, max_pivots, tally)
+    status = _run_phase(state, b, c, feas_tol)
     if status == "unbounded":
         return tally.solution(LPStatus.UNBOUNDED, None, float("-inf"),
-                              refactors + state.refactors, phase1_pivots=phase1_pivots)
-    _lift_negative_basics(state, b, c, max_pivots, tally)
+                              phase1_pivots=phase1_pivots)
+    _lift_negative_basics(state, b, c)
     z = _certified_point(problem, state, b, c, feas_tol)
-    return tally.solution(LPStatus.OPTIMAL, z, float(c @ z), refactors + state.refactors,
-                          phase1_pivots=phase1_pivots, basis=state.basis, rows=rows)
+    return tally.solution(LPStatus.OPTIMAL, z, float(c @ z), phase1_pivots=phase1_pivots,
+                          basis=state.basis, rows=rows)
 
 
 def _certified_point(problem: LPProblem, state: _Basis, b: np.ndarray, c: np.ndarray,
@@ -474,49 +476,34 @@ def _residual(problem: LPProblem, z: np.ndarray) -> float:
     return float(np.max(np.abs(az - problem.b_eq)))
 
 
-def _drive_out_artificials(e: np.ndarray, b: np.ndarray, state: _Basis, n: int,
-                           tally: _Tally, max_pivots: int):
+def _drive_out_artificials(state: _Basis, n: int) -> tuple[_Basis, np.ndarray]:
     """Pivot artificials out of the phase-I basis; drop rows proven redundant.
 
     Drive-out pivots are degenerate (the leaving artificial sits at zero), so
     a negative pivot element is acceptable.  When a basis position has no
     usable structural column, its tableau row certifies a linear dependence
     among the original constraints; the row with the largest basis-inverse
-    weight is deleted, which keeps the remaining basis nonsingular.  Also
-    returns the indices of the kept rows.
+    weight is deleted, which keeps the remaining basis nonsingular.  Returns
+    the final state and the indices of the kept rows.
     """
-    rows = np.arange(e.shape[0])
+    rows = np.arange(state.s.shape[0])
     while True:
         art_positions = np.flatnonzero(state.basis >= n)
         if art_positions.size == 0:
-            break
+            return state, rows
         r = int(art_positions[0])
-        row = state.binv[r, :] @ e
-        row[state.basis[state.basis < n]] = 0.0
-        usable = np.flatnonzero(np.abs(row) > PIVOT_TOL)
+        usable = np.flatnonzero(np.abs(state.tableau_row(r)[:n]) > PIVOT_TOL)
         if usable.size > 0:
-            if tally.pivots >= max_pivots:
-                raise SimplexStalledError(tally.pivots)
             entering = int(usable[0])
             state.pivot(r, entering, state.direction(entering))
-            tally.pivots += 1
         else:
             drop = int(np.argmax(np.abs(state.binv[r, :])))
-            keep = [i for i in range(e.shape[0]) if i != drop]
-            e = e[keep, :]
-            b = b[keep]
-            rows = rows[keep]
-            basis = []
-            for pos in range(len(state.basis)):
-                if pos == r:
-                    continue
-                v = int(state.basis[pos])
-                if v >= n:  # remaining artificial: unit column shifts with the row
-                    i = v - n
-                    v = n + (i if i < drop else i - 1)
-                basis.append(v)
-            state = _Basis(np.hstack([e, np.eye(e.shape[0])]), basis, state.refactors)
-    return e, b, state, rows
+            units = state.s.shape[1] - state.s.shape[0]  # first column of the unit block
+            s = np.delete(np.delete(state.s, drop, axis=0), units + drop, axis=1)
+            rows = np.delete(rows, drop)
+            basis = np.delete(state.basis, r)
+            basis[basis > n + drop] -= 1  # the later rows' artificials shift up a row
+            state = _Basis(s, basis, state.tally, state.split)
 
 
 def _crash_basis(am: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
@@ -586,8 +573,9 @@ def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
     basis of the split LP; ``rows`` is None unless phase I dropped redundant
     rows, and then holds the kept rows: the basis is a warm start for the
     same LP on A[rows], b[rows].  Raises LPInfeasibleError if the system has
-    no solution and propagates SimplexStalledError and CertificationError
-    from the simplex.
+    no solution, ValueError for an ``initial_basis`` entry that is not a
+    column index of the split LP, and propagates SimplexStalledError and
+    CertificationError from the simplex.
     """
     am = as_matrix(a)
     bv = as_vector(b, length=am.shape[0])

@@ -43,6 +43,10 @@ class TestSolveStandardForm:
     def test_unbounded_ray(self):
         sol = solve([-1.0, 0.0], [[1.0, -1.0]], [0.0])
         assert sol.status is LPStatus.UNBOUNDED
+        # the budget is checked when a pivot is made, so a ray found with the
+        # budget spent is still reported
+        sol = solve([-1.0, 0.0], [[1.0, -1.0]], [0.0], max_pivots=0, initial_basis=[1])
+        assert sol.status is LPStatus.UNBOUNDED and sol.pivots == 0
 
     def test_sign_contradiction_infeasible(self):
         sol = solve([1.0], [[1.0]], [-1.0])
@@ -148,7 +152,7 @@ class TestCertification:
         state = _Basis(problem.a_eq, [1])
         with pytest.raises(CertificationError, match="reduced cost -1 below"):
             _certified_point(problem, state, problem.b_eq, problem.c, 1e-9)
-        assert state.refactors == 1  # one fresh factorization before giving up
+        assert state.tally.refactors == 1  # one fresh factorization before giving up
 
     def test_near_degenerate_right_hand_sides_certify(self):
         # the l1 LPs of the figure grid with b moved by B_crash delta,
@@ -194,6 +198,22 @@ class TestInitialBasis:
         assert warm.pivots == 0
         np.testing.assert_array_equal(warm.basis, cold.basis)
         self.assert_certified_cold_optimum(warm, cold, a, b)
+
+    @pytest.mark.parametrize("bad", [14, -1, 1.5])
+    def test_entry_that_is_no_column_index_rejected(self, bad):
+        # on this LP and on the split LP of its first 7 columns, both with
+        # n = 14: unchecked, index n would escape as IndexError, -1 would wrap
+        # to the last column (on the split LP to another column than the one
+        # priced) and 1.5 would truncate to 1
+        c, a, b = self.lp()
+        for resolve in (lambda basis: solve(c, a, b, initial_basis=basis),
+                        lambda basis: split_solve(c[:7], a[:, :7], b, initial_basis=basis)[1]):
+            basis = resolve(None).basis
+            assert resolve(basis).pivots == 0  # a valid warm basis still re-solves at once
+            basis = list(basis)
+            basis[2] = bad
+            with pytest.raises(ValueError, match=r"integer column indices in \[0, 14\)"):
+                resolve(basis)
 
     def test_singular_basis_falls_back_to_phase_one(self):
         c, a, b = self.lp()
@@ -255,9 +275,10 @@ class TestWeightedL1:
 
     def test_no_rows_gives_zero(self):
         # the crash basis of a 0-row system is empty and must still be accepted
-        x, obj, pivots, basis, _ = weighted_l1_lp(np.ones(3), np.zeros((0, 3)), [])
-        np.testing.assert_array_equal(x, np.zeros(3))
-        assert obj == 0.0 and pivots == 0 and basis.size == 0
+        for ncols in (3, 0):
+            x, obj, pivots, basis, _ = weighted_l1_lp(np.ones(ncols), np.zeros((0, ncols)), [])
+            np.testing.assert_array_equal(x, np.zeros(ncols))
+            assert obj == 0.0 and pivots == 0 and basis.size == 0
 
     def test_tied_vertices_fix_objective_only(self):
         _, obj, *_ = weighted_l1_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
