@@ -3,8 +3,9 @@
 Each example is one LP  min sum_i w_i |x_i|  s.t.  A x = b  from a family
 that the benchmark grids do not make on purpose: plain systems with integer
 or normal entries, b = 0, dependent and duplicated rows (phase I deletes
-rows), inconsistent rows, m = n - 1, rows scaled over 1e-3..1e3, and 50x200
-instances with F(1, 1) and gamma(0.5, 1000) entries.  The property: the solve
+rows), inconsistent rows, m = n - 1, rows scaled over 1e-3..1e3, 50x200
+instances with F(1, 1) and gamma(0.5, 1000) entries, and near-degenerate
+right-hand sides, whose optima need the dual clean-up.  The property: the solve
 is OPTIMAL, with an objective within 1e-6 max(1, |HiGHS|) of HiGHS's on the
 same split LP and a residual ||A x - b||_inf of at most FEAS_TOL, or it
 raises LPInfeasibleError exactly when HiGHS reports the system infeasible.
@@ -23,8 +24,10 @@ pytest.importorskip("hypothesis")
 optimize = pytest.importorskip("scipy.optimize")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from rwl1.bench import trial_seed  # noqa: E402
 from rwl1.instances import DistributionSpec, make_instance  # noqa: E402
-from rwl1.simplex import FEAS_TOL, LPInfeasibleError, SolverError, weighted_l1_lp  # noqa: E402
+from rwl1.simplex import (FEAS_TOL, LPInfeasibleError, SolverError, _crash_basis,  # noqa: E402
+                          weighted_l1_lp)
 
 SMALL_FAMILIES = ("plain", "zero-rhs", "dependent", "duplicated", "inconsistent",
                   "square-less-one", "row-scaled")
@@ -110,3 +113,20 @@ def test_heavy_tailed_and_large_scale_instances_match_highs(dist, params, seed, 
     rng = np.random.default_rng(seed)
     assert_matches_highs(weights(rng, 200, unit), inst.a, inst.b,
                          solver_error_allowed=dist == "f")
+
+
+@pytest.mark.parametrize("rel", [1e-12, 1e-10, 1e-8, 1e-6])
+@pytest.mark.parametrize("dist", ["normal", "uniform", "exponential", "poisson"])
+def test_near_degenerate_right_hand_sides_match_highs(dist, rel):
+    # b moved by B_crash delta, delta_i = rel max|b|: the crash basis stays
+    # feasible, but the vertices are nearly degenerate, so Harris steps leave
+    # basics a little below zero and the dual clean-up must lift them before
+    # certification; the system stays consistent, so the solve must be OPTIMAL
+    for k in (3, 9, 15, 21):
+        for t in range(3):
+            inst = make_instance(DistributionSpec.default(dist), 50, 200, k,
+                                 trial_seed(7, k, 0, t))
+            basis = _crash_basis(inst.a, inst.b)
+            signed = np.where(basis < 200, 1.0, -1.0) * inst.a[:, basis % 200]
+            b = inst.b + signed @ np.full(50, rel * np.abs(inst.b).max())
+            assert_matches_highs(np.ones(200), inst.a, b)
