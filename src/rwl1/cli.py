@@ -351,7 +351,7 @@ def cmd_plot(args) -> int:
         for key, pts in groups.items():
             label = f"{key[1]} p={key[2]}" if dedupe and key[2] else key[1]
             series.append((label, pts))
-        svg = render_lines(series, x_label="k", title=args.title)
+        x_label, log_x = "k", False
     elif header[:2] == ["eps", "k"] or header[:2] == ["p", "k"] or header[:2] == ["q", "k"]:
         xname = header[0]
         irate = header.index("success_rate")
@@ -361,10 +361,13 @@ def cmd_plot(args) -> int:
             groups.setdefault(kval, []).append(
                 (_num(cells, 0, args.csv_in, lineno), _num(cells, irate, args.csv_in, lineno)))
         series = [(f"k={kval}", pts) for kval, pts in groups.items()]
-        svg = render_lines(series, x_label=xname if xname != "eps" else "eps (log10)",
-                           title=args.title, log_x=(xname == "eps"))
+        x_label, log_x = (xname, False) if xname != "eps" else ("eps (log10)", True)
     else:
         raise CliError(f"{args.csv_in}: unrecognized CSV header {','.join(header)!r}")
+    try:
+        svg = render_lines(series, x_label=x_label, title=args.title, log_x=log_x)
+    except ValueError as exc:  # a hand-made eps CSV can hold eps <= 0
+        raise CliError(f"{args.csv_in}: {exc}") from exc
     _write_text(args.svg_out, svg)
     print(f"wrote {args.svg_out}")
     return 0

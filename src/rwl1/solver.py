@@ -149,9 +149,9 @@ def reweighted_l1(a, b, scheme: WeightScheme,
     """
     am = as_matrix(a)
     bv = as_vector(b, length=am.shape[0])
-    if am.shape[0] > am.shape[1]:
-        raise ValueError(f"expected a wide system (m <= n), got {am.shape[0]}x{am.shape[1]}")
     m, n = am.shape
+    if not 1 <= m <= n:
+        raise ValueError(f"expected a wide system with rows (1 <= m <= n), got {m}x{n}")
 
     history: list[IterationRecord] = []
 

@@ -170,6 +170,8 @@ class TestSweep:
             small_spec(m=30, n=30)
         with pytest.raises(ValueError, match="trials"):
             small_spec(trials=0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sweep(small_spec(), workers=0)
         with pytest.raises(ValueError, match="nonempty"):
             SweepSpec(dist=NORMAL, m=10, n=30, k_values=(), schemes=(),
                       trials=1, seed_base=0)

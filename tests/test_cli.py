@@ -7,7 +7,7 @@ from rwl1.cli import _parse_grid, build_parser, main
 from rwl1.merit import WeightClamp, WeightScheme
 from rwl1.simplex import SolverError
 from rwl1.solver import EpsilonSchedule
-from test_instances import IDENTITY_INSTANCE, TALL_INSTANCE
+from test_instances import IDENTITY_INSTANCE, NO_ROWS_INSTANCE, TALL_INSTANCE
 
 
 def run(argv, capsys):
@@ -131,6 +131,14 @@ class TestStudies:
         assert len(lines) == 2
         assert lines[1].startswith("0.01,3,2,")
 
+    def test_csv_goes_to_stdout_without_out(self, tmp_path, capsys):
+        argv = ["study-eps", "--m", "10", "--n", "30", "--k", "3", "--eps-list", "0.01,0.1",
+                "--trials", "1", "--seed", "5"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert run(argv + ["--out", str(tmp_path / "eps.csv")], capsys)[0] == 0
+        assert out.endswith("\n" + (tmp_path / "eps.csv").read_text())  # after the summary
+
     def test_eps_zero_rejected(self, capsys):
         code, _, err = run(["study-eps", "--eps-list", "0.01,0", "--trials", "1"], capsys)
         assert code == 1
@@ -200,7 +208,11 @@ class TestPlot:
         (None, "cannot read"),
         ("eps,k,trials,successes,success_rate\n0.01,3,2,1,half\n", "line 2: bad number 'half'"),
         ("x,k,trials\n0.01,3,2\n", "unrecognized CSV header 'x,k,trials'"),
-    ], ids=["missing-file", "non-numeric-cell", "unknown-header"])
+        ("\n", "empty CSV"),
+        ("eps,k,trials,successes,success_rate\n0,3,2,1,0.5\n",
+         "log x axis requires positive x values"),
+    ], ids=["missing-file", "non-numeric-cell", "unknown-header", "empty-file",
+            "eps-not-positive"])
     def test_unreadable_csv_exits_1(self, text, fragment, tmp_path, capsys):
         path = tmp_path / "in.csv"
         if text is not None:
@@ -306,6 +318,7 @@ BAD_FLAGS = [
     (["sweep", "--k", "2", "--sigma", "0", "--trials", "1"], "sigma must be > 0"),
     (["solve", "--k", "2", "--sigma", "-1"], "sigma must be > 0"),
     (["solve", "--instance", "{tmp}/tall.json"], "m=3, n=2"),
+    (["solve", "--instance", "{tmp}/norows.json"], "m=0, n=3"),
     (["sweep", "--k", "1:x", "--trials", "1"], "cannot parse"),
     (["sweep", "--k", "1.5", "--trials", "1"], "cannot parse"),
     (["study-p", "--k-list", "1:0:4", "--trials", "1"], "cannot parse"),
@@ -320,6 +333,7 @@ BAD_FLAGS = [
 @pytest.mark.parametrize("argv,fragment", BAD_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLAGS])
 def test_bad_flag_exits_1_before_any_trial(argv, fragment, tmp_path, monkeypatch, capsys):
     (tmp_path / "tall.json").write_text(json.dumps(TALL_INSTANCE))
+    (tmp_path / "norows.json").write_text(json.dumps(NO_ROWS_INSTANCE))
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve started before the flags were rejected")

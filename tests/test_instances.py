@@ -131,6 +131,14 @@ class TestDistributionSpec:
             DistributionSpec("triangular", (1.0,))
         with pytest.raises(ValueError, match="700"):
             DistributionSpec("poisson", (1000.0,))  # product method underflows
+        with pytest.raises(ValueError, match="takes parameters"):
+            DistributionSpec("normal", (0.0,))
+        with pytest.raises(ValueError, match="mean must be > 0"):
+            DistributionSpec("exponential", (0.0,))
+        with pytest.raises(ValueError, match="shape and scale must be > 0"):
+            DistributionSpec("gamma", (5.0, -1.0))
+        with pytest.raises(ValueError, match="uniform bound must be > 0"):
+            DistributionSpec("uniform", (0.0,))
 
     def test_json_round_trip(self):
         spec = DistributionSpec("gamma", (2.5, 3.0))
@@ -269,6 +277,13 @@ class TestInstanceFiles:
         with pytest.raises(InstanceValidationError, match="m=3, n=2"):
             load_instance(path)
 
+    @pytest.mark.parametrize("n", [3, 0])
+    def test_system_without_rows_rejected(self, n, tmp_path):
+        path = tmp_path / "norows.json"
+        path.write_text(json.dumps({**NO_ROWS_INSTANCE, "n": n, "x_true": [0.0] * n}))
+        with pytest.raises(InstanceValidationError, match=f"m=0, n={n}"):
+            load_instance(path)
+
     @pytest.mark.parametrize("patch,fragment", BAD_FILES, ids=[f for _, f in BAD_FILES])
     def test_malformed_file_rejected(self, patch, fragment, tmp_path):
         path = tmp_path / "bad.json"
@@ -283,6 +298,10 @@ class TestInstanceFiles:
 TALL_INSTANCE = {"m": 3, "n": 2, "k": 2, "dist": {"name": "normal", "mu": 0.0, "sigma": 1.0},
                  "seed": 0, "A": [1.0, 0.0, 0.0, 1.0, 1.0, 1.0], "b": [3.0, -4.0, -1.0],
                  "x_true": [3.0, -4.0]}
+
+# consistent in every field, but with no rows: A x = b holds for any x
+NO_ROWS_INSTANCE = {"m": 0, "n": 3, "k": 0, "dist": {"name": "normal", "mu": 0.0, "sigma": 1.0},
+                    "seed": 0, "A": [], "b": [], "x_true": [0.0, 0.0, 0.0]}
 
 
 def _dump(inst):

@@ -179,6 +179,8 @@ class TestGradientCheck:
     def test_requires_x_above_h(self):
         with pytest.raises(ValueError, match="x_i > h"):
             gradient_check(WeightScheme("cwb"), [1e-7], 0.01, h=1e-5)
+        with pytest.raises(ValueError, match="h must be > 0"):
+            gradient_check(WeightScheme("cwb"), [1.0], 0.01, h=0.0)
 
     def test_undefined_merit_raises(self):
         # u = 0.05 gives s = 0.05 + 0.05**0.05 ~ 0.911 < 1: merit undefined

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from rwl1.rng import SplitMix64, mix64
 
@@ -41,6 +42,8 @@ def test_next_below_range():
     draws = [rng.next_below(7) for _ in range(1000)]
     assert set(draws) <= set(range(7))
     assert len(set(draws)) == 7
+    with pytest.raises(ValueError, match="bound must be positive"):
+        rng.next_below(0)
 
 
 def test_block_matches_independent_implementation_and_scalar_stream():

@@ -69,6 +69,13 @@ class TestSolveStandardForm:
     def test_more_rows_than_cols_rejected(self):
         with pytest.raises(ValueError, match="rows <= cols"):
             LPProblem(c=[1.0], a_eq=[[1.0], [2.0]], b_eq=[1.0, 2.0])
+        with pytest.raises(ValueError, match="rows <= cols, got 3x2"):  # the split LP's 2 columns
+            weighted_l1_lp([1.0], [[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("feas_tol", [0.0, -1e-9])
+    def test_nonpositive_feas_tol_rejected(self, feas_tol):
+        with pytest.raises(ValueError, match="feas_tol must be > 0"):
+            solve([1.0], [[1.0]], [1.0], feas_tol=feas_tol)
 
     def test_stalled_error_on_tiny_budget(self):
         rng = np.random.default_rng(3)

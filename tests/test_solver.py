@@ -44,6 +44,15 @@ class TestEpsilonUpdate:
         with pytest.raises(ValueError, match="m < n"):
             epsilon_update(sched, 1.0, [1.0], 4, 4)
 
+    @pytest.mark.parametrize("rule,eps,x,fragment", [
+        ("halving", 0.0, [1.0], "eps_current must be > 0"),
+        ("cwb", -1.0, [1.0], "eps_current must be > 0"),
+        ("cwb", 1.0, [], "nonempty iterate"),
+    ])
+    def test_bad_arguments_rejected(self, rule, eps, x, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            epsilon_update(EpsilonSchedule(rule, eps0=1.0), eps, x, 2, 4)
+
     @pytest.mark.parametrize("rule,eps0", [("fixed", 0.01), ("halving", 1.0), ("cwb", 1.0)])
     def test_default_eps0_per_rule(self, rule, eps0):
         assert EpsilonSchedule(rule).eps0 == eps0
@@ -57,6 +66,11 @@ class TestEpsilonUpdate:
 
 
 class TestReweightedL1:
+    @pytest.mark.parametrize("m,n", [(3, 2), (0, 3), (0, 0)])
+    def test_tall_or_rowless_system_rejected(self, m, n):
+        with pytest.raises(ValueError, match=f"got {m}x{n}"):
+            reweighted_l1(np.ones((m, n)), np.ones(m), WeightScheme("l1"))
+
     def test_square_invertible_system(self):
         for kind in ["l1", "cwb", "zl", "w1", "w2"]:
             res = reweighted_l1(np.eye(2), [1.0, 2.0], WeightScheme(kind))
