@@ -29,10 +29,12 @@ is the negation of u_j's.  These are exact sign flips of the products on
 pricing work.  Phase I prices [A, I] the same way, so the 400-column block
 of a 50x200 instance is never formed.
 
-Every solve returns its optimal basis.  Between the LPs of a reweighting run
-only the cost vector (w, w) changes, so the previous optimal basis is still
-primal-feasible and the next LP can start phase II from it directly
-(warm start; Chvatal, Linear Programming, 1983).  A supplied basis, warm
+One _Basis object holds the whole state of a solve, from phase I into phase
+II: the basis and its inverse, the right-hand side, the pivot budget and the
+counters that LPSolution reports.  Every solve returns its optimal basis.
+Between the LPs of a reweighting run only the cost vector (w, w) changes, so
+the previous optimal basis is still primal-feasible and the next LP can start
+phase II from it directly (warm start; Chvatal, Linear Programming, 1983).  A supplied basis, warm
 or crash, is accepted only if it is square, numerically invertible (its
 computed inverse satisfies B B^-1 = I to BASIS_INVERSE_TOL) and
 primal-feasible within feas_tol; otherwise the solve falls back to phase I.
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -80,8 +83,10 @@ STALL_GUARD = 2
 # simplex pivots before certification.  Smaller drift is rounding noise:
 # chasing it costs pivots, and at 0 the dual pivots can cycle.
 LIFT_TOL = 1e-12
-# Full basis-inverse rebuild cadence; also triggered by small pivot elements.
+# Full basis-inverse rebuild cadence; a pivot element below REFACTOR_PIVOT_TOL
+# in magnitude triggers a rebuild as well.
 REFACTOR_EVERY = 50
+REFACTOR_PIVOT_TOL = 1e-6
 # Default feas_tol: bound of the certification checks and of basis feasibility.
 FEAS_TOL = 1e-9
 # Largest entry of |B B^-1 - I| for which a supplied basis counts as
@@ -124,11 +129,13 @@ class LPStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LPProblem:
-    """Standard-form LP: min c'z s.t. a_eq z = b_eq, z >= 0."""
+    """Standard-form LP: min c'z s.t. a_eq z = b_eq, z >= 0.  ``split`` is the
+    column split of _Basis: 0, so the constraint matrix is a_eq itself."""
 
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
+    split: ClassVar[int] = 0
 
     def __post_init__(self):
         a = as_matrix(self.a_eq)
@@ -151,12 +158,14 @@ class LPProblem:
 
 class _SplitLP:
     """The split LP  min c'(u, v)  s.t.  A u - A v = b,  u, v >= 0,  i.e. the
-    standard form with a_eq = [A, -A], held as A alone.  weighted_l1_lp builds
-    it from inputs it has already validated."""
+    standard form with constraint matrix [A, -A], held as a_eq = A with
+    split = A's column count.  weighted_l1_lp builds it from inputs it has
+    already validated."""
 
     def __init__(self, c: np.ndarray, a: np.ndarray, b_eq: np.ndarray):
-        self.c, self.a, self.b_eq = c, a, b_eq
-        self.m, self.n = a.shape[0], 2 * a.shape[1]
+        self.c, self.a_eq, self.b_eq = c, a, b_eq
+        self.split = a.shape[1]
+        self.m, self.n = a.shape[0], 2 * self.split
 
 
 @dataclass
@@ -183,45 +192,45 @@ class LPSolution:
     rows: np.ndarray | None = None
 
 
-@dataclass
-class _Tally:
-    """Pivot and refactor counts of one solve, across its phases, and the
-    pivot budget they share."""
-
-    budget: float = np.inf
-    pivots: int = 0
-    degenerate: int = 0
-    guarded: int = 0
-    refactors: int = 0
-
-    def solution(self, status: LPStatus, z, objective: float, **fields) -> LPSolution:
-        return LPSolution(status, z, objective, self.pivots, refactors=self.refactors,
-                          degenerate_pivots=self.degenerate, guard_pivots=self.guarded,
-                          **fields)
-
-
 def default_pivot_budget(m: int, n: int) -> int:
     return 50 * (m + n)
 
 
 class _Basis:
-    """Working state of one simplex phase: column indices and B^-1 of the
-    constraint matrix E, and the solve's ``tally``.
+    """Whole state of one solve: the column indices and B^-1 of a basis of the
+    constraint matrix E, the right-hand side b, the pivot budget and the
+    counts of pivots and refactors across the solve's phases.
 
     Column j of E is s[:, j] for j < split, -s[:, j - split] for
     split <= j < 2 split and s[:, j - split] after them.  A generic LP has
     split = 0, so E is s.  The split LP of weighted_l1_lp has split = n, A's
     column count, and s = A, or [A, I] in phase I, so [A, -A] (or
     [A, -A, I]) is never formed; every product is an exact sign flip of the
-    same product on the formed matrix.
+    same product on the formed matrix.  ``rebase`` moves the state to another
+    E and b, for phase II and when the drive-out drops a row.
     """
 
-    def __init__(self, s: np.ndarray, basis, tally: _Tally | None = None, split: int = 0):
-        self.s, self.split = s, split
-        self.tally = _Tally() if tally is None else tally
+    def __init__(self, s: np.ndarray, basis, b: np.ndarray, split: int = 0,
+                 budget: float = np.inf):
+        self.split, self.budget = split, budget
+        self.pivots = self.phase1_pivots = self.degenerate = self.guarded = self.refactors = 0
+        self.rebase(s, basis, b)
+
+    def rebase(self, s: np.ndarray, basis, b: np.ndarray) -> None:
+        """Invert the basis ``basis`` of the E of ``s``, with right-hand side b."""
+        self.s, self.b = s, b
         self.basis = np.array(basis, dtype=int)
         self.binv = np.linalg.inv(self.columns(self.basis))
         self.pivots_since_refactor = 0
+
+    def solution(self, status: LPStatus, z, objective: float, **fields) -> LPSolution:
+        return LPSolution(status, z, objective, self.pivots, phase1_pivots=self.phase1_pivots,
+                          refactors=self.refactors, degenerate_pivots=self.degenerate,
+                          guard_pivots=self.guarded, **fields)
+
+    def values(self) -> np.ndarray:
+        """The basic values B^-1 b."""
+        return self.binv @ self.b
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         n = self.split
@@ -237,15 +246,17 @@ class _Basis:
         d = self.binv @ self.s[:, j - n]
         return np.negative(d, out=d) if j < 2 * n else d
 
-    def price(self, c: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-        """Reduced costs c - y E into ``out``."""
+    def reduced_costs(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """c - y E with y = c_B B^-1 into ``out``, basic entries set to +inf."""
         n = self.split
-        g = y @ self.s
+        g = (c[self.basis] @ self.binv) @ self.s
         if n:
             np.subtract(c[:n], g[:n], out=out[:n])
             np.add(c[n:2 * n], g[:n], out=out[n:2 * n])
         if g.shape[0] > n:  # phase I's artificials, or every column of a generic LP
             np.subtract(c[2 * n:], g[n:], out=out[2 * n:])
+        out[self.basis] = np.inf
+        return out
 
     def tableau_row(self, r: int) -> np.ndarray:
         """Row r of B^-1 E, zero at the basic columns."""
@@ -256,16 +267,15 @@ class _Basis:
         return row
 
     def refactor(self):
-        self.binv = np.linalg.inv(self.columns(self.basis))
-        self.pivots_since_refactor = 0
-        self.tally.refactors += 1
+        self.rebase(self.s, self.basis, self.b)
+        self.refactors += 1
 
     def pivot(self, row: int, col: int, direction: np.ndarray):
         """Replace basis[row] by col; update B^-1 by an elimination step.
         Raises SimplexStalledError when the solve's pivot budget is spent."""
-        if self.tally.pivots >= self.tally.budget:
-            raise SimplexStalledError(self.tally.pivots)
-        self.tally.pivots += 1
+        if self.pivots >= self.budget:
+            raise SimplexStalledError(self.pivots)
+        self.pivots += 1
         self.basis[row] = col
         piv = direction[row]
         binv = self.binv
@@ -273,7 +283,7 @@ class _Basis:
         binv -= direction[:, None] * r
         binv[row] = r
         self.pivots_since_refactor += 1
-        if self.pivots_since_refactor >= REFACTOR_EVERY or abs(piv) < 1e-6:
+        if self.pivots_since_refactor >= REFACTOR_EVERY or abs(piv) < REFACTOR_PIVOT_TOL:
             self.refactor()
 
 
@@ -299,14 +309,7 @@ def _leaving_row(d: np.ndarray, xb: np.ndarray, bland_basis: np.ndarray | None =
     return int(blocking[near][db[near].argmax()])
 
 
-def _reduced_costs(state: _Basis, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c - y E with y = c_B B^-1 into ``out``, basic entries set to +inf."""
-    state.price(c, c[state.basis] @ state.binv, out)
-    out[state.basis] = np.inf
-    return out
-
-
-def _run_phase(state: _Basis, b: np.ndarray, c: np.ndarray, feas_tol: float) -> str:
+def _run_phase(state: _Basis, c: np.ndarray, feas_tol: float) -> LPStatus:
     """Pivot until optimal or unbounded; raises SimplexStalledError when the
     solve's pivot budget runs out.
 
@@ -319,41 +322,41 @@ def _run_phase(state: _Basis, b: np.ndarray, c: np.ndarray, feas_tol: float) -> 
     cannot cycle, until a step moves.
     """
     if c.shape[0] == 0:
-        return "optimal"  # no column can enter
+        return LPStatus.OPTIMAL  # no column can enter
     reduced = np.empty(c.shape[0])
     stall_limit = STALL_GUARD * (len(state.basis) + c.shape[0])
     stalled = 0
     while True:
-        _reduced_costs(state, c, reduced)
+        state.reduced_costs(c, reduced)
         guard = stalled >= stall_limit
         entering = int((reduced < -feas_tol).argmax() if guard else reduced.argmin())
         if not reduced[entering] < -feas_tol:
-            return "optimal"
+            return LPStatus.OPTIMAL
 
         d = state.direction(entering)
-        xb = state.binv @ b
+        xb = state.values()
         row = _leaving_row(d, xb, state.basis if guard else None)
         if row is None:
-            return "unbounded"
+            return LPStatus.UNBOUNDED
         degenerate = bool(xb[row] <= HARRIS_TOL)
         stalled = stalled + 1 if degenerate else 0
-        state.tally.degenerate += degenerate
-        state.tally.guarded += guard
+        state.degenerate += degenerate
+        state.guarded += guard
         state.pivot(row, entering, d)
 
 
-def _lift_negative_basics(state: _Basis, b: np.ndarray, c: np.ndarray) -> None:
+def _lift_negative_basics(state: _Basis, c: np.ndarray) -> None:
     """Dual simplex pivots from an optimal basis until no basic value is below
     -LIFT_TOL.  The most negative basic leaves; the dual ratio test picks the
     entering column among the leaving row's negative entries, the one with
     the least reduced cost per unit of entry, which keeps the reduced costs
     nonnegative."""
     while True:
-        xb = state.binv @ b
+        xb = state.values()
         if xb.min(initial=0.0) >= -LIFT_TOL:
             return
         r = int(xb.argmin())
-        reduced = _reduced_costs(state, c, np.empty(c.shape[0]))
+        reduced = state.reduced_costs(c, np.empty(c.shape[0]))
         row = state.tableau_row(r)
         cand = (row < -PIVOT_TOL).nonzero()[0]
         if cand.size == 0:
@@ -388,57 +391,48 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
     if max_pivots is None:
         max_pivots = default_pivot_budget(m, n)
 
-    if isinstance(problem, _SplitLP):
-        e, split = problem.a, problem.a.shape[1]
-    else:
-        e, split = problem.a_eq, 0
-    b = problem.b_eq
+    e, split, b = problem.a_eq, problem.split, problem.b_eq
     flip = b < 0
     if flip.any():
         e, b = e.copy(), b.copy()
         e[flip] *= -1.0
         b[flip] *= -1.0
 
-    tally = _Tally(max_pivots)
     rows = None
     state = None
     if initial_basis is not None:
         try:
-            cand = _Basis(e, initial_basis, tally, split)
+            cand = _Basis(e, initial_basis, b, split, max_pivots)
         except np.linalg.LinAlgError:
             cand = None  # singular or non-square start: fall back to phase I
-        if cand is not None and _inverts(cand) and (cand.binv @ b).min(initial=0.0) >= -feas_tol:
+        if cand is not None and _inverts(cand) and cand.values().min(initial=0.0) >= -feas_tol:
             state = cand
 
     if state is None:
         # Phase I: artificial basis, minimize the sum of artificials.
         c1 = np.concatenate([np.zeros(n), np.ones(m)])
-        state = _Basis(np.hstack([e, np.eye(m)]), np.arange(n, n + m), tally, split)
-        status = _run_phase(state, b, c1, feas_tol)
-        if status != "optimal":  # phase I is bounded below by 0
-            raise CertificationError(f"phase I ended {status}")
-        xb = np.maximum(state.binv @ b, 0.0)
-        if float(c1[state.basis] @ xb) > feas_tol:
-            return tally.solution(LPStatus.INFEASIBLE, None, 0.0, phase1_pivots=tally.pivots)
-        state, kept = _drive_out_artificials(state, n)
+        state = _Basis(np.hstack([e, np.eye(m)]), np.arange(n, n + m), b, split, max_pivots)
+        if _run_phase(state, c1, feas_tol) is LPStatus.UNBOUNDED:  # bounded below by 0
+            raise CertificationError("phase I ended unbounded")
+        if float(c1[state.basis] @ np.maximum(state.values(), 0.0)) > feas_tol:
+            state.phase1_pivots = state.pivots
+            return state.solution(LPStatus.INFEASIBLE, None, 0.0)
+        kept = _drive_out_artificials(state, n)
         if kept.size < m:
-            e, b, rows = e[kept], b[kept], kept
-        state = _Basis(e, state.basis, tally, split)
-    phase1_pivots = tally.pivots
+            e, rows = e[kept], kept
+        state.rebase(e, state.basis, state.b)
+    state.phase1_pivots = state.pivots
 
     # Phase II on the structural columns only.
     c = problem.c
-    status = _run_phase(state, b, c, feas_tol)
-    if status == "unbounded":
-        return tally.solution(LPStatus.UNBOUNDED, None, float("-inf"),
-                              phase1_pivots=phase1_pivots)
-    _lift_negative_basics(state, b, c)
-    z = _certified_point(problem, state, b, c, feas_tol)
-    return tally.solution(LPStatus.OPTIMAL, z, float(c @ z), phase1_pivots=phase1_pivots,
-                          basis=state.basis, rows=rows)
+    if _run_phase(state, c, feas_tol) is LPStatus.UNBOUNDED:
+        return state.solution(LPStatus.UNBOUNDED, None, float("-inf"))
+    _lift_negative_basics(state, c)
+    z = _certified_point(problem, state, c, feas_tol)
+    return state.solution(LPStatus.OPTIMAL, z, float(c @ z), basis=state.basis, rows=rows)
 
 
-def _certified_point(problem: LPProblem, state: _Basis, b: np.ndarray, c: np.ndarray,
+def _certified_point(problem: LPProblem, state: _Basis, c: np.ndarray,
                      feas_tol: float) -> np.ndarray:
     """The basic solution z of ``state``, certified by an explicit check of
     its primal residual (at most feas_tol) and of the reduced costs of the
@@ -449,9 +443,9 @@ def _certified_point(problem: LPProblem, state: _Basis, b: np.ndarray, c: np.nda
         if attempt:
             state.refactor()
         z = np.zeros(problem.n)
-        z[state.basis] = np.maximum(state.binv @ b, 0.0)
+        z[state.basis] = np.maximum(state.values(), 0.0)
         residual = _residual(problem, z)
-        worst = float(_reduced_costs(state, c, reduced).min(initial=np.inf))
+        worst = float(state.reduced_costs(c, reduced).min(initial=np.inf))
         if residual <= feas_tol and worst >= -feas_tol:
             return z
     if residual > feas_tol:
@@ -468,15 +462,12 @@ def _inverts(state: _Basis) -> bool:
 def _residual(problem: LPProblem, z: np.ndarray) -> float:
     if problem.m == 0:
         return 0.0
-    if isinstance(problem, _SplitLP):
-        n = problem.a.shape[1]
-        az = problem.a @ (z[:n] - z[n:])
-    else:
-        az = problem.a_eq @ z
+    n = problem.split
+    az = problem.a_eq @ (z[:n] - z[n:] if n else z)
     return float(np.max(np.abs(az - problem.b_eq)))
 
 
-def _drive_out_artificials(state: _Basis, n: int) -> tuple[_Basis, np.ndarray]:
+def _drive_out_artificials(state: _Basis, n: int) -> np.ndarray:
     """Pivot artificials out of the phase-I basis; drop rows proven redundant.
 
     Drive-out pivots are degenerate (the leaving artificial sits at zero), so
@@ -484,13 +475,13 @@ def _drive_out_artificials(state: _Basis, n: int) -> tuple[_Basis, np.ndarray]:
     usable structural column, its tableau row certifies a linear dependence
     among the original constraints; the row with the largest basis-inverse
     weight is deleted, which keeps the remaining basis nonsingular.  Returns
-    the final state and the indices of the kept rows.
+    the indices of the kept rows.
     """
     rows = np.arange(state.s.shape[0])
     while True:
         art_positions = np.flatnonzero(state.basis >= n)
         if art_positions.size == 0:
-            return state, rows
+            return rows
         r = int(art_positions[0])
         usable = np.flatnonzero(np.abs(state.tableau_row(r)[:n]) > PIVOT_TOL)
         if usable.size > 0:
@@ -503,7 +494,7 @@ def _drive_out_artificials(state: _Basis, n: int) -> tuple[_Basis, np.ndarray]:
             rows = np.delete(rows, drop)
             basis = np.delete(state.basis, r)
             basis[basis > n + drop] -= 1  # the later rows' artificials shift up a row
-            state = _Basis(s, basis, state.tally, state.split)
+            state.rebase(s, basis, np.delete(state.b, drop))
 
 
 def _crash_basis(am: np.ndarray, bv: np.ndarray) -> np.ndarray | None:

@@ -230,8 +230,8 @@ class TestReweightedL1:
             rwl1.solver.weighted_l1_lp = lp
             problem = rwl1.simplex.LPProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
             try:  # a feasible basis that is not optimal
-                rwl1.simplex._certified_point(problem, rwl1.simplex._Basis(problem.a_eq, [1]),
-                                              problem.b_eq, problem.c, 1e-9)
+                rwl1.simplex._certified_point(
+                    problem, rwl1.simplex._Basis(problem.a_eq, [1], problem.b_eq), problem.c, 1e-9)
             except CertificationError:
                 print("dual check fired")
             rwl1.simplex._residual = lambda problem, z: 1.0
