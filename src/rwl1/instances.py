@@ -388,7 +388,7 @@ def load_instance(path) -> ProblemInstance:
     if x_true.shape[0] != n:
         raise InstanceParseError(f"field 'x_true' has length {x_true.shape[0]}, expected n = {n}")
     if not 1 <= m <= n:
-        raise InstanceValidationError(f"need at least one row and m <= n, got m={m}, n={n}")
+        raise InstanceValidationError(f"need a system with 1 <= m <= n, got m={m}, n={n}")
     a = as_matrix(flat.reshape(m, n))
     nnz = count_nonzeros(x_true)
     if nnz != k:

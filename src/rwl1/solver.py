@@ -151,7 +151,7 @@ def reweighted_l1(a, b, scheme: WeightScheme,
     bv = as_vector(b, length=am.shape[0])
     m, n = am.shape
     if not 1 <= m <= n:
-        raise ValueError(f"expected a wide system with rows (1 <= m <= n), got {m}x{n}")
+        raise ValueError(f"expected a system with 1 <= m <= n, got {m}x{n}")
 
     history: list[IterationRecord] = []
 
