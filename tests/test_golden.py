@@ -5,7 +5,9 @@ Each digest hashes the little-endian float64 bytes of ``A``, ``b`` and
 arithmetic of instance generation: any change to the stream, the sampler
 transforms or the Gaussian cache shows here as a mismatch.  The 7x9 size has
 odd m*n, so a cached Box-Muller variate carries from the matrix into the
-planted values.  The digests were taken from the scalar sampler; they are
+planted values.  Gamma(1, 1) reaches the Marsaglia-Tsang candidates with
+1 + c*z <= 0 (about 0.7% of them) and F(1, 1) boosts both of its gammas.
+The digests were taken from the scalar sampler; they are
 not to be regenerated to fit a new implementation.
 """
 
@@ -110,6 +112,18 @@ GOLDEN = {
     ('poisson', (30.0,), 7, 9, 5, 0): "e09408aa6bcb40b9625336db36e867450de31ab510608e5bf46ea2b625cb2cca",
     ('poisson', (30.0,), 7, 9, 5, 42): "8ec9447587c21522dcdb28778ab7d61daade46c2dfed3199435116aef7187c8f",
     ('poisson', (30.0,), 7, 9, 5, MAX_SEED): "e12323c7337a73d6aae1396fb4704b241edf489e37371da770bf7f9c56a830f4",
+    ('gamma', (1.0, 1.0), 50, 200, 8, 0): "ef7b16853edb8ce331680aaec0d5005e9a428ef79eca70485eee9fccd1888c1e",
+    ('gamma', (1.0, 1.0), 50, 200, 8, 42): "8d0af275dd72e6aae8f20577c780fc52db1a220d52548fb0e893c79d17daa119",
+    ('gamma', (1.0, 1.0), 50, 200, 8, MAX_SEED): "dcf80f6a0303303f3908acc2a1955ca2e6fa1307bb6b1af9b15feede9bdd1de0",
+    ('gamma', (1.0, 1.0), 7, 9, 5, 0): "dec9bc9f899d9cb14c63f2d26940de659c06d66d4da26a8493ff0dab280aed2c",
+    ('gamma', (1.0, 1.0), 7, 9, 5, 42): "dbd2e2a268cabda94a94e6766de418605286d3788c825cfe98af28451241276c",
+    ('gamma', (1.0, 1.0), 7, 9, 5, MAX_SEED): "e661251f11874ae0db12b1c55b7e267a12a587969fe24782d71ad93c121e272f",
+    ('f', (1.0, 1.0), 50, 200, 8, 0): "8245fe2e32b7a1114601428b5dfeb230457af9e3607237d0e3e37b4b26cdd808",
+    ('f', (1.0, 1.0), 50, 200, 8, 42): "d37d872780014921db1d1f3bbc08c39b598d2ed1293c1936d29d05b460540e7c",
+    ('f', (1.0, 1.0), 50, 200, 8, MAX_SEED): "7e6c73e9a87e8a8d451ced607a84023029821d4f7f86c437e6e3a9b555879862",
+    ('f', (1.0, 1.0), 7, 9, 5, 0): "4dee09a67955fcdbeda4cd17622ecf9023698d4b8e205759a3af6866f7967625",
+    ('f', (1.0, 1.0), 7, 9, 5, 42): "66bb93d880ef44927edd78313a34b12141d7b47ec19810c4567a2aa17d3e7402",
+    ('f', (1.0, 1.0), 7, 9, 5, MAX_SEED): "3a7729c86ebf60716b23a28e252ff0f0af05952adbc8f5b976c8e7b29765187d",
 }
 
 

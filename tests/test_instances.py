@@ -61,7 +61,8 @@ class TestSamplerMoments:
 
 STREAM_SPECS = [DistributionSpec.default(name) for name in
                 ("normal", "poisson", "exponential", "f", "gamma", "uniform")] + [
-    DistributionSpec("gamma", (0.5, 2.0)), DistributionSpec("f", (2.0, 3.0)),
+    DistributionSpec("gamma", (0.5, 2.0)), DistributionSpec("gamma", (1.0, 1.0)),
+    DistributionSpec("f", (2.0, 3.0)),
     DistributionSpec("poisson", (30.0,))]
 
 
