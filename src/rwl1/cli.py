@@ -235,17 +235,18 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _run_grid(args, k_values, values, member) -> SweepResult:
+def _run_grid(args, k_values, values, member, summary=None) -> SweepResult:
     """The one run path of sweep and the studies: a sweep over ``k_values``
     with one scheme per entry of ``values`` (``member(value)`` gives its
-    (scheme, config)), then a per-scheme summary on stdout."""
+    (scheme, config)), then a per-scheme summary on ``summary`` (stdout by
+    default)."""
     with _flag_errors():
         spec = SweepSpec(dist=_dist_from_args(args), m=args.m, n=args.n,
                          k_values=tuple(k_values), schemes=tuple(member(v) for v in values),
                          trials=args.trials, seed_base=args.seed)
     result = sweep(spec, workers=args.workers)
     print(f"{'scheme':<10}{'cells':>6}{'trials':>8}{'mean rate':>11}{'mean iters':>12}"
-          f"{'mean pivots':>13}{'wall s':>9}")
+          f"{'mean pivots':>13}{'wall s':>9}", file=summary)
     seen: dict[int, list] = {}
     for c in result.cells:
         seen.setdefault(c.scheme_index, []).append(c)
@@ -257,7 +258,7 @@ def _run_grid(args, k_values, values, member) -> SweepResult:
         pivots = sum(c.mean_pivots for c in cells) / len(cells)
         wall = sum(c.wall_ms for c in cells) / 1e3
         print(f"{label:<10}{len(cells):>6}{cells[0].trials * len(cells):>8}"
-              f"{rate:>11.3f}{iters:>12.2f}{pivots:>13.1f}{wall:>9.2f}")
+              f"{rate:>11.3f}{iters:>12.2f}{pivots:>13.1f}{wall:>9.2f}", file=summary)
     return result
 
 
@@ -272,8 +273,9 @@ def cmd_sweep(args) -> int:
 
 
 def _study(args, column: str, values: list[float], k_values: list[int], member) -> int:
-    """A grid with one scheme per study value; one CSV row per (value, k)."""
-    result = _run_grid(args, k_values, values, member)
+    """A grid with one scheme per study value; one CSV row per (value, k).
+    Without ``--out`` the CSV alone goes to stdout and the summary to stderr."""
+    result = _run_grid(args, k_values, values, member, None if args.out else sys.stderr)
     lines = [f"{column},k,trials,successes,success_rate"]
     by_index = {(c.scheme_index, c.k): c for c in result.cells}
     for si, val in enumerate(values):

@@ -134,10 +134,13 @@ class TestStudies:
     def test_csv_goes_to_stdout_without_out(self, tmp_path, capsys):
         argv = ["study-eps", "--m", "10", "--n", "30", "--k", "3", "--eps-list", "0.01,0.1",
                 "--trials", "1", "--seed", "5"]
-        code, out, _ = run(argv, capsys)
+        code, out, err = run(argv, capsys)
         assert code == 0
         assert run(argv + ["--out", str(tmp_path / "eps.csv")], capsys)[0] == 0
-        assert out.endswith("\n" + (tmp_path / "eps.csv").read_text())  # after the summary
+        assert out == (tmp_path / "eps.csv").read_text()
+        assert err.startswith("scheme ")  # the summary goes to stderr
+        (tmp_path / "piped.csv").write_text(out)
+        assert run(["plot", str(tmp_path / "piped.csv"), str(tmp_path / "piped.svg")], capsys)[0] == 0
 
     def test_eps_zero_rejected(self, capsys):
         code, _, err = run(["study-eps", "--eps-list", "0.01,0", "--trials", "1"], capsys)
