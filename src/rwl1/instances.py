@@ -9,11 +9,14 @@ Fisher-Yates prefix, then the nonzero values (magnitude, then sign).
 The matrix is generated in blocks (``Sampler.draws``) that consume the
 stream in exactly that order, so the output is bit-identical to drawing
 one entry at a time; the k planted magnitudes, one at a time, take the
-scalar Box-Muller step ``Sampler.gauss`` instead of a one-value block.  Only exact operations go to numpy: the splitmix64
-integer mix, the unit mapping, + - * /, sqrt and comparisons, all
-correctly rounded alike in numpy and in Python.  Every log, exp, cos, sin
-and power is evaluated per element by the ``math`` module, because numpy's
-versions round differently on some inputs.
+scalar Box-Muller step ``Sampler.gauss`` instead of a one-value block.
+Normal, exponential, uniform and gamma entries (shape >= 1.4) are worked
+out a chunk at a time; Poisson, F and gamma below shape 1.4 run one value
+per loop through a cursor (see ``Sampler``).  Only exact operations go to
+numpy: the splitmix64 integer mix, the unit mapping, + - * /, sqrt and
+comparisons, all correctly rounded alike in numpy and in Python.  Every
+log, exp, cos, sin and power is evaluated per element by the ``math``
+module, because numpy's versions round differently on some inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import cycle, islice, repeat
 
 import numpy as np
 
@@ -135,10 +139,24 @@ class Sampler:
     stream, in the same order and through the same arithmetic, as one value
     at a time, so a block of n equals n consecutive blocks of one.  Unit
     draws are prefetched in chunks of ``CHUNK``; normal, exponential and
-    uniform map a whole chunk at once, while Poisson, gamma and F, which
-    reject a variable number of draws, read the chunk through a cursor.
-    Each call steps the stream back over the draws it prefetched but did
-    not use.  The cached Box-Muller variate carries across chunks and calls.
+    uniform map a whole chunk at once.  Each call steps the stream back over
+    the draws it prefetched but did not use.  The cached Box-Muller variate
+    carries across chunks and calls.
+
+    Gamma at shape >= 1 also runs in blocks: without a boost draw its units
+    have a fixed layout whatever each candidate's accept/reject outcome (a
+    cached variate's acceptance draw, then [u1, u2, accept(cos),
+    accept(sin)] per Box-Muller pair), so ``_gamma_run`` works out a whole
+    run of candidates at once.  Only a candidate with 1 + c*z <= 0, which
+    takes no acceptance draw, breaks the layout; it goes to the scalar loop
+    ``_gammas``.  Below shape 1.4 (``BLOCK_MIN_SHAPE``) such candidates are
+    common enough that the scalar loop is faster.
+
+    The rest read a chunk through a cursor, one value per loop: Poisson,
+    whose product method takes a variable number of draws; gamma below
+    shape 1, whose boost draw precedes each value; and F, whose two
+    interleaved gammas (shapes d1/2 and d2/2, the first boosted at d1 = 1)
+    make the layout depend on every accept/reject.
     """
 
     def __init__(self, rng: SplitMix64):
@@ -197,82 +215,162 @@ class Sampler:
     def _uniform_block(self, count: int, high: float) -> np.ndarray:
         return high * self.rng.next_units(count)
 
-    # rejection samplers: one value at a time through the cursor
+    # rejection samplers: through the cursor over prefetched units
 
     def _refill(self, buf: list[float], pos: int) -> list[float]:
         """The unread tail of ``buf`` followed by a fresh chunk."""
         return buf[pos:] + self.rng.next_units(CHUNK).tolist()
 
-    def _poisson_block(self, count: int, lam: float) -> list[float]:
+    def _poisson_block(self, count: int, lam: float) -> list[int]:
         limit = math.exp(-lam)
         buf, pos = self._buf, self._pos
-        out = []
-        for _ in range(count):
-            k = 0
-            if pos == len(buf):
+        end = len(buf)
+        out = [0] * count
+        for i in range(count):
+            if pos == end:
                 buf, pos = self._refill(buf, pos), 0
+                end = len(buf)
             prod = buf[pos]
             pos += 1
+            k = 0
             while prod > limit:
                 k += 1
-                if pos == len(buf):
+                if pos == end:
                     buf, pos = self._refill(buf, pos), 0
+                    end = len(buf)
                 prod *= buf[pos]
                 pos += 1
-            out.append(float(k))
+            out[i] = k
         self._buf, self._pos = buf, pos
         return out
 
-    def _gamma_block(self, count: int, shape: float, scale: float) -> list[float]:
-        return [self._gamma(shape, scale) for _ in range(count)]
+    def _f_block(self, count: int, d1: float, d2: float) -> np.ndarray:
+        g = np.array(self._gammas(2 * count, (d1 / 2.0, d2 / 2.0), 2.0))
+        return (g[0::2] / d1) / (g[1::2] / d2)
 
-    def _f_block(self, count: int, d1: float, d2: float) -> list[float]:
-        gamma = self._gamma
-        return [(gamma(d1 / 2.0, 2.0) / d1) / (gamma(d2 / 2.0, 2.0) / d2) for _ in range(count)]
+    def _gamma_block(self, count: int, shape: float, scale: float) -> np.ndarray | list[float]:
+        if shape < BLOCK_MIN_SHAPE:
+            return self._gammas(count, (shape,), scale)
+        return self._gamma_runs(count, shape, scale)
 
-    def _gamma(self, shape: float, scale: float) -> float:
-        buf, pos = self._buf, self._pos
-        boost = None
-        if shape < 1.0:
-            if pos == len(buf):
-                buf, pos = self._refill(buf, pos), 0
-            boost = buf[pos] ** (1.0 / shape)
-            pos += 1
-            shape += 1.0
+    def _gamma_runs(self, count: int, shape: float, scale: float) -> np.ndarray:
+        """``count`` gamma values (shape >= 1) in runs of ``_gamma_run``."""
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
-        log = math.log
-        gauss = self._gauss_cache
-        while True:
-            if len(buf) - pos < 3:  # at most one Box-Muller pair and one acceptance draw
-                buf, pos = self._refill(buf, pos), 0
-            if gauss is None:
-                r = math.sqrt(-2.0 * log(buf[pos]))
-                theta = _TWO_PI * buf[pos + 1]
-                pos += 2
-                gauss = r * math.sin(theta)
-                z = r * math.cos(theta)
-            else:
-                z, gauss = gauss, None
-            v = (1.0 + c * z) ** 3
-            if v <= 0.0:
-                continue
-            u = buf[pos]
-            pos += 1
-            if u < 1.0 - 0.0331 * z**4 or log(u) < 0.5 * z * z + d * (1.0 - v + log(v)):
-                break
+        out = np.empty(count)
+        done = 0
+        while done < count:
+            done, blocked = self._gamma_run(out, done, d, c, scale)
+            if blocked:
+                out[done] = self._gammas(1, (shape,), scale)[0]
+                done += 1
+        return out
+
+    def _gamma_run(self, out: np.ndarray, done: int, d: float, c: float, scale: float) -> tuple[int, bool]:
+        """Marsaglia-Tsang values for ``out[done:]``, worked out for a run of
+        candidates at once; returns the new fill of ``out`` and whether the run
+        stopped at a candidate with 1 + c*z <= 0, which the caller hands to
+        ``_gammas``.
+
+        Up to that candidate the units have a fixed layout: a cached variate
+        takes the next unit as its acceptance draw, then each Box-Muller pair
+        [u1, u2] is followed by the acceptance draws of its cosine and sine
+        variates.  The cursor is committed just past the last candidate used.
+        """
+        need = len(out) - done
+        cached = self._gauss_cache
+        lead = 0 if cached is None else 1
+        pairs = (need + need // 16) // 2 + 2  # a little over one candidate per value
+        tail = self._buf[self._pos:]
+        units = np.concatenate((tail, self.rng.next_units(max(0, lead + 4 * pairs - len(tail)))))
+        quads = units[lead:lead + 4 * pairs].reshape(pairs, 4)
+        r = np.sqrt(-2.0 * _per_element(math.log, quads[:, 0]))
+        theta = _TWO_PI * quads[:, 1]
+        z = np.empty(lead + 2 * pairs)
+        z[lead::2] = r * _per_element(math.cos, theta)
+        z[lead + 1::2] = r * _per_element(math.sin, theta)
+        accept = np.empty_like(z)
+        accept[lead:] = quads[:, 2:].ravel()
+        if cached is not None:
+            z[0], accept[0] = cached, units[0]
+        v = _per_element(math.pow, 1.0 + c * z, 3.0)
+        bad = np.flatnonzero(v <= 0.0)
+        stop = int(bad[0]) if len(bad) else len(z)
+        zs, vs, us = z[:stop], v[:stop], accept[:stop]
+        ok = us < 1.0 - 0.0331 * _per_element(math.pow, zs, 4.0)
+        miss = np.flatnonzero(~ok)
+        zm, vm = zs[miss], vs[miss]
+        ok[miss] = _per_element(math.log, us[miss]) < 0.5 * zm * zm + d * (1.0 - vm + _per_element(math.log, vm))
+        taken = np.flatnonzero(ok)[:need]
+        out[done:done + len(taken)] = d * vs[taken] * scale
+        if len(taken) == need:
+            stop = int(taken[-1]) + 1
+        if stop:  # commit through candidate stop - 1
+            pairs_used, cosine = divmod(stop - lead, 2)
+            used = lead + 4 * pairs_used + 3 * cosine
+            self._gauss_cache = float(z[stop]) if cosine else None  # its sine partner
+            self._buf, self._pos = units[used:].tolist(), 0
+        else:
+            self._buf, self._pos = units.tolist(), 0
+        return done + len(taken), len(taken) < need and stop < len(z)
+
+    def _gammas(self, count: int, shapes: tuple[float, ...], scale: float) -> list[float]:
+        """``count`` Marsaglia-Tsang values at ``scale``, one per loop, with
+        shapes cycling through ``shapes``; a shape below 1 is drawn at shape
+        + 1 and boosted by a unit draw to the power 1/shape."""
+        plans = []
+        for shape in shapes:
+            power = 1.0 / shape if shape < 1.0 else None
+            if power is not None:
+                shape += 1.0
+            d = shape - 1.0 / 3.0
+            plans.append((power, d, 1.0 / math.sqrt(9.0 * d)))
+        log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
+        buf, pos, gauss = self._buf, self._pos, self._gauss_cache
+        end = len(buf)
+        out = [0.0] * count
+        for i, (power, d, c) in enumerate(islice(cycle(plans), count)):
+            if power is not None:
+                if pos == end:
+                    buf, pos = self._refill(buf, pos), 0
+                    end = len(buf)
+                boost = buf[pos] ** power
+                pos += 1
+            while True:
+                if end - pos < 3:  # at most one Box-Muller pair and one acceptance draw
+                    buf, pos = self._refill(buf, pos), 0
+                    end = len(buf)
+                if gauss is None:
+                    r = sqrt(-2.0 * log(buf[pos]))
+                    theta = _TWO_PI * buf[pos + 1]
+                    pos += 2
+                    gauss = r * sin(theta)
+                    z = r * cos(theta)
+                else:
+                    z, gauss = gauss, None
+                v = (1.0 + c * z) ** 3
+                if v <= 0.0:
+                    continue
+                u = buf[pos]
+                pos += 1
+                if u < 1.0 - 0.0331 * z**4 or log(u) < 0.5 * z * z + d * (1.0 - v + log(v)):
+                    break
+            out[i] = d * v * scale if power is None else d * v * scale * boost
         self._buf, self._pos, self._gauss_cache = buf, pos, gauss
-        value = d * v * scale
-        return value if boost is None else value * boost
+        return out
 
 
+# Gamma shapes from here on take the block path.  A candidate with
+# 1 + c*z <= 0, i.e. z <= -3 sqrt(shape - 1/3), makes the block start over;
+# below shape 1.4 a chunk expects at least one, and the scalar loop is faster.
+BLOCK_MIN_SHAPE = 1.4
 CHUNK = 1024  # values per block call and unit draws per prefetch: bounds the memory a matrix needs
 _TWO_PI = 2.0 * math.pi
 
 
-def _per_element(fn, values: np.ndarray) -> np.ndarray:
-    """``fn`` applied to each element with Python floats (``math`` rounding)."""
-    return np.fromiter(map(fn, values.tolist()), float, len(values))
+def _per_element(fn, values: np.ndarray, *args: float) -> np.ndarray:
+    """``fn(value, *args)`` for each element with Python floats (``math`` rounding)."""
+    return np.fromiter(map(fn, values.tolist(), *map(repeat, args)), float, len(values))
 
 
 @dataclass(frozen=True)

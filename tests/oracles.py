@@ -2,10 +2,12 @@
 
 Nothing here imports solver internals beyond public types: the LP oracle
 enumerates basic feasible solutions directly, the RNG oracle reimplements
-the generator with numpy uint64 arithmetic, and the merit oracles evaluate
-the weight formulas in 50-digit mpmath.
+the generator with numpy uint64 arithmetic, the gamma oracle is the scalar
+Marsaglia-Tsang sampler that the block sampler replaced, and the merit
+oracles evaluate the weight formulas in 50-digit mpmath.
 """
 
+import math
 from itertools import combinations
 
 import mpmath as mp
@@ -76,6 +78,67 @@ def splitmix64_reference(seed, count):
             z = (z ^ (z >> np.uint64(30))) * m1
             z = (z ^ (z >> np.uint64(27))) * m2
             out.append(int(z ^ (z >> np.uint64(31))))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# scalar Marsaglia-Tsang gamma, one value per call, reading a ``Sampler``'s
+# unit cursor and cached Box-Muller variate (the sampler's former ``_gamma``)
+
+_TWO_PI = 2.0 * math.pi
+
+
+def gamma_scalar(self, shape, scale):
+    buf, pos = self._buf, self._pos
+    boost = None
+    if shape < 1.0:
+        if pos == len(buf):
+            buf, pos = self._refill(buf, pos), 0
+        boost = buf[pos] ** (1.0 / shape)
+        pos += 1
+        shape += 1.0
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    log = math.log
+    gauss = self._gauss_cache
+    while True:
+        if len(buf) - pos < 3:  # at most one Box-Muller pair and one acceptance draw
+            buf, pos = self._refill(buf, pos), 0
+        if gauss is None:
+            r = math.sqrt(-2.0 * log(buf[pos]))
+            theta = _TWO_PI * buf[pos + 1]
+            pos += 2
+            gauss = r * math.sin(theta)
+            z = r * math.cos(theta)
+        else:
+            z, gauss = gauss, None
+        v = (1.0 + c * z) ** 3
+        if v <= 0.0:
+            continue
+        u = buf[pos]
+        pos += 1
+        if u < 1.0 - 0.0331 * z**4 or log(u) < 0.5 * z * z + d * (1.0 - v + log(v)):
+            break
+    self._buf, self._pos, self._gauss_cache = buf, pos, gauss
+    value = d * v * scale
+    return value if boost is None else value * boost
+
+
+def gamma_scalar_draws(sampler, count, shape, scale):
+    """``count`` values of ``gamma_scalar``, then the cursor handed back to
+    the stream as ``Sampler.draws`` does at the end of a call."""
+    out = np.array([gamma_scalar(sampler, shape, scale) for _ in range(count)])
+    sampler.rng.skip(sampler._pos - len(sampler._buf))
+    sampler._buf, sampler._pos = [], 0
+    return out
+
+
+def f_scalar_draws(sampler, count, d1, d2):
+    """``count`` F(d1, d2) values as ratios of scaled ``gamma_scalar`` draws."""
+    out = np.array([(gamma_scalar(sampler, d1 / 2.0, 2.0) / d1) / (gamma_scalar(sampler, d2 / 2.0, 2.0) / d2)
+                    for _ in range(count)])
+    sampler.rng.skip(sampler._pos - len(sampler._buf))
+    sampler._buf, sampler._pos = [], 0
     return out
 
 

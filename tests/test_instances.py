@@ -1,10 +1,12 @@
 import json
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from rwl1.instances import (DistributionSpec, InstanceParseError, InstanceValidationError,
+from oracles import f_scalar_draws, gamma_scalar_draws
+from rwl1.instances import (CHUNK, DistributionSpec, InstanceParseError, InstanceValidationError,
                             Sampler, load_instance, make_instance, save_instance)
 from rwl1.rng import SplitMix64
 
@@ -112,6 +114,67 @@ class TestSamplerStream:
             sampler = Sampler(SplitMix64(11))
             assert sampler.draws(spec, 0).shape == (0,)
             assert sampler.rng.state == 11
+
+
+def _oracle_pair(seed, lead):
+    """Two samplers on one stream after ``lead`` normal draws (an odd lead
+    leaves a Box-Muller variate cached)."""
+    pair = Sampler(SplitMix64(seed)), Sampler(SplitMix64(seed))
+    for sampler in pair:
+        sampler.draws(DistributionSpec.default("normal"), lead)
+    return pair
+
+
+def _assert_same_stream(got, expected, sampler, oracle):
+    assert got.tobytes() == expected.tobytes()
+    assert sampler.rng.state == oracle.rng.state
+    assert sampler._gauss_cache == oracle._gauss_cache
+
+
+COUNTS = [1, 7, CHUNK - 1, CHUNK + 1, 3 * CHUNK]
+
+
+class TestGammaOracle:
+    """Gamma and F against the scalar Marsaglia-Tsang sampler that the block
+    path and the one-value loop replaced (``oracles.gamma_scalar``): the same
+    bytes, stream state and cached variate."""
+
+    @pytest.mark.parametrize("shape", [1.0, 1.05, 1.3, 2.0, 5.0, 30.0])
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("lead", [0, 3], ids=lambda c: f"after{c}")
+    def test_block_path(self, monkeypatch, shape, count, lead):
+        # the block path at every shape >= 1, also those draws() gives the
+        # scalar loop; at shape 1 about 0.7% of candidates have 1 + c*z <= 0
+        # and go through the hand-off
+        monkeypatch.setattr(Sampler, "_gamma_block", Sampler._gamma_runs)
+        sampler, oracle = _oracle_pair(17, lead)
+        got = sampler.draws(DistributionSpec("gamma", (shape, 3.0)), count)
+        _assert_same_stream(got, gamma_scalar_draws(oracle, count, shape, 3.0), sampler, oracle)
+
+    def test_block_path_stops_before_a_cached_candidate(self, monkeypatch):
+        # seed 10 leaves z = -2.60 cached after one normal draw: at shape 1
+        # 1 + z/sqrt(6) < 0, so the run hands off before its first candidate
+        monkeypatch.setattr(Sampler, "_gamma_block", Sampler._gamma_runs)
+        sampler, oracle = _oracle_pair(10, 1)
+        assert 1.0 + sampler._gauss_cache / math.sqrt(6.0) < 0.0
+        got = sampler.draws(DistributionSpec("gamma", (1.0, 1.0)), 5)
+        _assert_same_stream(got, gamma_scalar_draws(oracle, 5, 1.0, 1.0), sampler, oracle)
+
+    @pytest.mark.parametrize("shape", [0.3, 0.5, 1.0, 1.39, 1.4, 5.0])
+    @pytest.mark.parametrize("count", [7, CHUNK + 1])
+    @pytest.mark.parametrize("lead", [0, 3], ids=lambda c: f"after{c}")
+    def test_draws(self, shape, count, lead):
+        sampler, oracle = _oracle_pair(23, lead)
+        got = sampler.draws(DistributionSpec("gamma", (shape, 2.0)), count)
+        _assert_same_stream(got, gamma_scalar_draws(oracle, count, shape, 2.0), sampler, oracle)
+
+    @pytest.mark.parametrize("degrees", [(1.0, 1.0), (1.0, 6.0), (2.0, 3.0), (5.0, 7.0)], ids=str)
+    @pytest.mark.parametrize("count", [7, CHUNK + 1])
+    @pytest.mark.parametrize("lead", [0, 3], ids=lambda c: f"after{c}")
+    def test_f(self, degrees, count, lead):
+        sampler, oracle = _oracle_pair(29, lead)
+        got = sampler.draws(DistributionSpec("f", degrees), count)
+        _assert_same_stream(got, f_scalar_draws(oracle, count, *degrees), sampler, oracle)
 
 
 class TestDistributionSpec:
