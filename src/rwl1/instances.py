@@ -143,19 +143,20 @@ class Sampler:
     the draws it prefetched but did not use.  The cached Box-Muller variate
     carries across chunks and calls.
 
-    Gamma at shape >= 1 also runs in blocks: without a boost draw its units
-    have a fixed layout whatever each candidate's accept/reject outcome (a
-    cached variate's acceptance draw, then [u1, u2, accept(cos),
-    accept(sin)] per Box-Muller pair), so ``_gamma_run`` works out a whole
-    run of candidates at once.  Only a candidate with 1 + c*z <= 0, which
-    takes no acceptance draw, breaks the layout; it goes to the scalar loop
-    ``_gammas``.  Below shape 1.4 (``BLOCK_MIN_SHAPE``) such candidates are
-    common enough that the scalar loop is faster.
+    Gamma from shape 1.4 (``BLOCK_MIN_SHAPE``) on runs in blocks too:
+    without a boost draw its units have a fixed layout whatever each
+    candidate's accept/reject outcome (a cached variate's acceptance draw,
+    then [u1, u2, accept(cos), accept(sin)] per Box-Muller pair), so
+    ``_gamma_run`` works out a whole run of candidates at once.  Only a
+    candidate with 1 + c*z <= 0, which takes no acceptance draw, breaks the
+    layout; the run stops there and hands one value to the scalar loop
+    ``_gammas``.  Such candidates are 0.7% at shape 1 and fewer than one per
+    chunk from shape 1.4 on; below that the scalar loop is faster.
 
     The rest read a chunk through a cursor, one value per loop: Poisson,
     whose product method takes a variable number of draws; gamma below
-    shape 1, whose boost draw precedes each value; and F, whose two
-    interleaved gammas (shapes d1/2 and d2/2, the first boosted at d1 = 1)
+    shape 1.4, boosted below shape 1 by a draw ahead of each value; and F,
+    whose two interleaved gammas (shapes d1/2 and d2/2, boosted at degree 1)
     make the layout depend on every accept/reject.
     """
 
@@ -251,32 +252,25 @@ class Sampler:
     def _gamma_block(self, count: int, shape: float, scale: float) -> np.ndarray | list[float]:
         if shape < BLOCK_MIN_SHAPE:
             return self._gammas(count, (shape,), scale)
-        return self._gamma_runs(count, shape, scale)
-
-    def _gamma_runs(self, count: int, shape: float, scale: float) -> np.ndarray:
-        """``count`` gamma values (shape >= 1) in runs of ``_gamma_run``."""
-        d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
         out = np.empty(count)
         done = 0
         while done < count:
-            done, blocked = self._gamma_run(out, done, d, c, scale)
-            if blocked:
-                out[done] = self._gammas(1, (shape,), scale)[0]
-                done += 1
+            done = self._gamma_run(out, done, shape, scale)
         return out
 
-    def _gamma_run(self, out: np.ndarray, done: int, d: float, c: float, scale: float) -> tuple[int, bool]:
-        """Marsaglia-Tsang values for ``out[done:]``, worked out for a run of
-        candidates at once; returns the new fill of ``out`` and whether the run
-        stopped at a candidate with 1 + c*z <= 0, which the caller hands to
-        ``_gammas``.
+    def _gamma_run(self, out: np.ndarray, done: int, shape: float, scale: float) -> int:
+        """Fill ``out`` from ``done`` on with Marsaglia-Tsang values (shape
+        >= 1) worked out for a run of candidates at once; returns the new fill.
 
-        Up to that candidate the units have a fixed layout: a cached variate
+        Up to the first candidate with 1 + c*z <= 0, which takes no
+        acceptance draw, the units have a fixed layout: a cached variate
         takes the next unit as its acceptance draw, then each Box-Muller pair
         [u1, u2] is followed by the acceptance draws of its cosine and sine
-        variates.  The cursor is committed just past the last candidate used.
+        variates.  The cursor is committed just past the last candidate used;
+        a run that stops at such a candidate hands one value to ``_gammas``.
         """
+        d = shape - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
         need = len(out) - done
         cached = self._gauss_cache
         lead = 0 if cached is None else 1
@@ -303,16 +297,18 @@ class Sampler:
         ok[miss] = _per_element(math.log, us[miss]) < 0.5 * zm * zm + d * (1.0 - vm + _per_element(math.log, vm))
         taken = np.flatnonzero(ok)[:need]
         out[done:done + len(taken)] = d * vs[taken] * scale
-        if len(taken) == need:
+        done += len(taken)
+        if done == len(out):
             stop = int(taken[-1]) + 1
-        if stop:  # commit through candidate stop - 1
-            pairs_used, cosine = divmod(stop - lead, 2)
-            used = lead + 4 * pairs_used + 3 * cosine
-            self._gauss_cache = float(z[stop]) if cosine else None  # its sine partner
-            self._buf, self._pos = units[used:].tolist(), 0
-        else:
-            self._buf, self._pos = units.tolist(), 0
-        return done + len(taken), len(taken) < need and stop < len(z)
+        # commit through candidate stop - 1; at stop = 0 a cached variate stays cached
+        pairs_used, cosine = divmod(stop - lead, 2)
+        used = lead + 4 * pairs_used + 3 * cosine
+        self._gauss_cache = float(z[stop]) if cosine else None  # the cosine's sine partner
+        self._buf, self._pos = units[used:].tolist(), 0
+        if done < len(out) and stop < len(z):  # stopped at 1 + c*z <= 0
+            out[done] = self._gammas(1, (shape,), scale)[0]
+            done += 1
+        return done
 
     def _gammas(self, count: int, shapes: tuple[float, ...], scale: float) -> list[float]:
         """``count`` Marsaglia-Tsang values at ``scale``, one per loop, with
@@ -360,9 +356,9 @@ class Sampler:
         return out
 
 
-# Gamma shapes from here on take the block path.  A candidate with
-# 1 + c*z <= 0, i.e. z <= -3 sqrt(shape - 1/3), makes the block start over;
-# below shape 1.4 a chunk expects at least one, and the scalar loop is faster.
+# Gamma shapes from here on take the block path: below it a chunk expects at
+# least one candidate with 1 + c*z <= 0 (z <= -3 sqrt(shape - 1/3)), each of
+# which makes the block start over, and the scalar loop is faster.
 BLOCK_MIN_SHAPE = 1.4
 CHUNK = 1024  # values per block call and unit draws per prefetch: bounds the memory a matrix needs
 _TWO_PI = 2.0 * math.pi

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import f_scalar_draws, gamma_scalar_draws
+from rwl1 import instances
 from rwl1.instances import (CHUNK, DistributionSpec, InstanceParseError, InstanceValidationError,
                             Sampler, load_instance, make_instance, save_instance)
 from rwl1.rng import SplitMix64
@@ -146,7 +147,7 @@ class TestGammaOracle:
         # the block path at every shape >= 1, also those draws() gives the
         # scalar loop; at shape 1 about 0.7% of candidates have 1 + c*z <= 0
         # and go through the hand-off
-        monkeypatch.setattr(Sampler, "_gamma_block", Sampler._gamma_runs)
+        monkeypatch.setattr(instances, "BLOCK_MIN_SHAPE", 1.0)
         sampler, oracle = _oracle_pair(17, lead)
         got = sampler.draws(DistributionSpec("gamma", (shape, 3.0)), count)
         _assert_same_stream(got, gamma_scalar_draws(oracle, count, shape, 3.0), sampler, oracle)
@@ -154,7 +155,7 @@ class TestGammaOracle:
     def test_block_path_stops_before_a_cached_candidate(self, monkeypatch):
         # seed 10 leaves z = -2.60 cached after one normal draw: at shape 1
         # 1 + z/sqrt(6) < 0, so the run hands off before its first candidate
-        monkeypatch.setattr(Sampler, "_gamma_block", Sampler._gamma_runs)
+        monkeypatch.setattr(instances, "BLOCK_MIN_SHAPE", 1.0)
         sampler, oracle = _oracle_pair(10, 1)
         assert 1.0 + sampler._gauss_cache / math.sqrt(6.0) < 0.0
         got = sampler.draws(DistributionSpec("gamma", (1.0, 1.0)), 5)
