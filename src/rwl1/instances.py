@@ -143,21 +143,14 @@ class Sampler:
     the draws it prefetched but did not use.  The cached Box-Muller variate
     carries across chunks and calls.
 
-    Gamma from shape 1.4 (``BLOCK_MIN_SHAPE``) on runs in blocks too:
-    without a boost draw its units have a fixed layout whatever each
-    candidate's accept/reject outcome (a cached variate's acceptance draw,
-    then [u1, u2, accept(cos), accept(sin)] per Box-Muller pair), so
-    ``_gamma_run`` works out a whole run of candidates at once.  Only a
-    candidate with 1 + c*z <= 0, which takes no acceptance draw, breaks the
-    layout; the run stops there and hands one value to the scalar loop
-    ``_gammas``.  Such candidates are 0.7% at shape 1 and fewer than one per
-    chunk from shape 1.4 on; below that the scalar loop is faster.
-
-    The rest read a chunk through a cursor, one value per loop: Poisson,
-    whose product method takes a variable number of draws; gamma below
-    shape 1.4, boosted below shape 1 by a draw ahead of each value; and F,
-    whose two interleaved gammas (shapes d1/2 and d2/2, boosted at degree 1)
-    make the layout depend on every accept/reject.
+    Gamma from shape ``BLOCK_MIN_SHAPE`` on runs in blocks too
+    (``_gamma_run``): with no boost draw, which units a candidate reads does
+    not depend on which earlier candidates were accepted.  The rest read a
+    chunk through a cursor, one value per loop (``_gammas`` for gamma and
+    F): Poisson, whose product method takes a variable number of draws;
+    gamma below ``BLOCK_MIN_SHAPE``; and F, whose two interleaved gammas
+    (shapes d1/2 and d2/2, boosted at degree 1) make the layout depend on
+    every accept/reject.
     """
 
     def __init__(self, rng: SplitMix64):
@@ -356,9 +349,10 @@ class Sampler:
         return out
 
 
-# Gamma shapes from here on take the block path: below it a chunk expects at
-# least one candidate with 1 + c*z <= 0 (z <= -3 sqrt(shape - 1/3)), each of
-# which makes the block start over, and the scalar loop is faster.
+# Gamma shapes from here on take the block path.  Below it a chunk expects at
+# least one candidate with 1 + c*z <= 0 (z <= -3 sqrt(shape - 1/3); 0.7% of
+# candidates at shape 1), each of which makes the block start over, and the
+# scalar loop is faster.
 BLOCK_MIN_SHAPE = 1.4
 CHUNK = 1024  # values per block call and unit draws per prefetch: bounds the memory a matrix needs
 _TWO_PI = 2.0 * math.pi

@@ -125,21 +125,22 @@ def gamma_scalar(self, shape, scale):
 
 
 def gamma_scalar_draws(sampler, count, shape, scale):
-    """``count`` values of ``gamma_scalar``, then the cursor handed back to
-    the stream as ``Sampler.draws`` does at the end of a call."""
-    out = np.array([gamma_scalar(sampler, shape, scale) for _ in range(count)])
-    sampler.rng.skip(sampler._pos - len(sampler._buf))
-    sampler._buf, sampler._pos = [], 0
-    return out
+    """``count`` values of ``gamma_scalar``."""
+    return _handed_back(sampler, [gamma_scalar(sampler, shape, scale) for _ in range(count)])
 
 
 def f_scalar_draws(sampler, count, d1, d2):
     """``count`` F(d1, d2) values as ratios of scaled ``gamma_scalar`` draws."""
-    out = np.array([(gamma_scalar(sampler, d1 / 2.0, 2.0) / d1) / (gamma_scalar(sampler, d2 / 2.0, 2.0) / d2)
-                    for _ in range(count)])
+    return _handed_back(sampler, [(gamma_scalar(sampler, d1 / 2.0, 2.0) / d1) / (gamma_scalar(sampler, d2 / 2.0, 2.0) / d2)
+                                  for _ in range(count)])
+
+
+def _handed_back(sampler, values):
+    """``values`` as an array, with the cursor handed back to the stream as
+    ``Sampler.draws`` does at the end of a call."""
     sampler.rng.skip(sampler._pos - len(sampler._buf))
     sampler._buf, sampler._pos = [], 0
-    return out
+    return np.array(values)
 
 
 # ---------------------------------------------------------------------------

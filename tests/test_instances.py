@@ -132,16 +132,13 @@ def _assert_same_stream(got, expected, sampler, oracle):
     assert sampler._gauss_cache == oracle._gauss_cache
 
 
-COUNTS = [1, 7, CHUNK - 1, CHUNK + 1, 3 * CHUNK]
-
-
 class TestGammaOracle:
     """Gamma and F against the scalar Marsaglia-Tsang sampler that the block
     path and the one-value loop replaced (``oracles.gamma_scalar``): the same
     bytes, stream state and cached variate."""
 
     @pytest.mark.parametrize("shape", [1.0, 1.05, 1.3, 2.0, 5.0, 30.0])
-    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("count", [1, 7, CHUNK - 1, CHUNK + 1, 3 * CHUNK])
     @pytest.mark.parametrize("lead", [0, 3], ids=lambda c: f"after{c}")
     def test_block_path(self, monkeypatch, shape, count, lead):
         # the block path at every shape >= 1, also those draws() gives the
