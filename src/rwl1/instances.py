@@ -10,8 +10,8 @@ The matrix is generated in blocks (``Sampler.draws``) that consume the
 stream in exactly that order, so the output is bit-identical to drawing
 one entry at a time; the k planted magnitudes, one at a time, take the
 scalar Box-Muller step ``Sampler.gauss`` instead of a one-value block.
-Normal, exponential, uniform and gamma entries (shape >= 1.4) are worked
-out a chunk at a time; Poisson, F and gamma below shape 1.4 run one value
+Normal, exponential, uniform and gamma entries (shape >= 1) are worked
+out a chunk at a time; Poisson, F and gamma below shape 1 run one value
 per loop through a cursor (see ``Sampler``).  Only exact operations go to
 numpy: the splitmix64 integer mix, the unit mapping, + - * /, sqrt and
 comparisons, all correctly rounded alike in numpy and in Python.  Every
@@ -143,14 +143,14 @@ class Sampler:
     the draws it prefetched but did not use.  The cached Box-Muller variate
     carries across chunks and calls.
 
-    Gamma from shape ``BLOCK_MIN_SHAPE`` on runs in blocks too
-    (``_gamma_run``): with no boost draw, which units a candidate reads does
-    not depend on which earlier candidates were accepted.  The rest read a
-    chunk through a cursor, one value per loop (``_gammas`` for gamma and
-    F): Poisson, whose product method takes a variable number of draws;
-    gamma below ``BLOCK_MIN_SHAPE``; and F, whose two interleaved gammas
-    (shapes d1/2 and d2/2, boosted at degree 1) make the layout depend on
-    every accept/reject.
+    Gamma from shape 1 on runs in blocks too (``_gamma_run``): with no
+    boost draw, which units a candidate reads does not depend on which
+    earlier candidates were accepted.  The rest read a chunk through a
+    cursor, one value per loop (``_gammas`` for gamma and F): Poisson, whose
+    product method takes a variable number of draws; gamma below shape 1,
+    whose boost draw comes ahead of each value; and F, whose two
+    interleaved gammas (shapes d1/2 and d2/2, boosted at degree 1) make the
+    layout depend on every accept/reject.
     """
 
     def __init__(self, rng: SplitMix64):
@@ -243,33 +243,38 @@ class Sampler:
         return (g[0::2] / d1) / (g[1::2] / d2)
 
     def _gamma_block(self, count: int, shape: float, scale: float) -> np.ndarray | list[float]:
-        if shape < BLOCK_MIN_SHAPE:
+        if shape < 1.0:
             return self._gammas(count, (shape,), scale)
+        d = shape - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
         out = np.empty(count)
+        units = np.array(self._buf[self._pos:], dtype=float)
         done = 0
         while done < count:
-            done = self._gamma_run(out, done, shape, scale)
+            units, done = self._gamma_run(out, done, units, d, c, scale)
+        self._buf, self._pos = units.tolist(), 0
         return out
 
-    def _gamma_run(self, out: np.ndarray, done: int, shape: float, scale: float) -> int:
+    def _gamma_run(self, out: np.ndarray, done: int, units: np.ndarray, d: float, c: float,
+                   scale: float) -> tuple[np.ndarray, int]:
         """Fill ``out`` from ``done`` on with Marsaglia-Tsang values (shape
-        >= 1) worked out for a run of candidates at once; returns the new fill.
+        >= 1) worked out for a run of candidates at once, reading the unit
+        stream from ``units`` on; returns the unread units and the new fill.
 
         Up to the first candidate with 1 + c*z <= 0, which takes no
         acceptance draw, the units have a fixed layout: a cached variate
         takes the next unit as its acceptance draw, then each Box-Muller pair
         [u1, u2] is followed by the acceptance draws of its cosine and sine
-        variates.  The cursor is committed just past the last candidate used;
-        a run that stops at such a candidate hands one value to ``_gammas``.
+        variates.  A run ends at such a candidate, spent without its
+        acceptance draw, and the next run starts on the shifted layout.
         """
-        d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
         need = len(out) - done
         cached = self._gauss_cache
         lead = 0 if cached is None else 1
         pairs = (need + need // 16) // 2 + 2  # a little over one candidate per value
-        tail = self._buf[self._pos:]
-        units = np.concatenate((tail, self.rng.next_units(max(0, lead + 4 * pairs - len(tail)))))
+        short = lead + 4 * pairs - len(units)
+        if short > 0:
+            units = np.concatenate((units, self.rng.next_units(short)))
         quads = units[lead:lead + 4 * pairs].reshape(pairs, 4)
         r = np.sqrt(-2.0 * _per_element(math.log, quads[:, 0]))
         theta = _TWO_PI * quads[:, 1]
@@ -280,28 +285,28 @@ class Sampler:
         accept[lead:] = quads[:, 2:].ravel()
         if cached is not None:
             z[0], accept[0] = cached, units[0]
-        v = _per_element(math.pow, 1.0 + c * z, 3.0)
-        bad = np.flatnonzero(v <= 0.0)
+        t = 1.0 + c * z
+        bad = np.flatnonzero(t <= 0.0)  # pow(t, 3) <= 0 exactly when t <= 0
         stop = int(bad[0]) if len(bad) else len(z)
-        zs, vs, us = z[:stop], v[:stop], accept[:stop]
-        ok = us < 1.0 - 0.0331 * _per_element(math.pow, zs, 4.0)
+        zs, vs, us = z[:stop], _per_element(math.pow, t[:stop], 3.0), accept[:stop]
+        # Python's z**4 takes the power of |z| and fixes the sign after, so
+        # libm's pow never sees a negative base here either
+        ok = us < 1.0 - 0.0331 * _per_element(math.pow, np.abs(zs), 4.0)
         miss = np.flatnonzero(~ok)
         zm, vm = zs[miss], vs[miss]
         ok[miss] = _per_element(math.log, us[miss]) < 0.5 * zm * zm + d * (1.0 - vm + _per_element(math.log, vm))
         taken = np.flatnonzero(ok)[:need]
         out[done:done + len(taken)] = d * vs[taken] * scale
         done += len(taken)
+        spent = 0  # the acceptance draw a 1 + c*z <= 0 candidate does not take
         if done == len(out):
             stop = int(taken[-1]) + 1
-        # commit through candidate stop - 1; at stop = 0 a cached variate stays cached
+        elif stop < len(z):
+            stop, spent = stop + 1, 1
+        # commit candidates [0, stop); a cosine's sine partner stays cached
         pairs_used, cosine = divmod(stop - lead, 2)
-        used = lead + 4 * pairs_used + 3 * cosine
-        self._gauss_cache = float(z[stop]) if cosine else None  # the cosine's sine partner
-        self._buf, self._pos = units[used:].tolist(), 0
-        if done < len(out) and stop < len(z):  # stopped at 1 + c*z <= 0
-            out[done] = self._gammas(1, (shape,), scale)[0]
-            done += 1
-        return done
+        self._gauss_cache = float(z[stop]) if cosine else None
+        return units[lead + 4 * pairs_used + 3 * cosine - spent:], done
 
     def _gammas(self, count: int, shapes: tuple[float, ...], scale: float) -> list[float]:
         """``count`` Marsaglia-Tsang values at ``scale``, one per loop, with
@@ -349,11 +354,6 @@ class Sampler:
         return out
 
 
-# Gamma shapes from here on take the block path.  Below it a chunk expects at
-# least one candidate with 1 + c*z <= 0 (z <= -3 sqrt(shape - 1/3); 0.7% of
-# candidates at shape 1), each of which makes the block start over, and the
-# scalar loop is faster.
-BLOCK_MIN_SHAPE = 1.4
 CHUNK = 1024  # values per block call and unit draws per prefetch: bounds the memory a matrix needs
 _TWO_PI = 2.0 * math.pi
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from oracles import f_scalar_draws, gamma_scalar_draws
-from rwl1 import instances
 from rwl1.instances import (CHUNK, DistributionSpec, InstanceParseError, InstanceValidationError,
                             Sampler, load_instance, make_instance, save_instance)
 from rwl1.rng import SplitMix64
@@ -140,25 +139,21 @@ class TestGammaOracle:
     @pytest.mark.parametrize("shape", [1.0, 1.05, 1.3, 2.0, 5.0, 30.0])
     @pytest.mark.parametrize("count", [1, 7, CHUNK - 1, CHUNK + 1, 3 * CHUNK])
     @pytest.mark.parametrize("lead", [0, 3], ids=lambda c: f"after{c}")
-    def test_block_path(self, monkeypatch, shape, count, lead):
-        # the block path at every shape >= 1, also those draws() gives the
-        # scalar loop; at shape 1 about 0.7% of candidates have 1 + c*z <= 0
-        # and go through the hand-off
-        monkeypatch.setattr(instances, "BLOCK_MIN_SHAPE", 1.0)
+    def test_block_path(self, shape, count, lead):
+        # at shape 1 about 0.7% of candidates have 1 + c*z <= 0 and end a run
         sampler, oracle = _oracle_pair(17, lead)
         got = sampler.draws(DistributionSpec("gamma", (shape, 3.0)), count)
         _assert_same_stream(got, gamma_scalar_draws(oracle, count, shape, 3.0), sampler, oracle)
 
-    def test_block_path_stops_before_a_cached_candidate(self, monkeypatch):
+    def test_block_path_ends_a_run_at_a_cached_candidate(self):
         # seed 10 leaves z = -2.60 cached after one normal draw: at shape 1
-        # 1 + z/sqrt(6) < 0, so the run hands off before its first candidate
-        monkeypatch.setattr(instances, "BLOCK_MIN_SHAPE", 1.0)
+        # 1 + z/sqrt(6) < 0, so the first run ends at its first candidate
         sampler, oracle = _oracle_pair(10, 1)
         assert 1.0 + sampler._gauss_cache / math.sqrt(6.0) < 0.0
         got = sampler.draws(DistributionSpec("gamma", (1.0, 1.0)), 5)
         _assert_same_stream(got, gamma_scalar_draws(oracle, 5, 1.0, 1.0), sampler, oracle)
 
-    @pytest.mark.parametrize("shape", [0.3, 0.5, 1.0, 1.39, 1.4, 5.0])
+    @pytest.mark.parametrize("shape", [0.3, 0.5, 0.99, 1.0, 5.0])
     @pytest.mark.parametrize("count", [7, CHUNK + 1])
     @pytest.mark.parametrize("lead", [0, 3], ids=lambda c: f"after{c}")
     def test_draws(self, shape, count, lead):
