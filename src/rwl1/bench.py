@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 SUCCESS_TOL = 1e-4  # a trial recovers x_true when every entry of x_hat is within this
+MAX_INDEX = 1 << 20  # trials and schemes per sweep: trial_seed packs their indices in 20 bits
 
 CSV_HEADER = "distribution,scheme,p,q,eps_rule,k,trials,successes,success_rate,mean_iters,mean_pivots,wall_ms"
 
@@ -58,10 +59,12 @@ class SweepSpec:
     def __post_init__(self):
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_INDEX:
+            raise ValueError(f"trials must be in [1, {MAX_INDEX}], got {self.trials}")
         if not self.k_values or not self.schemes:
             raise ValueError("k_values and schemes must be nonempty")
+        if len(self.schemes) > MAX_INDEX:
+            raise ValueError(f"at most {MAX_INDEX} schemes, got {len(self.schemes)}")
         if not all(1 <= k <= self.m < self.n for k in self.k_values):
             raise ValueError(f"k must be in [1, m] with m < n, got k={self.k_values}, "
                              f"m={self.m}, n={self.n}")
@@ -137,7 +140,8 @@ def is_success(x_hat, x_true) -> bool:
 
 
 def trial_seed(seed_base: int, k: int, scheme_index: int, trial_index: int) -> int:
-    """Instance seed for one trial: splitmix64 hash of the packed indices."""
+    """Instance seed for one trial: splitmix64 hash of the packed indices,
+    which stay distinct for trial and scheme indices below MAX_INDEX."""
     packed = (int(k) << 40) ^ (int(scheme_index) << 20) ^ int(trial_index)
     return (int(seed_base) ^ mix64(packed)) & ((1 << 64) - 1)
 

@@ -10,13 +10,12 @@ The matrix is generated in blocks (``Sampler.draws``) that consume the
 stream in exactly that order, so the output is bit-identical to drawing
 one entry at a time; the k planted magnitudes, one at a time, take the
 scalar Box-Muller step ``Sampler.gauss`` instead of a one-value block.
-Normal, exponential, uniform and gamma entries (shape >= 1) are worked
-out a chunk at a time; Poisson, F and gamma below shape 1 run one value
-per loop through a cursor (see ``Sampler``).  Only exact operations go to
-numpy: the splitmix64 integer mix, the unit mapping, + - * /, sqrt and
-comparisons, all correctly rounded alike in numpy and in Python.  Every
-log, exp, cos, sin and power is evaluated per element by the ``math``
-module, because numpy's versions round differently on some inputs.
+A sampler reads the stream in blocks or one value per loop through a
+cursor (see ``Sampler``).  Only exact operations go to numpy: the
+splitmix64 integer mix, the unit mapping, + - * /, sqrt and comparisons,
+all correctly rounded alike in numpy and in Python.  Every log, exp, cos,
+sin and power is evaluated per element by the ``math`` module, because
+numpy's versions round differently on some inputs.
 """
 
 from __future__ import annotations
@@ -77,6 +76,8 @@ class DistributionSpec:
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
         if len(self.params) != len(names):
             raise ValueError(f"{self.name} takes parameters {names}, got {self.params}")
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"{self.name} parameters must be finite, got {self.params}")
         self._validate()
 
     def _validate(self):
@@ -137,20 +138,22 @@ class Sampler:
 
     ``draws`` returns values in stream order: the same draws from the
     stream, in the same order and through the same arithmetic, as one value
-    at a time, so a block of n equals n consecutive blocks of one.  Unit
-    draws are prefetched in chunks of ``CHUNK``; normal, exponential and
-    uniform map a whole chunk at once.  Each call steps the stream back over
-    the draws it prefetched but did not use.  The cached Box-Muller variate
-    carries across chunks and calls.
+    at a time, so a block of n equals n consecutive blocks of one.  It asks
+    a sampler for ``CHUNK`` values at a time, read by one of two rules:
 
-    Gamma from shape 1 on runs in blocks too (``_gamma_run``): with no
-    boost draw, which units a candidate reads does not depend on which
-    earlier candidates were accepted.  The rest read a chunk through a
-    cursor, one value per loop (``_gammas`` for gamma and F): Poisson, whose
-    product method takes a variable number of draws; gamma below shape 1,
-    whose boost draw comes ahead of each value; and F, whose two
-    interleaved gammas (shapes d1/2 and d2/2, boosted at degree 1) make the
-    layout depend on every accept/reject.
+    - Blocks (normal, exponential, uniform, gamma from shape 1 on) take
+      their units with ``rng.next_units`` and leave the stream just past
+      the last one used.  ``_box_muller`` works out a block's pairs, and
+      the cached variate carries across blocks and calls.  A gamma run
+      (``_gamma_run``) steps back over the units its candidates did not
+      commit: with no boost draw, which units a candidate reads does not
+      depend on which earlier candidates were accepted.
+    - One value per loop (Poisson; F and gamma below shape 1 through
+      ``_gammas``) reads a prefetched chunk through the ``_buf``/``_pos``
+      cursor, and ``draws`` steps back over what it did not read.  Here the
+      layout depends on every earlier value: the product method takes a
+      variable number of draws, a boost draw precedes each value below
+      shape 1, and F interleaves two gammas (shapes d1/2 and d2/2).
     """
 
     def __init__(self, rng: SplitMix64):
@@ -182,22 +185,17 @@ class Sampler:
         self._gauss_cache = r * math.sin(theta)
         return r * math.cos(theta)
 
-    # whole-chunk maps
+    # blocks: the stream ends just past the units they use
 
     def _normal_block(self, count: int, mu: float, sigma: float) -> np.ndarray:
         g = np.empty(count)
-        start = 0
-        if self._gauss_cache is not None:
-            g[0] = self._gauss_cache
-            self._gauss_cache = None
-            start = 1
+        start = 0 if self._gauss_cache is None else 1
+        if start:
+            g[0], self._gauss_cache = self._gauss_cache, None
         pairs = (count - start + 1) // 2
         u = self.rng.next_units(2 * pairs)
-        r = np.sqrt(-2.0 * _per_element(math.log, u[0::2]))
-        theta = _TWO_PI * u[1::2]
         both = np.empty(2 * pairs)
-        both[0::2] = r * _per_element(math.cos, theta)
-        both[1::2] = r * _per_element(math.sin, theta)
+        both[0::2], both[1::2] = _box_muller(u[0::2], u[1::2])
         g[start:] = both[:count - start]
         if start + 2 * pairs > count:
             self._gauss_cache = float(both[-1])
@@ -209,7 +207,66 @@ class Sampler:
     def _uniform_block(self, count: int, high: float) -> np.ndarray:
         return high * self.rng.next_units(count)
 
-    # rejection samplers: through the cursor over prefetched units
+    def _gamma_block(self, count: int, shape: float, scale: float) -> np.ndarray | list[float]:
+        if shape < 1.0:
+            return self._gammas(count, (shape,), scale)
+        d = shape - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        out = np.empty(count)
+        done = 0
+        while done < count:
+            done = self._gamma_run(out, done, d, c, scale)
+        return out
+
+    def _gamma_run(self, out: np.ndarray, done: int, d: float, c: float, scale: float) -> int:
+        """Fill ``out`` from ``done`` on with Marsaglia-Tsang values (shape
+        >= 1) worked out for a run of candidates at once; returns the new
+        fill, with the stream just past the units the run committed.
+
+        Up to the first candidate with 1 + c*z <= 0, which takes no
+        acceptance draw, the units have a fixed layout: a cached variate
+        takes the next unit as its acceptance draw, then each Box-Muller pair
+        [u1, u2] is followed by the acceptance draws of its cosine and sine
+        variates.  A run ends at such a candidate, spent without its
+        acceptance draw, and the next run starts on the shifted layout.
+        """
+        need = len(out) - done
+        cached = self._gauss_cache
+        lead = 0 if cached is None else 1
+        pairs = (need + need // 16) // 2 + 2  # a little over one candidate per value
+        units = self.rng.next_units(lead + 4 * pairs)
+        quads = units[lead:].reshape(pairs, 4)
+        z = np.empty(lead + 2 * pairs)
+        z[lead::2], z[lead + 1::2] = _box_muller(quads[:, 0], quads[:, 1])
+        accept = np.empty_like(z)
+        accept[lead:] = quads[:, 2:].ravel()
+        if cached is not None:
+            z[0], accept[0] = cached, units[0]
+        t = 1.0 + c * z
+        bad = np.flatnonzero(t <= 0.0)  # pow(t, 3) <= 0 exactly when t <= 0
+        stop = int(bad[0]) if len(bad) else len(z)
+        zs, vs, us = z[:stop], _per_element(math.pow, t[:stop], 3.0), accept[:stop]
+        # Python's z**4 takes the power of |z| and fixes the sign after, so
+        # libm's pow never sees a negative base here either
+        ok = us < 1.0 - 0.0331 * _per_element(math.pow, np.abs(zs), 4.0)
+        miss = np.flatnonzero(~ok)
+        zm, vm = zs[miss], vs[miss]
+        ok[miss] = _per_element(math.log, us[miss]) < 0.5 * zm * zm + d * (1.0 - vm + _per_element(math.log, vm))
+        taken = np.flatnonzero(ok)[:need]
+        out[done:done + len(taken)] = d * vs[taken] * scale
+        done += len(taken)
+        spent = 0  # the acceptance draw a 1 + c*z <= 0 candidate does not take
+        if done == len(out):
+            stop = int(taken[-1]) + 1
+        elif stop < len(z):
+            stop, spent = stop + 1, 1
+        # commit candidates [0, stop); a cosine's sine partner stays cached
+        pairs_used, cosine = divmod(stop - lead, 2)
+        self._gauss_cache = float(z[stop]) if cosine else None
+        self.rng.skip(lead + 4 * pairs_used + 3 * cosine - spent - len(units))
+        return done
+
+    # one value per loop: through the cursor over prefetched units
 
     def _refill(self, buf: list[float], pos: int) -> list[float]:
         """The unread tail of ``buf`` followed by a fresh chunk."""
@@ -241,72 +298,6 @@ class Sampler:
     def _f_block(self, count: int, d1: float, d2: float) -> np.ndarray:
         g = np.array(self._gammas(2 * count, (d1 / 2.0, d2 / 2.0), 2.0))
         return (g[0::2] / d1) / (g[1::2] / d2)
-
-    def _gamma_block(self, count: int, shape: float, scale: float) -> np.ndarray | list[float]:
-        if shape < 1.0:
-            return self._gammas(count, (shape,), scale)
-        d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        out = np.empty(count)
-        units = np.array(self._buf[self._pos:], dtype=float)
-        done = 0
-        while done < count:
-            units, done = self._gamma_run(out, done, units, d, c, scale)
-        self._buf, self._pos = units.tolist(), 0
-        return out
-
-    def _gamma_run(self, out: np.ndarray, done: int, units: np.ndarray, d: float, c: float,
-                   scale: float) -> tuple[np.ndarray, int]:
-        """Fill ``out`` from ``done`` on with Marsaglia-Tsang values (shape
-        >= 1) worked out for a run of candidates at once, reading the unit
-        stream from ``units`` on; returns the unread units and the new fill.
-
-        Up to the first candidate with 1 + c*z <= 0, which takes no
-        acceptance draw, the units have a fixed layout: a cached variate
-        takes the next unit as its acceptance draw, then each Box-Muller pair
-        [u1, u2] is followed by the acceptance draws of its cosine and sine
-        variates.  A run ends at such a candidate, spent without its
-        acceptance draw, and the next run starts on the shifted layout.
-        """
-        need = len(out) - done
-        cached = self._gauss_cache
-        lead = 0 if cached is None else 1
-        pairs = (need + need // 16) // 2 + 2  # a little over one candidate per value
-        short = lead + 4 * pairs - len(units)
-        if short > 0:
-            units = np.concatenate((units, self.rng.next_units(short)))
-        quads = units[lead:lead + 4 * pairs].reshape(pairs, 4)
-        r = np.sqrt(-2.0 * _per_element(math.log, quads[:, 0]))
-        theta = _TWO_PI * quads[:, 1]
-        z = np.empty(lead + 2 * pairs)
-        z[lead::2] = r * _per_element(math.cos, theta)
-        z[lead + 1::2] = r * _per_element(math.sin, theta)
-        accept = np.empty_like(z)
-        accept[lead:] = quads[:, 2:].ravel()
-        if cached is not None:
-            z[0], accept[0] = cached, units[0]
-        t = 1.0 + c * z
-        bad = np.flatnonzero(t <= 0.0)  # pow(t, 3) <= 0 exactly when t <= 0
-        stop = int(bad[0]) if len(bad) else len(z)
-        zs, vs, us = z[:stop], _per_element(math.pow, t[:stop], 3.0), accept[:stop]
-        # Python's z**4 takes the power of |z| and fixes the sign after, so
-        # libm's pow never sees a negative base here either
-        ok = us < 1.0 - 0.0331 * _per_element(math.pow, np.abs(zs), 4.0)
-        miss = np.flatnonzero(~ok)
-        zm, vm = zs[miss], vs[miss]
-        ok[miss] = _per_element(math.log, us[miss]) < 0.5 * zm * zm + d * (1.0 - vm + _per_element(math.log, vm))
-        taken = np.flatnonzero(ok)[:need]
-        out[done:done + len(taken)] = d * vs[taken] * scale
-        done += len(taken)
-        spent = 0  # the acceptance draw a 1 + c*z <= 0 candidate does not take
-        if done == len(out):
-            stop = int(taken[-1]) + 1
-        elif stop < len(z):
-            stop, spent = stop + 1, 1
-        # commit candidates [0, stop); a cosine's sine partner stays cached
-        pairs_used, cosine = divmod(stop - lead, 2)
-        self._gauss_cache = float(z[stop]) if cosine else None
-        return units[lead + 4 * pairs_used + 3 * cosine - spent:], done
 
     def _gammas(self, count: int, shapes: tuple[float, ...], scale: float) -> list[float]:
         """``count`` Marsaglia-Tsang values at ``scale``, one per loop, with
@@ -356,6 +347,13 @@ class Sampler:
 
 CHUNK = 1024  # values per block call and unit draws per prefetch: bounds the memory a matrix needs
 _TWO_PI = 2.0 * math.pi
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine and the sine variate of each Box-Muller pair (u1, u2)."""
+    r = np.sqrt(-2.0 * _per_element(math.log, u1))
+    theta = _TWO_PI * u2
+    return r * _per_element(math.cos, theta), r * _per_element(math.sin, theta)
 
 
 def _per_element(fn, values: np.ndarray, *args: float) -> np.ndarray:

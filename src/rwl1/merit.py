@@ -19,6 +19,7 @@ mode exposes the raw values for experimentation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,8 @@ class WeightClamp:
     def __post_init__(self):
         if self.kind not in CLAMP_KINDS:
             raise ValueError(f"unknown clamp {self.kind!r}, expected one of {CLAMP_KINDS}")
-        if self.kind == "floor" and self.floor <= 0:
-            raise ValueError(f"floor must be > 0 for the floor clamp, got {self.floor}")
+        if self.kind == "floor" and not (math.isfinite(self.floor) and self.floor > 0):
+            raise ValueError(f"floor must be > 0 and finite for the floor clamp, got {self.floor}")
 
     def apply(self, raw: np.ndarray) -> np.ndarray:
         if self.kind == "abs":

@@ -64,8 +64,8 @@ class EpsilonSchedule:
             raise ValueError(f"unknown eps rule {self.rule!r}, expected one of {EPS_RULES}")
         if self.eps0 is None:
             object.__setattr__(self, "eps0", DEFAULT_EPS0[self.rule])
-        if self.eps0 <= 0:
-            raise ValueError(f"eps0 must be > 0, got {self.eps0}")
+        if not (math.isfinite(self.eps0) and self.eps0 > 0):
+            raise ValueError(f"eps0 must be > 0 and finite, got {self.eps0}")
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,12 @@ class IterationRecord:
 @dataclass
 class ReweightedResult:
     x_hat: np.ndarray
-    iterations_used: int
     history: list[IterationRecord] = field(default_factory=list)
+
+    @property
+    def iterations_used(self) -> int:
+        """LP solves of the run, one per history record."""
+        return len(self.history)
 
 
 def epsilon_update(schedule: EpsilonSchedule, eps_current: float, x_current,
@@ -180,7 +184,7 @@ def reweighted_l1(a, b, scheme: WeightScheme,
         lp_rows = rows
 
     if scheme.kind == "l1":
-        return ReweightedResult(x_hat=x, iterations_used=1, history=history)
+        return ReweightedResult(x_hat=x, history=history)
 
     while len(history) < config.max_iter:
         w = weights(scheme, x, eps, config.clamp)
@@ -198,4 +202,4 @@ def reweighted_l1(a, b, scheme: WeightScheme,
             break
         eps = epsilon_update(config.schedule, eps, x_new, m, n)
 
-    return ReweightedResult(x_hat=x, iterations_used=len(history), history=history)
+    return ReweightedResult(x_hat=x, history=history)

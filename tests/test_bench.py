@@ -170,6 +170,12 @@ class TestSweep:
             small_spec(m=30, n=30)
         with pytest.raises(ValueError, match="trials"):
             small_spec(trials=0)
+        # trial_seed packs the trial and scheme indices in 20 bits each
+        with pytest.raises(ValueError, match=r"trials must be in \[1, 1048576\], got 1048577"):
+            small_spec(trials=2**20 + 1)
+        with pytest.raises(ValueError, match="at most 1048576 schemes, got 1048577"):
+            SweepSpec(dist=NORMAL, m=10, n=30, k_values=(2,), trials=1, seed_base=0,
+                      schemes=((WeightScheme("l1"), SolverConfig()),) * (2**20 + 1))
         with pytest.raises(ValueError, match="workers must be >= 1"):
             sweep(small_spec(), workers=0)
         with pytest.raises(ValueError, match="nonempty"):

@@ -330,6 +330,24 @@ BAD_FLAGS = [
     (["study-eps", "--timing", "--trials", "1"], "unrecognized arguments: --timing"),
     (["study-p", "--timing", "--trials", "1"], "unrecognized arguments: --timing"),
     (["study-pq", "--timing", "--trials", "1"], "unrecognized arguments: --timing"),
+    (["sweep", "--k", "2", "--sigma", "nan", "--trials", "1"], "parameters must be finite"),
+    (["sweep", "--k", "2", "--mu", "inf", "--trials", "1"], "parameters must be finite"),
+    (["solve", "--k", "2", "--sigma", "inf"], "parameters must be finite"),
+    (["sweep", "--dist", "exponential", "--exp-mean", "nan", "--k", "2", "--trials", "1"],
+     "parameters must be finite"),
+    (["sweep", "--dist", "gamma", "--gamma-shape", "nan", "--k", "2", "--trials", "1"],
+     "parameters must be finite"),
+    (["sweep", "--dist", "uniform", "--uniform-high", "inf", "--k", "2", "--trials", "1"],
+     "parameters must be finite"),
+    (["sweep", "--dist", "f", "--f-d1", "inf", "--k", "2", "--trials", "1"],
+     "parameters must be finite"),
+    (["sweep", "--k", "2", "--eps0", "nan", "--trials", "1"], "eps0 must be > 0 and finite"),
+    (["sweep", "--k", "2", "--eps0", "inf", "--trials", "1"], "eps0 must be > 0 and finite"),
+    (["study-eps", "--eps-list", "nan", "--trials", "1"], "must be > 0 and finite"),
+    (["sweep", "--k", "2", "--clamp", "floor", "--clamp-floor", "nan", "--trials", "1"],
+     "floor must be > 0 and finite"),
+    (["sweep", "--m", "2", "--n", "3", "--k", "1", "--trials", "1048577"],
+     "trials must be in [1, 1048576]"),
 ]
 
 

@@ -153,6 +153,16 @@ class TestGammaOracle:
         got = sampler.draws(DistributionSpec("gamma", (1.0, 1.0)), 5)
         _assert_same_stream(got, gamma_scalar_draws(oracle, 5, 1.0, 1.0), sampler, oracle)
 
+    @pytest.mark.parametrize("shape", [1.0, 5.0])
+    def test_block_calls_leave_the_stream_just_past_their_units(self, shape):
+        # each block call, not only each draws call, ends at the exact stream
+        # position, with no units left in the cursor
+        sampler, oracle = _oracle_pair(41, 3)
+        for count in (1, 5, 64, CHUNK):
+            got = np.asarray(sampler._gamma_block(count, shape, 2.0))
+            _assert_same_stream(got, gamma_scalar_draws(oracle, count, shape, 2.0), sampler, oracle)
+            assert sampler._buf == [] and sampler._pos == 0
+
     @pytest.mark.parametrize("shape", [0.3, 0.5, 0.99, 1.0, 5.0])
     @pytest.mark.parametrize("count", [7, CHUNK + 1])
     @pytest.mark.parametrize("lead", [0, 3], ids=lambda c: f"after{c}")
@@ -196,6 +206,15 @@ class TestDistributionSpec:
             DistributionSpec("gamma", (5.0, -1.0))
         with pytest.raises(ValueError, match="uniform bound must be > 0"):
             DistributionSpec("uniform", (0.0,))
+        for name, params in [
+            ("normal", (math.nan, 1.0)), ("normal", (math.inf, 1.0)), ("normal", (0.0, math.nan)),
+            ("normal", (0.0, math.inf)), ("poisson", (math.nan,)), ("exponential", (math.nan,)),
+            ("exponential", (math.inf,)), ("f", (math.inf, 6.0)), ("f", (1.0, math.nan)),
+            ("gamma", (math.nan, 10.0)), ("gamma", (5.0, math.inf)), ("uniform", (math.inf,)),
+            ("uniform", (-math.inf,)),
+        ]:
+            with pytest.raises(ValueError, match="parameters must be finite"):
+                DistributionSpec(name, params)
 
     def test_json_round_trip(self):
         spec = DistributionSpec("gamma", (2.5, 3.0))
@@ -267,6 +286,9 @@ BAD_FILES = [
     ({"dist": {"name": "cauchy"}}, "unknown distribution 'cauchy'"),
     ({"dist": {"name": "normal", "mu": 0.0}}, "dist field missing parameter 'sigma'"),
     ({"dist": {"name": "normal", "mu": 0.0, "sigma": 0.0}}, "sigma must be > 0"),
+    ({"dist": {"name": "normal", "mu": 0.0, "sigma": float("nan")}},
+     "normal parameters must be finite"),
+    ({"dist": {"name": "f", "d1": float("inf"), "d2": 6.0}}, "f parameters must be finite"),
 ]
 
 

@@ -40,6 +40,9 @@ class TestSchemeValidation:
             WeightClamp("magnitude")
         with pytest.raises(ValueError):
             WeightClamp("floor", floor=0.0)
+        for floor in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="floor must be > 0 and finite"):
+                WeightClamp("floor", floor=floor)
 
 
 class TestWeights:

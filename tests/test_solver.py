@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -63,6 +64,9 @@ class TestEpsilonUpdate:
             EpsilonSchedule("doubling")
         with pytest.raises(ValueError):
             EpsilonSchedule("fixed", eps0=0.0)
+        for eps0 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps0 must be > 0 and finite"):
+                EpsilonSchedule("halving", eps0=eps0)
 
 
 class TestReweightedL1:
