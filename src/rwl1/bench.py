@@ -180,7 +180,8 @@ def sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if workers == 1:
         per_cell = [_run_cell(c) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts every worker on the first submit: no more than cells
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
             per_cell = list(pool.map(_run_cell, cells))
 
     results = []

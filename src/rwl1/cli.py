@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .bench import CSV_HEADER, SweepResult, SweepSpec, is_success, sweep
+from .bench import CSV_HEADER, MAX_INDEX, SweepResult, SweepSpec, is_success, sweep
 from .instances import DISTRIBUTIONS, DistributionSpec, load_instance, make_instance
 from .linalg import SUPPORT_TOL
 from .merit import CLAMP_KINDS, SCHEME_KINDS, WeightClamp, WeightScheme
@@ -111,11 +111,13 @@ def _parse_grid(text: str, cast) -> list:
             start, step, stop = (parts[0], 1, parts[1]) if len(parts) == 2 else parts
             if step <= 0:
                 raise ValueError("step must be > 0")
-            count = math.floor((stop - start) / step + 1e-9)
-            values = [start + i * step for i in range(count + 1)]
+            span = (stop - start) / step + 1e-9
+            if not span < MAX_INDEX:  # bound the list before building it
+                raise ValueError(f"expected finite bounds and at most {MAX_INDEX} values")
+            values = [start + i * step for i in range(math.floor(span) + 1)]
             if cast is float:  # shed the accumulated rounding error of i * step
                 values = [float(f"{v:.12g}") for v in values]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}: {exc}") from exc
     if not values:
         raise argparse.ArgumentTypeError(f"must contain at least one value (got {text!r})")

@@ -8,14 +8,15 @@ Fisher-Yates prefix, then the nonzero values (magnitude, then sign).
 
 The matrix is generated in blocks (``Sampler.draws``) that consume the
 stream in exactly that order, so the output is bit-identical to drawing
-one entry at a time; the k planted magnitudes, one at a time, take the
-scalar Box-Muller step ``Sampler.gauss`` instead of a one-value block.
-A sampler reads the stream in blocks or one value per loop through a
-cursor (see ``Sampler``).  Only exact operations go to numpy: the
-splitmix64 integer mix, the unit mapping, + - * /, sqrt and comparisons,
-all correctly rounded alike in numpy and in Python.  Every log, exp, cos,
-sin and power is evaluated per element by the ``math`` module, because
-numpy's versions round differently on some inputs.
+one entry at a time.  Each sampler call leaves the stream just past the
+units it used (see ``Sampler``); the k planted magnitudes and their sign
+draws take the same candidate layout as a gamma run, in one call.
+
+Only exact operations go to numpy: the splitmix64 integer mix, the unit
+mapping, + - * /, abs, sqrt and comparisons, all correctly rounded alike
+in numpy and in Python.  Every log, exp, cos, sin and power is evaluated
+per element by the ``math`` module, because numpy's versions round
+differently on some inputs.
 """
 
 from __future__ import annotations
@@ -139,28 +140,25 @@ class Sampler:
     ``draws`` returns values in stream order: the same draws from the
     stream, in the same order and through the same arithmetic, as one value
     at a time, so a block of n equals n consecutive blocks of one.  It asks
-    a sampler for ``CHUNK`` values at a time, read by one of two rules:
+    a sampler for ``CHUNK`` values at a time.  Every call reads its units
+    with ``rng.next_units`` and leaves the stream just past the last one it
+    used, so the cached Box-Muller variate is the only state carried
+    between calls.  Normal, exponential and uniform blocks read exactly
+    their units; the others step back over what they did not use:
 
-    - Blocks (normal, exponential, uniform, gamma from shape 1 on) take
-      their units with ``rng.next_units`` and leave the stream just past
-      the last one used.  ``_box_muller`` works out a block's pairs, and
-      the cached variate carries across blocks and calls.  A gamma run
-      (``_gamma_run``) steps back over the units its candidates did not
-      commit: with no boost draw, which units a candidate reads does not
-      depend on which earlier candidates were accepted.
+    - A gamma run (shape >= 1) lays out candidates with ``_candidates``
+      and keeps a prefix with ``_commit``: with no boost draw, which units
+      a candidate reads does not depend on which earlier ones were accepted.
     - One value per loop (Poisson; F and gamma below shape 1 through
-      ``_gammas``) reads a prefetched chunk through the ``_buf``/``_pos``
-      cursor, and ``draws`` steps back over what it did not read.  Here the
-      layout depends on every earlier value: the product method takes a
-      variable number of draws, a boost draw precedes each value below
-      shape 1, and F interleaves two gammas (shapes d1/2 and d2/2).
+      ``_gammas``) reads prefetched units through a cursor local to the
+      call.  Here the layout depends on every earlier value: the product
+      method takes a variable number of draws, a boost draw precedes each
+      value below shape 1, and F interleaves two gammas (shapes d1/2, d2/2).
     """
 
     def __init__(self, rng: SplitMix64):
         self.rng = rng
         self._gauss_cache: float | None = None
-        self._buf: list[float] = []  # cursor over a prefetched chunk
-        self._pos = 0
 
     def draws(self, dist: DistributionSpec, count: int) -> np.ndarray:
         """The next ``count`` values of ``dist`` as a float64 array."""
@@ -169,23 +167,9 @@ class Sampler:
         for lo in range(0, count, CHUNK):
             hi = min(lo + CHUNK, count)
             out[lo:hi] = block(hi - lo, *dist.params)
-        self.rng.skip(self._pos - len(self._buf))  # hand back what the cursor did not read
-        self._buf, self._pos = [], 0
         return out
 
-    def gauss(self) -> float:
-        """The next standard normal draw: one Box-Muller step of ``draws`` on
-        the normal distribution, sharing its cached variate."""
-        g = self._gauss_cache
-        if g is not None:
-            self._gauss_cache = None
-            return g
-        r = math.sqrt(-2.0 * math.log(self.rng.next_unit()))
-        theta = _TWO_PI * self.rng.next_unit()
-        self._gauss_cache = r * math.sin(theta)
-        return r * math.cos(theta)
-
-    # blocks: the stream ends just past the units they use
+    # blocks: they read exactly their units
 
     def _normal_block(self, count: int, mu: float, sigma: float) -> np.ndarray:
         g = np.empty(count)
@@ -207,6 +191,33 @@ class Sampler:
     def _uniform_block(self, count: int, high: float) -> np.ndarray:
         return high * self.rng.next_units(count)
 
+    # Gaussian candidates, each with the unit after it: gamma runs and planted values
+
+    def _candidates(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """At least ``count`` standard normal candidates ``z``, each with the
+        unit drawn after it: a cached variate takes the next unit, then each
+        Box-Muller pair [u1, u2] is followed by the units after its cosine
+        and its sine variate.  ``_commit`` steps the stream back."""
+        lead = 0 if self._gauss_cache is None else 1
+        pairs = (count - lead + 1) // 2
+        units = self.rng.next_units(lead + 4 * pairs)
+        quads = units[lead:].reshape(pairs, 4)
+        z = np.empty(lead + 2 * pairs)
+        z[lead::2], z[lead + 1::2] = _box_muller(quads[:, 0], quads[:, 1])
+        after = np.empty_like(z)
+        after[lead:] = quads[:, 2:].ravel()
+        if lead:
+            z[0], after[0] = self._gauss_cache, units[0]
+        return z, after
+
+    def _commit(self, z: np.ndarray, stop: int, spent: int = 0) -> None:
+        """Keep candidates [0, stop) of ``z``, the last one without its unit
+        after if ``spent``; a cosine's sine partner stays cached."""
+        lead = len(z) % 2  # _candidates draws a cached variate and whole pairs
+        pairs_used, cosine = divmod(stop - lead, 2)
+        self._gauss_cache = float(z[stop]) if cosine else None
+        self.rng.skip(4 * pairs_used + 3 * cosine - spent - 2 * (len(z) - lead))
+
     def _gamma_block(self, count: int, shape: float, scale: float) -> np.ndarray | list[float]:
         if shape < 1.0:
             return self._gammas(count, (shape,), scale)
@@ -223,25 +234,13 @@ class Sampler:
         >= 1) worked out for a run of candidates at once; returns the new
         fill, with the stream just past the units the run committed.
 
-        Up to the first candidate with 1 + c*z <= 0, which takes no
-        acceptance draw, the units have a fixed layout: a cached variate
-        takes the next unit as its acceptance draw, then each Box-Muller pair
-        [u1, u2] is followed by the acceptance draws of its cosine and sine
-        variates.  A run ends at such a candidate, spent without its
-        acceptance draw, and the next run starts on the shifted layout.
+        A candidate's unit after is its acceptance draw, up to the first
+        candidate with 1 + c*z <= 0, which takes none.  A run ends at such a
+        candidate, spent without its acceptance draw, and the next run
+        starts on the shifted layout.
         """
         need = len(out) - done
-        cached = self._gauss_cache
-        lead = 0 if cached is None else 1
-        pairs = (need + need // 16) // 2 + 2  # a little over one candidate per value
-        units = self.rng.next_units(lead + 4 * pairs)
-        quads = units[lead:].reshape(pairs, 4)
-        z = np.empty(lead + 2 * pairs)
-        z[lead::2], z[lead + 1::2] = _box_muller(quads[:, 0], quads[:, 1])
-        accept = np.empty_like(z)
-        accept[lead:] = quads[:, 2:].ravel()
-        if cached is not None:
-            z[0], accept[0] = cached, units[0]
+        z, accept = self._candidates(need + need // 16 + 4)  # a little over one per value
         t = 1.0 + c * z
         bad = np.flatnonzero(t <= 0.0)  # pow(t, 3) <= 0 exactly when t <= 0
         stop = int(bad[0]) if len(bad) else len(z)
@@ -260,39 +259,35 @@ class Sampler:
             stop = int(taken[-1]) + 1
         elif stop < len(z):
             stop, spent = stop + 1, 1
-        # commit candidates [0, stop); a cosine's sine partner stays cached
-        pairs_used, cosine = divmod(stop - lead, 2)
-        self._gauss_cache = float(z[stop]) if cosine else None
-        self.rng.skip(lead + 4 * pairs_used + 3 * cosine - spent - len(units))
+        self._commit(z, stop, spent)
         return done
 
-    # one value per loop: through the cursor over prefetched units
+    # one value per loop: through a cursor over prefetched units
 
-    def _refill(self, buf: list[float], pos: int) -> list[float]:
-        """The unread tail of ``buf`` followed by a fresh chunk."""
-        return buf[pos:] + self.rng.next_units(CHUNK).tolist()
+    def _refill(self, buf: list[float], pos: int) -> tuple[list[float], int, int]:
+        """A cursor (units, position, end) over the unread tail of ``buf``
+        followed by a fresh chunk."""
+        buf = buf[pos:] + self.rng.next_units(CHUNK).tolist()
+        return buf, 0, len(buf)
 
     def _poisson_block(self, count: int, lam: float) -> list[int]:
         limit = math.exp(-lam)
-        buf, pos = self._buf, self._pos
-        end = len(buf)
+        buf, pos, end = [], 0, 0
         out = [0] * count
         for i in range(count):
             if pos == end:
-                buf, pos = self._refill(buf, pos), 0
-                end = len(buf)
+                buf, pos, end = self._refill(buf, pos)
             prod = buf[pos]
             pos += 1
             k = 0
             while prod > limit:
                 k += 1
                 if pos == end:
-                    buf, pos = self._refill(buf, pos), 0
-                    end = len(buf)
+                    buf, pos, end = self._refill(buf, pos)
                 prod *= buf[pos]
                 pos += 1
             out[i] = k
-        self._buf, self._pos = buf, pos
+        self.rng.skip(pos - end)  # step back over the units not read
         return out
 
     def _f_block(self, count: int, d1: float, d2: float) -> np.ndarray:
@@ -311,20 +306,17 @@ class Sampler:
             d = shape - 1.0 / 3.0
             plans.append((power, d, 1.0 / math.sqrt(9.0 * d)))
         log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
-        buf, pos, gauss = self._buf, self._pos, self._gauss_cache
-        end = len(buf)
+        buf, pos, end, gauss = [], 0, 0, self._gauss_cache
         out = [0.0] * count
         for i, (power, d, c) in enumerate(islice(cycle(plans), count)):
             if power is not None:
                 if pos == end:
-                    buf, pos = self._refill(buf, pos), 0
-                    end = len(buf)
+                    buf, pos, end = self._refill(buf, pos)
                 boost = buf[pos] ** power
                 pos += 1
             while True:
                 if end - pos < 3:  # at most one Box-Muller pair and one acceptance draw
-                    buf, pos = self._refill(buf, pos), 0
-                    end = len(buf)
+                    buf, pos, end = self._refill(buf, pos)
                 if gauss is None:
                     r = sqrt(-2.0 * log(buf[pos]))
                     theta = _TWO_PI * buf[pos + 1]
@@ -341,7 +333,8 @@ class Sampler:
                 if u < 1.0 - 0.0331 * z**4 or log(u) < 0.5 * z * z + d * (1.0 - v + log(v)):
                     break
             out[i] = d * v * scale if power is None else d * v * scale * boost
-        self._buf, self._pos, self._gauss_cache = buf, pos, gauss
+        self._gauss_cache = gauss
+        self.rng.skip(pos - end)  # step back over the units not read
         return out
 
 
@@ -412,11 +405,10 @@ def make_instance(dist: DistributionSpec, m: int, n: int, k: int, seed: int) -> 
     sampler = Sampler(rng)
     a = sampler.draws(dist, m * n).reshape(m, n)
     support = _draw_support(rng, n, k)
+    z, after = sampler._candidates(k)  # magnitude, then the sign draw after it
+    sampler._commit(z, k)
     x_true = np.zeros(n)
-    for idx in support:
-        magnitude = MIN_NONZERO + abs(sampler.gauss())
-        sign = 1.0 if rng.next_unit() < 0.5 else -1.0
-        x_true[idx] = sign * magnitude
+    x_true[support] = np.where(after[:k] < 0.5, 1.0, -1.0) * (MIN_NONZERO + np.abs(z[:k]))
     return ProblemInstance(a=a, b=a @ x_true, x_true=x_true, k=k, dist=dist, seed=seed)
 
 

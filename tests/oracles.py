@@ -2,9 +2,10 @@
 
 Nothing here imports solver internals beyond public types: the LP oracle
 enumerates basic feasible solutions directly, the RNG oracle reimplements
-the generator with numpy uint64 arithmetic, the gamma oracle is the scalar
-Marsaglia-Tsang sampler that the block sampler replaced, and the merit
-oracles evaluate the weight formulas in 50-digit mpmath.
+the generator with numpy uint64 arithmetic, the sampler oracles are the
+scalar samplers that the block samplers replaced (Marsaglia-Tsang gamma,
+Box-Muller with sign draws, Knuth's Poisson), and the merit oracles
+evaluate the weight formulas in 50-digit mpmath.
 """
 
 import math
@@ -82,32 +83,27 @@ def splitmix64_reference(seed, count):
 
 
 # ---------------------------------------------------------------------------
-# scalar Marsaglia-Tsang gamma, one value per call, reading a ``Sampler``'s
-# unit cursor and cached Box-Muller variate (the sampler's former ``_gamma``)
+# scalar samplers, one value per call, reading a ``Sampler``'s stream one
+# unit at a time and sharing its cached Box-Muller variate: the sampler's
+# former ``_gamma`` and ``gauss``, and Knuth's product method
 
 _TWO_PI = 2.0 * math.pi
 
 
 def gamma_scalar(self, shape, scale):
-    buf, pos = self._buf, self._pos
+    next_unit = self.rng.next_unit
     boost = None
     if shape < 1.0:
-        if pos == len(buf):
-            buf, pos = self._refill(buf, pos), 0
-        boost = buf[pos] ** (1.0 / shape)
-        pos += 1
+        boost = next_unit() ** (1.0 / shape)
         shape += 1.0
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     log = math.log
     gauss = self._gauss_cache
     while True:
-        if len(buf) - pos < 3:  # at most one Box-Muller pair and one acceptance draw
-            buf, pos = self._refill(buf, pos), 0
         if gauss is None:
-            r = math.sqrt(-2.0 * log(buf[pos]))
-            theta = _TWO_PI * buf[pos + 1]
-            pos += 2
+            r = math.sqrt(-2.0 * log(next_unit()))
+            theta = _TWO_PI * next_unit()
             gauss = r * math.sin(theta)
             z = r * math.cos(theta)
         else:
@@ -115,32 +111,60 @@ def gamma_scalar(self, shape, scale):
         v = (1.0 + c * z) ** 3
         if v <= 0.0:
             continue
-        u = buf[pos]
-        pos += 1
+        u = next_unit()
         if u < 1.0 - 0.0331 * z**4 or log(u) < 0.5 * z * z + d * (1.0 - v + log(v)):
             break
-    self._buf, self._pos, self._gauss_cache = buf, pos, gauss
+    self._gauss_cache = gauss
     value = d * v * scale
     return value if boost is None else value * boost
 
 
 def gamma_scalar_draws(sampler, count, shape, scale):
     """``count`` values of ``gamma_scalar``."""
-    return _handed_back(sampler, [gamma_scalar(sampler, shape, scale) for _ in range(count)])
+    return np.array([gamma_scalar(sampler, shape, scale) for _ in range(count)])
 
 
 def f_scalar_draws(sampler, count, d1, d2):
     """``count`` F(d1, d2) values as ratios of scaled ``gamma_scalar`` draws."""
-    return _handed_back(sampler, [(gamma_scalar(sampler, d1 / 2.0, 2.0) / d1) / (gamma_scalar(sampler, d2 / 2.0, 2.0) / d2)
-                                  for _ in range(count)])
+    return np.array([(gamma_scalar(sampler, d1 / 2.0, 2.0) / d1) / (gamma_scalar(sampler, d2 / 2.0, 2.0) / d2)
+                     for _ in range(count)])
 
 
-def _handed_back(sampler, values):
-    """``values`` as an array, with the cursor handed back to the stream as
-    ``Sampler.draws`` does at the end of a call."""
-    sampler.rng.skip(sampler._pos - len(sampler._buf))
-    sampler._buf, sampler._pos = [], 0
-    return np.array(values)
+def poisson_scalar_draws(sampler, count, lam):
+    """``count`` Poisson(lam) values by Knuth's product method, as floats."""
+    limit = math.exp(-lam)
+    out = []
+    for _ in range(count):
+        prod, k = sampler.rng.next_unit(), 0
+        while prod > limit:
+            k += 1
+            prod *= sampler.rng.next_unit()
+        out.append(float(k))
+    return np.array(out)
+
+
+def gauss_scalar(sampler):
+    """The next standard normal draw: the cached variate if there is one,
+    else one Box-Muller step that caches its sine variate."""
+    g = sampler._gauss_cache
+    if g is not None:
+        sampler._gauss_cache = None
+        return g
+    r = math.sqrt(-2.0 * math.log(sampler.rng.next_unit()))
+    theta = _TWO_PI * sampler.rng.next_unit()
+    sampler._gauss_cache = r * math.sin(theta)
+    return r * math.cos(theta)
+
+
+def planted_scalar_draws(sampler, count, min_nonzero):
+    """``count`` planted values, one at a time: a magnitude
+    ``min_nonzero + |gauss_scalar|``, then a unit draw for its sign."""
+    out = []
+    for _ in range(count):
+        magnitude = min_nonzero + abs(gauss_scalar(sampler))
+        sign = 1.0 if sampler.rng.next_unit() < 0.5 else -1.0
+        out.append(sign * magnitude)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

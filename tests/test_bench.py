@@ -102,6 +102,29 @@ class TestSweep:
         assert seq.cells == par.cells
         assert seq.to_csv() == par.to_csv()
 
+    @pytest.mark.parametrize("workers,started", [(5000, 4), (3, 3)])
+    def test_pool_has_at_most_one_worker_per_cell(self, workers, started, monkeypatch):
+        # a fork pool starts all max_workers processes on the first submit
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(rwl1.bench, "ProcessPoolExecutor", FakePool)
+        spec = small_spec(k_values=(2, 3), kinds=("l1", "cwb"), trials=1)
+        assert sweep(spec, workers=workers).cells == sweep(spec).cells
+        assert seen == [started]
+
     def test_cell_independence(self):
         full = sweep(small_spec(k_values=(2, 4), kinds=("cwb",), trials=4))
         only4 = sweep(small_spec(k_values=(4,), kinds=("cwb",), trials=4))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -327,6 +328,13 @@ BAD_FLAGS = [
     (["study-p", "--k-list", "1:0:4", "--trials", "1"], "cannot parse"),
     (["study-pq", "--q-grid", "0.1:0.2:0.3:0.4", "--trials", "1"], "'0.1:0.2:0.3:0.4'"),
     (["sweep", "--k", "5:3", "--trials", "1"], "'5:3'"),
+    # a range is bounded before its list is built
+    (["study-p", "--p-grid", "0:1e-12:1", "--k-list", "2", "--trials", "1"],
+     "at most 1048576 values"),
+    (["sweep", "--k", "1:100000000", "--trials", "1"], "at most 1048576 values"),
+    (["sweep", "--k", "1:1048577", "--trials", "1"], "at most 1048576 values"),
+    (["study-pq", "--q-grid", "0.1:0.1:inf", "--k-list", "2", "--trials", "1"], "finite bounds"),
+    (["study-eps", "--eps-list", "nan:0.1:1", "--trials", "1"], "finite bounds"),
     (["study-eps", "--timing", "--trials", "1"], "unrecognized arguments: --timing"),
     (["study-p", "--timing", "--trials", "1"], "unrecognized arguments: --timing"),
     (["study-pq", "--timing", "--trials", "1"], "unrecognized arguments: --timing"),
@@ -383,6 +391,14 @@ def test_bad_flag_exits_1_before_any_trial(argv, fragment, tmp_path, monkeypatch
 ])
 def test_grid_syntax(text, cast, expected):
     assert _parse_grid(text, cast) == expected
+
+
+def test_grid_range_bound():
+    # 2^20 values at most, the bound SweepSpec puts on schemes, and no
+    # OverflowError from a stop too large for a float
+    assert len(_parse_grid("1:1048576", int)) == 1 << 20
+    with pytest.raises(argparse.ArgumentTypeError, match="too large for a float"):
+        _parse_grid("1:" + "9" * 400, int)
 
 
 # each flag that restates a library default, by the subcommands that have it

@@ -5,9 +5,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import f_scalar_draws, gamma_scalar_draws
-from rwl1.instances import (CHUNK, DistributionSpec, InstanceParseError, InstanceValidationError,
-                            Sampler, load_instance, make_instance, save_instance)
+from oracles import f_scalar_draws, gamma_scalar_draws, planted_scalar_draws, poisson_scalar_draws
+from rwl1.instances import (CHUNK, MIN_NONZERO, DistributionSpec, InstanceParseError,
+                            InstanceValidationError, Sampler, load_instance, make_instance,
+                            save_instance)
 from rwl1.rng import SplitMix64
 
 N_MOMENT_DRAWS = 100_000
@@ -93,22 +94,6 @@ class TestSamplerStream:
         assert sampler.draws(spec, 1)[0] == cached
         assert sampler._gauss_cache is None
 
-    @pytest.mark.parametrize("lead", [0, 7, 8], ids=lambda c: f"after{c}")
-    def test_gauss_equals_single_normal_draws(self, lead):
-        # gauss() is the scalar Box-Muller step of draws(normal, 1), cache
-        # included, also after a block that leaves a variate cached
-        spec = DistributionSpec.default("normal")
-        block = Sampler(SplitMix64(31))
-        scalar = Sampler(SplitMix64(31))
-        block.draws(spec, lead)
-        scalar.draws(spec, lead)
-        for _ in range(9):
-            expected = float(block.draws(spec, 1)[0])
-            got = scalar.gauss()
-            assert got == expected
-            assert scalar.rng.state == block.rng.state
-            assert scalar._gauss_cache == block._gauss_cache
-
     def test_zero_draws_leave_the_stream_untouched(self):
         for spec in STREAM_SPECS:
             sampler = Sampler(SplitMix64(11))
@@ -133,8 +118,9 @@ def _assert_same_stream(got, expected, sampler, oracle):
 
 class TestGammaOracle:
     """Gamma and F against the scalar Marsaglia-Tsang sampler that the block
-    path and the one-value loop replaced (``oracles.gamma_scalar``): the same
-    bytes, stream state and cached variate."""
+    path and the one-value loop replaced (``oracles.gamma_scalar``), and
+    Poisson against Knuth's product method: the same bytes, stream state
+    and cached variate."""
 
     @pytest.mark.parametrize("shape", [1.0, 1.05, 1.3, 2.0, 5.0, 30.0])
     @pytest.mark.parametrize("count", [1, 7, CHUNK - 1, CHUNK + 1, 3 * CHUNK])
@@ -153,15 +139,22 @@ class TestGammaOracle:
         got = sampler.draws(DistributionSpec("gamma", (1.0, 1.0)), 5)
         _assert_same_stream(got, gamma_scalar_draws(oracle, 5, 1.0, 1.0), sampler, oracle)
 
-    @pytest.mark.parametrize("shape", [1.0, 5.0])
-    def test_block_calls_leave_the_stream_just_past_their_units(self, shape):
+    @pytest.mark.parametrize("spec,scalar", [
+        (DistributionSpec("gamma", (1.0, 2.0)), gamma_scalar_draws),
+        (DistributionSpec("gamma", (5.0, 2.0)), gamma_scalar_draws),
+        (DistributionSpec("gamma", (0.5, 2.0)), gamma_scalar_draws),
+        (DistributionSpec("f", (1.0, 6.0)), f_scalar_draws),
+        (DistributionSpec("poisson", (2.0,)), poisson_scalar_draws),
+    ], ids=["1.0", "5.0", "0.5", "f", "poisson"])
+    def test_block_calls_leave_the_stream_just_past_their_units(self, spec, scalar):
         # each block call, not only each draws call, ends at the exact stream
-        # position, with no units left in the cursor
+        # position, and the cached variate is all a sampler carries over
         sampler, oracle = _oracle_pair(41, 3)
+        block = getattr(sampler, f"_{spec.name}_block")
         for count in (1, 5, 64, CHUNK):
-            got = np.asarray(sampler._gamma_block(count, shape, 2.0))
-            _assert_same_stream(got, gamma_scalar_draws(oracle, count, shape, 2.0), sampler, oracle)
-            assert sampler._buf == [] and sampler._pos == 0
+            got = np.asarray(block(count, *spec.params), dtype=float)
+            _assert_same_stream(got, scalar(oracle, count, *spec.params), sampler, oracle)
+            assert vars(sampler).keys() == {"rng", "_gauss_cache"}
 
     @pytest.mark.parametrize("shape", [0.3, 0.5, 0.99, 1.0, 5.0])
     @pytest.mark.parametrize("count", [7, CHUNK + 1])
@@ -252,6 +245,23 @@ class TestMakeInstance:
             make_instance(spec, 5, 12, 6, 1)
         with pytest.raises(ValueError, match="m < n"):
             make_instance(spec, 12, 12, 3, 1)
+
+    @pytest.mark.parametrize("m,n,lead", [(6, 9, 0), (7, 9, 1)], ids=["lead0", "lead1"])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_planted_values_equal_scalar_draws(self, m, n, lead, k):
+        # the planted values are one Box-Muller step and one sign draw per
+        # support index, in support order, after the matrix (an odd count of
+        # normal entries leaves a variate cached) and the Fisher-Yates prefix
+        spec = DistributionSpec.default("normal")
+        oracle = Sampler(SplitMix64(97))
+        oracle.draws(spec, m * n)
+        assert (oracle._gauss_cache is not None) == lead
+        for i in range(k):
+            oracle.rng.next_below(n - i)
+        inst = make_instance(spec, m, n, k, 97)
+        expected = np.zeros(n)
+        expected[np.flatnonzero(inst.x_true)] = planted_scalar_draws(oracle, k, MIN_NONZERO)
+        assert inst.x_true.tobytes() == expected.tobytes()
 
     def test_support_pairs_near_uniform(self):
         # n=10, k=2: 45 possible supports, expect frequency 1/45 +/- 0.01
