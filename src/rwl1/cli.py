@@ -4,10 +4,10 @@ The flags become domain objects (DistributionSpec, WeightScheme,
 WeightClamp, EpsilonSchedule, SweepSpec, or make_instance for solve),
 which validate them before any work starts: bad flags exit 1, solver
 failures exit 2.  The sweep and the three studies are one grid run that
-differs in its schemes and its CSV.  Runs with identical flags and seeds
-write byte-identical CSV and SVG artifacts; pass --timing to sweep to
-record measured wall-clock times in the CSV at the cost of that
-reproducibility.
+differs in its members and its CSV: one summary row per member, the CSV
+to --out (else to stdout, the summary to stderr).  Identical flags and
+seeds write byte-identical CSV and SVG, except that sweep --timing records
+measured wall-clock times.  plot reads the two CSV kinds written here.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ DIST_FLAGS = {
 DEFAULT_EPS_LIST = "1e-5,1e-4,1e-3,1e-2,1e-1"
 DEFAULT_GRID = "0.04:0.08:1"
 DEFAULT_STUDY_K = "5,10,15,20"
+STUDY_HEADER_TAIL = "k,trials,successes,success_rate"  # after the column eps, p or q
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,60 +238,58 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _run_grid(args, k_values, values, member, summary=None) -> SweepResult:
+def _run_grid(args, k_values, members, table) -> int:
     """The one run path of sweep and the studies: a sweep over ``k_values``
-    with one scheme per entry of ``values`` (``member(value)`` gives its
-    (scheme, config)), then a per-scheme summary on ``summary`` (stdout by
-    default)."""
-    with _flag_errors():
+    and the ``(label, (scheme, config))`` members, one summary row per
+    member, and the text ``table(result)``: to --out with the summary on
+    stdout, or to stdout with the summary on stderr."""
+    with _flag_errors():  # members may be lazy: building a scheme checks its flags
+        members = list(members)
         spec = SweepSpec(dist=_dist_from_args(args), m=args.m, n=args.n,
-                         k_values=tuple(k_values), schemes=tuple(member(v) for v in values),
+                         k_values=tuple(k_values), schemes=tuple(pair for _, pair in members),
                          trials=args.trials, seed_base=args.seed)
     result = sweep(spec, workers=args.workers)
+    summary = sys.stdout if args.out else sys.stderr
     print(f"{'scheme':<10}{'cells':>6}{'trials':>8}{'mean rate':>11}{'mean iters':>12}"
           f"{'mean pivots':>13}{'wall s':>9}", file=summary)
-    seen: dict[int, list] = {}
+    by_member: list[list] = [[] for _ in members]
     for c in result.cells:
-        seen.setdefault(c.scheme_index, []).append(c)
-    for si in sorted(seen):
-        cells = seen[si]
-        label = cells[0].scheme
+        by_member[c.scheme_index].append(c)
+    for (label, _), cells in zip(members, by_member):
         rate = sum(c.success_rate for c in cells) / len(cells)
         iters = sum(c.mean_iters for c in cells) / len(cells)
         pivots = sum(c.mean_pivots for c in cells) / len(cells)
         wall = sum(c.wall_ms for c in cells) / 1e3
         print(f"{label:<10}{len(cells):>6}{cells[0].trials * len(cells):>8}"
               f"{rate:>11.3f}{iters:>12.2f}{pivots:>13.1f}{wall:>9.2f}", file=summary)
-    return result
+    if args.out:
+        _write_text(args.out, table(result))
+        print(f"wrote {args.out}")
+    else:
+        print(table(result), end="")
+    return 0
 
 
 def cmd_sweep(args) -> int:
     kinds = [tok.strip() for tok in args.schemes.split(",") if tok.strip()]
-    result = _run_grid(args, args.k, kinds, lambda kind: (
-        WeightScheme(kind, p=args.p, q=args.q), _config(args, args.eps_rule, args.eps0)))
-    if args.out:
-        _write_text(args.out, result.to_csv(include_timing=args.timing))
-        print(f"wrote {args.out}")
-    return 0
+    members = ((kind, (WeightScheme(kind, p=args.p, q=args.q),
+                       _config(args, args.eps_rule, args.eps0))) for kind in kinds)
+    return _run_grid(args, args.k, members,
+                     lambda result: result.to_csv(include_timing=args.timing))
 
 
 def _study(args, column: str, values: list[float], k_values: list[int], member) -> int:
-    """A grid with one scheme per study value; one CSV row per (value, k).
-    Without ``--out`` the CSV alone goes to stdout and the summary to stderr."""
-    result = _run_grid(args, k_values, values, member, None if args.out else sys.stderr)
-    lines = [f"{column},k,trials,successes,success_rate"]
-    by_index = {(c.scheme_index, c.k): c for c in result.cells}
-    for si, val in enumerate(values):
-        for k in k_values:
-            c = by_index[(si, k)]
-            lines.append(f"{val!r},{k},{c.trials},{c.successes},{c.success_rate!r}")
-    csv_text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, csv_text)
-        print(f"wrote {args.out}")
-    else:
-        print(csv_text, end="")
-    return 0
+    """A grid with one member ``(column=value, member(value))`` per study value."""
+    def table(result: SweepResult) -> str:
+        by_index = {(c.scheme_index, c.k): c for c in result.cells}
+        lines = [f"{column},{STUDY_HEADER_TAIL}"]
+        for si, val in enumerate(values):
+            for k in k_values:
+                c = by_index[(si, k)]
+                lines.append(f"{val!r},{k},{c.trials},{c.successes},{c.success_rate!r}")
+        return "\n".join(lines) + "\n"
+
+    return _run_grid(args, k_values, ((f"{column}={v!r}", member(v)) for v in values), table)
 
 
 def cmd_study_eps(args) -> int:
@@ -312,7 +311,7 @@ def cmd_study_pq(args) -> int:
 # plot
 
 
-def _read_csv_rows(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_csv_rows(path: str) -> tuple[list[str], list[dict[str, str]]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read().splitlines()
@@ -327,47 +326,43 @@ def _read_csv_rows(path: str) -> tuple[list[str], list[list[str]]]:
         cells = ln.split(",")
         if len(cells) != len(header):
             raise CliError(f"{path}: line {lineno}: expected {len(header)} columns, got {len(cells)}")
-        rows.append(cells)
+        rows.append(dict(zip(header, cells)))
     if not rows:
         raise CliError(f"{path}: no data rows")
     return header, rows
 
 
-def _num(cells: list[str], idx: int, path: str, lineno: int) -> float:
+def _num(text: str, path: str, lineno: int) -> float:
     try:
-        return float(cells[idx])
-    except ValueError as exc:
-        raise CliError(f"{path}: line {lineno}: bad number {cells[idx]!r}") from exc
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise CliError(f"{path}: line {lineno}: bad number {text!r}")
 
 
 def cmd_plot(args) -> int:
     header, rows = _read_csv_rows(args.csv_in)
     if header == CSV_HEADER.split(","):
-        ik, irate = header.index("k"), header.index("success_rate")
-        groups: dict[tuple, list] = {}
-        for lineno, cells in enumerate(rows, start=2):
-            key = (cells[0], cells[1], cells[2], cells[3], cells[4])
-            groups.setdefault(key, []).append(
-                (_num(cells, ik, args.csv_in, lineno), _num(cells, irate, args.csv_in, lineno)))
-        labels = [key[1] for key in groups]
-        dedupe = len(set(labels)) < len(labels)
-        series = []
-        for key, pts in groups.items():
-            label = f"{key[1]} p={key[2]}" if dedupe and key[2] else key[1]
-            series.append((label, pts))
-        x_label, log_x = "k", False
-    elif header[:2] == ["eps", "k"] or header[:2] == ["p", "k"] or header[:2] == ["q", "k"]:
-        xname = header[0]
-        irate = header.index("success_rate")
-        groups = {}
-        for lineno, cells in enumerate(rows, start=2):
-            kval = cells[1]
-            groups.setdefault(kval, []).append(
-                (_num(cells, 0, args.csv_in, lineno), _num(cells, irate, args.csv_in, lineno)))
-        series = [(f"k={kval}", pts) for kval, pts in groups.items()]
-        x_label, log_x = (xname, False) if xname != "eps" else ("eps (log10)", True)
+        x_name, key_names = "k", ("distribution", "scheme", "p", "q", "eps_rule")
+    elif header[0] in ("eps", "p", "q") and ",".join(header[1:]) == STUDY_HEADER_TAIL:
+        x_name, key_names = header[0], ("k",)
     else:
         raise CliError(f"{args.csv_in}: unrecognized CSV header {','.join(header)!r}")
+    groups: dict[tuple, list] = {}
+    for lineno, row in enumerate(rows, start=2):
+        point = tuple(_num(row[name], args.csv_in, lineno) for name in (x_name, "success_rate"))
+        groups.setdefault(tuple(row[name] for name in key_names), []).append(point)
+    keys = [dict(zip(key_names, key)) for key in groups]
+    if x_name == "k":  # name a scheme's series by its p when two share the scheme
+        schemes = [key["scheme"] for key in keys]
+        dedupe = len(set(schemes)) < len(schemes)
+        labels = [f"{key['scheme']} p={key['p']}" if dedupe and key["p"] else key["scheme"]
+                  for key in keys]
+    else:
+        labels = [f"k={key['k']}" for key in keys]
+    series = list(zip(labels, groups.values()))
+    x_label, log_x = ("eps (log10)", True) if x_name == "eps" else (x_name, False)
     try:
         svg = render_lines(series, x_label=x_label, title=args.title, log_x=log_x)
     except ValueError as exc:  # a hand-made eps CSV can hold eps <= 0

@@ -116,13 +116,17 @@ class DistributionSpec:
         if not isinstance(obj, dict) or "name" not in obj:
             raise InstanceParseError("dist must be an object with a 'name' field")
         name = obj["name"]
-        if name not in DISTRIBUTIONS:
+        if not isinstance(name, str) or name not in DISTRIBUTIONS:
             raise InstanceParseError(f"unknown distribution {name!r} in dist field")
         names, _ = DISTRIBUTIONS[name]
-        try:
-            params = tuple(float(obj[k]) for k in names)
-        except KeyError as exc:
-            raise InstanceParseError(f"dist field missing parameter {exc.args[0]!r}") from exc
+        params = []
+        for key in names:
+            try:
+                params.append(float(obj[key]))
+            except KeyError:
+                raise InstanceParseError(f"dist field missing parameter {key!r}") from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InstanceParseError(f"dist parameter {key!r} is not a number: {exc}") from exc
         try:
             return cls(name, params)
         except ValueError as exc:
@@ -457,7 +461,7 @@ def load_instance(path) -> ProblemInstance:
         flat = as_vector([float(v) for v in doc["A"]])
         b = as_vector([float(v) for v in doc["b"]])
         x_true = as_vector([float(v) for v in doc["x_true"]])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceParseError(f"A, b, x_true must be arrays of finite reals: {exc}") from exc
     if flat.shape[0] != m * n:
         raise InstanceParseError(f"field 'A' has {flat.shape[0]} entries, expected m*n = {m * n}")

@@ -132,17 +132,6 @@ class TestStudies:
         assert len(lines) == 2
         assert lines[1].startswith("0.01,3,2,")
 
-    def test_csv_goes_to_stdout_without_out(self, tmp_path, capsys):
-        argv = ["study-eps", "--m", "10", "--n", "30", "--k", "3", "--eps-list", "0.01,0.1",
-                "--trials", "1", "--seed", "5"]
-        code, out, err = run(argv, capsys)
-        assert code == 0
-        assert run(argv + ["--out", str(tmp_path / "eps.csv")], capsys)[0] == 0
-        assert out == (tmp_path / "eps.csv").read_text()
-        assert err.startswith("scheme ")  # the summary goes to stderr
-        (tmp_path / "piped.csv").write_text(out)
-        assert run(["plot", str(tmp_path / "piped.csv"), str(tmp_path / "piped.svg")], capsys)[0] == 0
-
     def test_eps_zero_rejected(self, capsys):
         code, _, err = run(["study-eps", "--eps-list", "0.01,0", "--trials", "1"], capsys)
         assert code == 1
@@ -150,13 +139,15 @@ class TestStudies:
 
     def test_study_p_grid_rows(self, tmp_path, capsys):
         out_csv = tmp_path / "p.csv"
-        code, _, _ = run(["study-p", "--m", "10", "--n", "30", "--p-grid", "0.1,0.5",
-                          "--k-list", "2,3", "--trials", "1", "--seed", "4",
-                          "--out", str(out_csv)], capsys)
+        code, out, _ = run(["study-p", "--m", "10", "--n", "30", "--p-grid", "0.1,0.5,0.9",
+                            "--k-list", "2,3", "--trials", "1", "--seed", "4",
+                            "--out", str(out_csv)], capsys)
         assert code == 0
         lines = out_csv.read_text().strip().split("\n")
         assert lines[0] == "p,k,trials,successes,success_rate"
-        assert len(lines) == 1 + 2 * 2
+        assert len(lines) == 1 + 3 * 2
+        # one summary row per p value, named by it, then the "wrote" line
+        assert [row.split()[0] for row in out.splitlines()[1:-1]] == ["p=0.1", "p=0.5", "p=0.9"]
 
     def test_study_pq_default_grid_includes_endpoint(self, tmp_path, capsys):
         out_csv = tmp_path / "q.csv"
@@ -215,8 +206,12 @@ class TestPlot:
         ("\n", "empty CSV"),
         ("eps,k,trials,successes,success_rate\n0,3,2,1,0.5\n",
          "log x axis requires positive x values"),
+        ("eps,k,x\n0.01,3,2\n", "unrecognized CSV header 'eps,k,x'"),
+        ("eps,k,trials,successes,success_rate\n0.01,3,2,1,nan\n", "line 2: bad number 'nan'"),
+        ("p,k,trials,successes,success_rate\n0.1,3,2,1,0.5\ninf,3,2,1,0.5\n",
+         "line 3: bad number 'inf'"),
     ], ids=["missing-file", "non-numeric-cell", "unknown-header", "empty-file",
-            "eps-not-positive"])
+            "eps-not-positive", "study-header-without-rate", "nan-rate", "inf-x"])
     def test_unreadable_csv_exits_1(self, text, fragment, tmp_path, capsys):
         path = tmp_path / "in.csv"
         if text is not None:
@@ -234,6 +229,23 @@ class TestPlot:
         code, _, _ = run(["plot", str(path), str(svg)], capsys)
         assert code == 0
         assert svg.read_text().count("<polyline") == 1
+
+
+@pytest.mark.parametrize("argv,labels", [
+    (["sweep", "--k", "2,3", "--schemes", "l1,w1"], ["l1", "w1"]),
+    (["study-eps", "--k", "3", "--eps-list", "0.01,0.1"], ["eps=0.01", "eps=0.1"]),
+], ids=["sweep", "study-eps"])
+def test_csv_goes_to_stdout_without_out(argv, labels, tmp_path, capsys):
+    # every grid command: without --out the CSV alone goes to stdout, the summary to stderr
+    argv = argv + ["--m", "10", "--n", "30", "--trials", "1", "--seed", "5"]
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert run(argv + ["--out", str(tmp_path / "out.csv")], capsys)[0] == 0
+    assert out.encode() == (tmp_path / "out.csv").read_bytes()
+    assert err.startswith("scheme ")
+    assert [row.split()[0] for row in err.splitlines()[1:]] == labels
+    (tmp_path / "piped.csv").write_text(out)
+    assert run(["plot", str(tmp_path / "piped.csv"), str(tmp_path / "piped.svg")], capsys)[0] == 0
 
 
 # SHA-256 of the CSV each invocation writes and of the SVG `plot` renders from it
@@ -323,6 +335,7 @@ BAD_FLAGS = [
     (["solve", "--k", "2", "--sigma", "-1"], "sigma must be > 0"),
     (["solve", "--instance", "{tmp}/tall.json"], "m=3, n=2"),
     (["solve", "--instance", "{tmp}/norows.json"], "m=0, n=3"),
+    (["solve", "--instance", "{tmp}/nullmu.json"], "dist parameter 'mu' is not a number"),
     (["sweep", "--k", "1:x", "--trials", "1"], "cannot parse"),
     (["sweep", "--k", "1.5", "--trials", "1"], "cannot parse"),
     (["study-p", "--k-list", "1:0:4", "--trials", "1"], "cannot parse"),
@@ -363,6 +376,8 @@ BAD_FLAGS = [
 def test_bad_flag_exits_1_before_any_trial(argv, fragment, tmp_path, monkeypatch, capsys):
     (tmp_path / "tall.json").write_text(json.dumps(TALL_INSTANCE))
     (tmp_path / "norows.json").write_text(json.dumps(NO_ROWS_INSTANCE))
+    (tmp_path / "nullmu.json").write_text(json.dumps(
+        {**IDENTITY_INSTANCE, "dist": {"name": "normal", "mu": None, "sigma": 1.0}}))
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve started before the flags were rejected")

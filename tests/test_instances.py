@@ -299,6 +299,17 @@ BAD_FILES = [
     ({"dist": {"name": "normal", "mu": 0.0, "sigma": float("nan")}},
      "normal parameters must be finite"),
     ({"dist": {"name": "f", "d1": float("inf"), "d2": 6.0}}, "f parameters must be finite"),
+    ({"dist": {"name": "normal", "mu": None, "sigma": 1.0}},
+     "dist parameter 'mu' is not a number"),
+    ({"dist": {"name": "normal", "mu": 0.0, "sigma": [1.0]}},
+     "dist parameter 'sigma' is not a number"),
+    ({"dist": {"name": ["normal"], "mu": 0.0, "sigma": 1.0}},
+     "unknown distribution ['normal'] in dist field"),
+    ({"dist": {"name": "normal", "mu": "zero", "sigma": 1.0}},
+     "dist parameter 'mu' is not a number: could not convert string to float: 'zero'"),
+    ({"dist": {"name": "normal", "mu": 10**400, "sigma": 1.0}},
+     "dist parameter 'mu' is not a number: int too large"),
+    ({"b": [10**400, -4.0]}, "A, b, x_true must be arrays of finite reals: int too large"),
 ]
 
 
