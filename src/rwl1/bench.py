@@ -6,6 +6,10 @@ results are independent of execution order and of the worker count, and any
 cell can be recomputed in isolation.  Failed solves (stalled LPs, failed
 certification checks) count as recovery failures and never abort a sweep.
 
+A sweep returns its TrialRecords in grid order (scheme index, then the
+spec's k order, then trial index).  Its cells, its CSV and the CLI tables are
+views of them, and SweepResult.cells is the one place trials become cells.
+
 Wall-clock time is measured per trial and reported in the in-memory results
 and the CLI summary, but the CSV wall_ms column is written as 0 unless
 timing is explicitly requested: emitted artifacts stay byte-reproducible.
@@ -103,12 +107,41 @@ class CellResult:
 
 @dataclass
 class SweepResult:
+    """A sweep's trial records in grid order: scheme index, k_values order, trial index."""
+
     spec: SweepSpec
-    cells: list[CellResult]
+    records: list[TrialRecord]
+
+    @property
+    def cells(self) -> list[CellResult]:
+        """One CellResult per (scheme, k) in grid order: the one place trials become cells."""
+        spec, cells = self.spec, []
+        for start in range(0, len(self.records), spec.trials):
+            records = self.records[start:start + spec.trials]
+            scheme, config = spec.schemes[records[0].scheme_index]
+            successes = sum(1 for r in records if r.success)
+            cells.append(CellResult(
+                distribution=spec.dist.label,
+                scheme=scheme.label,
+                p=scheme.p,
+                q=scheme.q,
+                eps_rule=config.schedule.rule if scheme.kind != "l1" else "",
+                k=records[0].k,
+                trials=spec.trials,
+                successes=successes,
+                success_rate=successes / spec.trials,
+                mean_iters=sum(r.iterations for r in records) / spec.trials,
+                mean_pivots=sum(r.pivots for r in records) / spec.trials,
+                wall_ms=sum(r.wall_ms for r in records),
+                scheme_index=records[0].scheme_index,
+            ))
+        return cells
 
     def to_csv(self, include_timing: bool = False) -> str:
+        """The cells sorted by (scheme, p, q, k), one CSV row each."""
         lines = [CSV_HEADER]
-        for c in self.cells:
+        for c in sorted(self.cells, key=lambda c: (c.scheme, c.p if c.p is not None else -1.0,
+                                                   c.q if c.q is not None else -1.0, c.k)):
             lines.append(",".join([
                 c.distribution,
                 c.scheme,
@@ -183,26 +216,4 @@ def sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         # a fork pool starts every worker on the first submit: no more than cells
         with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
             per_cell = list(pool.map(_run_cell, cells))
-
-    results = []
-    for (_, si, k), records in zip(cells, per_cell):
-        scheme, config = spec.schemes[si]
-        successes = sum(1 for r in records if r.success)
-        results.append(CellResult(
-            distribution=spec.dist.label,
-            scheme=scheme.label,
-            p=scheme.p,
-            q=scheme.q,
-            eps_rule=config.schedule.rule if scheme.kind != "l1" else "",
-            k=k,
-            trials=spec.trials,
-            successes=successes,
-            success_rate=successes / spec.trials,
-            mean_iters=sum(r.iterations for r in records) / spec.trials,
-            mean_pivots=sum(r.pivots for r in records) / spec.trials,
-            wall_ms=sum(r.wall_ms for r in records),
-            scheme_index=si,
-        ))
-    results.sort(key=lambda c: (c.scheme, c.p if c.p is not None else -1.0,
-                                c.q if c.q is not None else -1.0, c.k))
-    return SweepResult(spec=spec, cells=results)
+    return SweepResult(spec, [r for records in per_cell for r in records])

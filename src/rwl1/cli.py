@@ -252,10 +252,9 @@ def _run_grid(args, k_values, members, table) -> int:
     summary = sys.stdout if args.out else sys.stderr
     print(f"{'scheme':<10}{'cells':>6}{'trials':>8}{'mean rate':>11}{'mean iters':>12}"
           f"{'mean pivots':>13}{'wall s':>9}", file=summary)
-    by_member: list[list] = [[] for _ in members]
-    for c in result.cells:
-        by_member[c.scheme_index].append(c)
-    for (label, _), cells in zip(members, by_member):
+    grid_cells, per_member = result.cells, len(spec.k_values)
+    for i, (label, _) in enumerate(members):  # the cells come in grid order: member, then k
+        cells = grid_cells[i * per_member:(i + 1) * per_member]
         rate = sum(c.success_rate for c in cells) / len(cells)
         iters = sum(c.mean_iters for c in cells) / len(cells)
         pivots = sum(c.mean_pivots for c in cells) / len(cells)
@@ -281,13 +280,9 @@ def cmd_sweep(args) -> int:
 def _study(args, column: str, values: list[float], k_values: list[int], member) -> int:
     """A grid with one member ``(column=value, member(value))`` per study value."""
     def table(result: SweepResult) -> str:
-        by_index = {(c.scheme_index, c.k): c for c in result.cells}
-        lines = [f"{column},{STUDY_HEADER_TAIL}"]
-        for si, val in enumerate(values):
-            for k in k_values:
-                c = by_index[(si, k)]
-                lines.append(f"{val!r},{k},{c.trials},{c.successes},{c.success_rate!r}")
-        return "\n".join(lines) + "\n"
+        return "\n".join([f"{column},{STUDY_HEADER_TAIL}"] + [
+            f"{values[c.scheme_index]!r},{c.k},{c.trials},{c.successes},{c.success_rate!r}"
+            for c in result.cells]) + "\n"
 
     return _run_grid(args, k_values, ((f"{column}={v!r}", member(v)) for v in values), table)
 
@@ -341,6 +336,21 @@ def _num(text: str, path: str, lineno: int) -> float:
     raise CliError(f"{path}: line {lineno}: bad number {text!r}")
 
 
+def _point(row: dict[str, str], x_name: str, path: str, lineno: int) -> tuple[float, float]:
+    """A row's (x, success_rate), once its counts agree with its rate."""
+    x, trials, successes, rate = (_num(row[name], path, lineno)
+                                  for name in (x_name, "trials", "successes", "success_rate"))
+    where = f"{path}: line {lineno}"
+    if not (trials.is_integer() and trials >= 1):
+        raise CliError(f"{where}: trials must be a positive integer, got {row['trials']!r}")
+    if not (successes.is_integer() and 0 <= successes <= trials):
+        raise CliError(f"{where}: successes must be an integer in [0, trials], "
+                       f"got {row['successes']!r}")
+    if rate != successes / trials:
+        raise CliError(f"{where}: success_rate {row['success_rate']!r} is not successes / trials")
+    return x, rate
+
+
 def cmd_plot(args) -> int:
     header, rows = _read_csv_rows(args.csv_in)
     if header == CSV_HEADER.split(","):
@@ -351,8 +361,8 @@ def cmd_plot(args) -> int:
         raise CliError(f"{args.csv_in}: unrecognized CSV header {','.join(header)!r}")
     groups: dict[tuple, list] = {}
     for lineno, row in enumerate(rows, start=2):
-        point = tuple(_num(row[name], args.csv_in, lineno) for name in (x_name, "success_rate"))
-        groups.setdefault(tuple(row[name] for name in key_names), []).append(point)
+        groups.setdefault(tuple(row[name] for name in key_names), []).append(
+            _point(row, x_name, args.csv_in, lineno))
     keys = [dict(zip(key_names, key)) for key in groups]
     if x_name == "k":  # name a scheme's series by its p when two share the scheme
         schemes = [key["scheme"] for key in keys]

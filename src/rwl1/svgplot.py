@@ -33,13 +33,13 @@ def render_lines(series: list[tuple[str, list[tuple[float, float]]]],
         tx = {x: math.log10(x) for x in xs}
     else:
         tx = {x: float(x) for x in xs}
-    lo, hi = tx[xs[0]], tx[xs[-1]]
+    lo, hi = tx[xs[0]] / 2, tx[xs[-1]] / 2  # halved: hi - lo of two finite floats can overflow
     span = hi - lo if hi > lo else 1.0
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def px(x: float) -> float:
-        return MARGIN_L + (tx[x] - lo) / span * plot_w
+        return MARGIN_L + (tx[x] / 2 - lo) / span * plot_w
 
     def py(y: float) -> float:
         return MARGIN_T + (1.0 - y) * plot_h

@@ -99,8 +99,18 @@ class TestSweep:
         spec = small_spec(k_values=(2, 3), kinds=("l1", "w1"), trials=4)
         seq = sweep(spec, workers=1)
         par = sweep(spec, workers=4)
+        assert seq.records == par.records
         assert seq.cells == par.cells
         assert seq.to_csv() == par.to_csv()
+
+    def test_records_in_grid_order(self):
+        # scheme index, then k_values order (here unsorted), then trial index
+        res = sweep(small_spec(k_values=(4, 2), kinds=("l1", "cwb"), trials=3))
+        grid = [(si, k, t) for si in range(2) for k in (4, 2) for t in range(3)]
+        assert [(r.scheme_index, r.k, r.trial_index) for r in res.records] == grid
+        assert len(res.records) == 2 * 2 * 3
+        assert [(c.scheme_index, c.k) for c in res.cells] == [(0, 4), (0, 2), (1, 4), (1, 2)]
+        assert [ln.split(",")[5] for ln in res.to_csv().splitlines()[1:]] == ["2", "4", "2", "4"]
 
     @pytest.mark.parametrize("workers,started", [(5000, 4), (3, 3)])
     def test_pool_has_at_most_one_worker_per_cell(self, workers, started, monkeypatch):
@@ -151,6 +161,8 @@ class TestSweep:
         res = sweep(spec)
         assert len(res.cells) == 1
         assert res.cells[0].successes < 4  # most (usually all) trials fail
+        failed = [r for r in res.records if not r.success]
+        assert failed and all("weights left the positive domain" in r.fail_reason for r in failed)
 
     def test_csv_shape_and_determinism(self):
         spec = small_spec(k_values=(2, 3), kinds=("w1", "cwb"), trials=3)

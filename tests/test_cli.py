@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rwl1.bench import CSV_HEADER
 from rwl1.cli import _parse_grid, build_parser, main
 from rwl1.merit import WeightClamp, WeightScheme
 from rwl1.simplex import SolverError
@@ -149,6 +150,15 @@ class TestStudies:
         # one summary row per p value, named by it, then the "wrote" line
         assert [row.split()[0] for row in out.splitlines()[1:-1]] == ["p=0.1", "p=0.5", "p=0.9"]
 
+    def test_study_rows_keep_the_given_order(self, tmp_path, capsys):
+        out_csv = tmp_path / "p.csv"
+        code, _, _ = run(["study-p", "--m", "10", "--n", "30", "--p-grid", "0.9,0.1",
+                          "--k-list", "4,2", "--trials", "1", "--seed", "4",
+                          "--out", str(out_csv)], capsys)
+        assert code == 0
+        rows = [ln.split(",")[:2] for ln in out_csv.read_text().splitlines()[1:]]
+        assert rows == [["0.9", "4"], ["0.9", "2"], ["0.1", "4"], ["0.1", "2"]]
+
     def test_study_pq_default_grid_includes_endpoint(self, tmp_path, capsys):
         out_csv = tmp_path / "q.csv"
         code, _, _ = run(["study-pq", "--m", "8", "--n", "20", "--fixed-p", "0.08",
@@ -210,8 +220,22 @@ class TestPlot:
         ("eps,k,trials,successes,success_rate\n0.01,3,2,1,nan\n", "line 2: bad number 'nan'"),
         ("p,k,trials,successes,success_rate\n0.1,3,2,1,0.5\ninf,3,2,1,0.5\n",
          "line 3: bad number 'inf'"),
+        ("q,k,trials,successes,success_rate\n0.1,3,2,1,0.5\n0.2,3,2,1,5\n",
+         "line 3: success_rate '5' is not successes / trials"),
+        ("eps,k,trials,successes,success_rate\n0.01,3,3,1,0.33\n",
+         "line 2: success_rate '0.33' is not successes / trials"),
+        ("eps,k,trials,successes,success_rate\n0.01,3,-3,9,-3.0\n",
+         "line 2: trials must be a positive integer, got '-3'"),
+        ("eps,k,trials,successes,success_rate\n0.01,3,2.5,1,0.4\n",
+         "line 2: trials must be a positive integer, got '2.5'"),
+        ("eps,k,trials,successes,success_rate\n0.01,3,2,3,1.5\n",
+         "line 2: successes must be an integer in [0, trials], got '3'"),
+        (CSV_HEADER + "\nnormal,l1,,,,2,2,1,0.75,1.0,30.0,0\n",
+         "line 2: success_rate '0.75' is not successes / trials"),
     ], ids=["missing-file", "non-numeric-cell", "unknown-header", "empty-file",
-            "eps-not-positive", "study-header-without-rate", "nan-rate", "inf-x"])
+            "eps-not-positive", "study-header-without-rate", "nan-rate", "inf-x",
+            "rate-above-one", "rate-not-successes-over-trials", "negative-trials",
+            "fractional-trials", "successes-above-trials", "sweep-rate-not-successes-over-trials"])
     def test_unreadable_csv_exits_1(self, text, fragment, tmp_path, capsys):
         path = tmp_path / "in.csv"
         if text is not None:
@@ -220,6 +244,16 @@ class TestPlot:
         assert code == 1
         assert fragment in err
         assert not (tmp_path / "x.svg").exists()
+
+    def test_far_apart_x_stays_finite(self, tmp_path, capsys):
+        # 1e308 - (-1e308) overflows to inf: the coordinates must not become nan
+        path = tmp_path / "p.csv"
+        path.write_text("p,k,trials,successes,success_rate\n-1e308,3,2,1,0.5\n1e308,3,2,1,0.5\n")
+        svg = tmp_path / "p.svg"
+        assert run(["plot", str(path), str(svg)], capsys)[0] == 0
+        text = svg.read_text()
+        assert "nan" not in text
+        assert 'points="70.00,230.00 590.00,230.00"' in text
 
     def test_study_csv_plots(self, tmp_path, capsys):
         path = tmp_path / "eps.csv"
