@@ -364,6 +364,63 @@ class TestWeightedL1:
         assert obj <= 5.0 + 1e-9  # never worse than the planted representation
 
 
+class TestRowDrop:
+    """Phase I drops a redundant row wherever it sits and whatever the signs
+    of b: the solution names the kept rows, and its basis warm-starts the
+    same LP on them in zero pivots.  With two redundant rows, the first is
+    dropped while the artificial of the second is still basic."""
+
+    REDUNDANT = pytest.mark.parametrize("redundant", [(0,), (2,), (3,), (0, 4)],
+                                        ids=["first", "middle", "last", "first-and-last"])
+    SIGNS = pytest.mark.parametrize("signs", ["mixed", "negative"])
+
+    @staticmethod
+    def system(redundant, signs, ncols):
+        """Three independent rows and, at the positions ``redundant``, rows
+        that combine two of them; b = A z0 with z0 > 0, each row scaled so
+        that b has the ``signs``.  Returns A, b and the independent rows."""
+        rng = np.random.default_rng(31)
+        base = rng.normal(size=(3, ncols))
+        m, independent = 3 + len(redundant), iter(base)
+        a = np.array([0.25 * (base[min(i, 1)] + base[2]) if i in redundant else next(independent)
+                      for i in range(m)])
+        b = a @ (np.abs(rng.normal(size=ncols)) + 0.5)
+        want = np.where(np.arange(m) % 2, -1.0, 1.0) if signs == "mixed" else -np.ones(m)
+        scale = np.where(b > 0, 1.0, -1.0) * want
+        return a * scale[:, None], b * scale, np.delete(np.arange(m), redundant)
+
+    @REDUNDANT
+    @SIGNS
+    def test_generic_lp(self, redundant, signs):
+        a, b, independent = self.system(redundant, signs, 8)
+        c = 1.0 + np.arange(8) % 3
+        sol = solve(c, a, b)
+        assert sol.status is LPStatus.OPTIMAL and sol.phase1_pivots > 0
+        oracle = enumerate_standard_form_optimum(c, a[independent], b[independent])
+        assert sol.objective == pytest.approx(oracle, abs=1e-8)
+        assert np.max(np.abs(a @ sol.z - b)) <= 1e-9
+        np.testing.assert_array_equal(sol.rows, independent)
+        warm = solve(c, a[sol.rows], b[sol.rows], initial_basis=sol.basis)
+        assert warm.pivots == 0
+        assert warm.objective == pytest.approx(sol.objective, abs=1e-9)
+
+    @REDUNDANT
+    @SIGNS
+    def test_split_lp(self, redundant, signs):
+        a, b, independent = self.system(redundant, signs, 6)
+        w = 1.0 + np.arange(6) % 4
+        (x, obj, _, basis, rows), sol = split_solve(w, a, b)
+        assert sol.phase1_pivots > 0
+        oracle = enumerate_weighted_l1_optimum(w, a[independent], b[independent])
+        assert obj == pytest.approx(oracle, abs=1e-8)
+        assert np.max(np.abs(a @ x - b)) <= 1e-9
+        np.testing.assert_array_equal(rows, independent)
+        np.testing.assert_array_equal(sol.rows, independent)
+        _, warm_obj, pivots, *_ = weighted_l1_lp(w, a[rows], b[rows], initial_basis=basis)
+        assert pivots == 0
+        assert warm_obj == pytest.approx(obj, abs=1e-9)
+
+
 class TestSplitPricing:
     """weighted_l1_lp pivots on A alone; the same LP written out as
     LPProblem(c=[w, w], a_eq=[A, -A]) must take the same path to the bit,
