@@ -222,7 +222,8 @@ def cmd_solve(args) -> int:
             inst = make_instance(_dist_from_args(args), args.m, args.n, args.k, args.seed)
 
     try:
-        result: ReweightedResult = reweighted_l1(inst.a, inst.b, scheme, config)
+        with _flag_errors():  # e.g. the cwb eps rule on a square system
+            result: ReweightedResult = reweighted_l1(inst.a, inst.b, scheme, config)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2

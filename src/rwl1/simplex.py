@@ -22,12 +22,14 @@ iteratively reweighted least-squares steps from the min-norm solution
 (Chartrand and Yin, ICASSP 2008), which sit near the l1 optimum's support:
 on normal 50x200 instances the cold LP takes about half the pivots it took
 from the leading m columns.  The split LP is priced and pivoted from A alone
-(rows with b_i < 0 flipped): with g = y A, the reduced costs are w - g for
-the u-columns and w + g for the v-columns, and the entering direction of v_j
-is the negation of u_j's.  These are exact sign flips of the products on
+through a column map that reads columns j and n + j of [A, -A] as A's column
+j with signs +1 and -1: with g = y A, the reduced costs are w - g for the
+u-columns and w + g for the v-columns, and the entering direction of v_j is
+the negation of u_j's.  These are exact sign flips of the products on
 [A, -A], so every pivot is the same as on the full matrix, at half the
-pricing work.  Phase I prices [A, I] the same way, so the 400-column block
-of a 50x200 instance is never formed.
+pricing work.  Phase I maps row i's artificial to sign(b_i) e_i of [A, I],
+so no row of A is flipped and the 400-column block of a 50x200 instance is
+never formed.
 
 One _Basis object holds the whole state of a solve, from phase I into phase
 II: the basis and its inverse, the right-hand side, the pivot budget and the
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -129,13 +130,11 @@ class LPStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LPProblem:
-    """Standard-form LP: min c'z s.t. a_eq z = b_eq, z >= 0.  ``split`` is the
-    column split of _Basis: 0, so the constraint matrix is a_eq itself."""
+    """Standard-form LP: min c'z s.t. a_eq z = b_eq, z >= 0."""
 
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    split: ClassVar[int] = 0
 
     def __post_init__(self):
         a = as_matrix(self.a_eq)
@@ -155,17 +154,23 @@ class LPProblem:
     def n(self) -> int:
         return self.a_eq.shape[1]
 
+    @property
+    def column_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, sign) of _Basis: the constraint matrix is a_eq itself."""
+        return np.arange(self.n), np.ones(self.n)
+
 
 class _SplitLP:
     """The split LP  min c'(u, v)  s.t.  A u - A v = b,  u, v >= 0,  i.e. the
-    standard form with constraint matrix [A, -A], held as a_eq = A with
-    split = A's column count.  weighted_l1_lp builds it from inputs it has
-    already validated."""
+    standard form with constraint matrix [A, -A], held as a_eq = A with the
+    column map that reads [A, -A] from it.  weighted_l1_lp builds it from
+    inputs it has already validated."""
 
     def __init__(self, c: np.ndarray, a: np.ndarray, b_eq: np.ndarray):
         self.c, self.a_eq, self.b_eq = c, a, b_eq
-        self.split = a.shape[1]
-        self.m, self.n = a.shape[0], 2 * self.split
+        ncols = a.shape[1]
+        self.m, self.n = a.shape[0], 2 * ncols
+        self.column_map = np.tile(np.arange(ncols), 2), np.repeat([1.0, -1.0], ncols)
 
 
 @dataclass
@@ -201,24 +206,28 @@ class _Basis:
     constraint matrix E, the right-hand side b, the pivot budget and the
     counts of pivots and refactors across the solve's phases.
 
-    Column j of E is s[:, j] for j < split, -s[:, j - split] for
-    split <= j < 2 split and s[:, j - split] after them.  A generic LP has
-    split = 0, so E is s.  The split LP of weighted_l1_lp has split = n, A's
-    column count, and s = A, or [A, I] in phase I, so [A, -A] (or
-    [A, -A, I]) is never formed; every product is an exact sign flip of the
-    same product on the formed matrix.  ``rebase`` moves the state to another
-    E and b, for phase II and when the drive-out drops a row.
+    E is read from a stored matrix s through a column map: column j of E is
+    sign[j] * s[:, cols[j]].  A generic LP maps s = a_eq column for column.
+    The split LP of weighted_l1_lp maps columns j and n + j to A's column j
+    with signs +1 and -1, and phase I appends I to s and maps row i's
+    artificial to sign(b_i) e_i, so [A, -A] (or [A, -A, I]) is never formed;
+    every product is an exact sign flip of the same product on the formed
+    matrix.  ``rebase`` moves the state to another map and b, for phase II
+    and when the drive-out drops a row.
     """
 
-    def __init__(self, s: np.ndarray, basis, b: np.ndarray, split: int = 0,
-                 budget: float = np.inf):
-        self.split, self.budget = split, budget
+    def __init__(self, s: np.ndarray, cols: np.ndarray, sign: np.ndarray, basis,
+                 b: np.ndarray, budget: float = np.inf):
+        self.budget = budget
         self.pivots = self.phase1_pivots = self.degenerate = self.guarded = self.refactors = 0
-        self.rebase(s, basis, b)
+        self.rebase(s, cols, sign, basis, b)
 
-    def rebase(self, s: np.ndarray, basis, b: np.ndarray) -> None:
-        """Invert the basis ``basis`` of the E of ``s``, with right-hand side b."""
-        self.s, self.b = s, b
+    def rebase(self, s: np.ndarray, cols: np.ndarray, sign: np.ndarray, basis,
+               b: np.ndarray) -> None:
+        """Invert ``basis`` of the E that s, cols and sign map; right-hand side b."""
+        self.s, self.cols, self.sign, self.b = s, cols, sign, b
+        # direction reads one entry of each per pivot: from lists, not arrays
+        self.col_of, self.negated = cols.tolist(), (sign < 0).tolist()
         self.basis = np.array(basis, dtype=int)
         self.binv = np.linalg.inv(self.columns(self.basis))
         self.pivots_since_refactor = 0
@@ -233,41 +242,28 @@ class _Basis:
         return self.binv @ self.b
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
-        n = self.split
-        cols = self.s[:, np.where(idx >= n, idx - n, idx)]
-        cols[:, (idx >= n) & (idx < 2 * n)] *= -1.0
-        return cols
+        return self.s[:, self.cols[idx]] * self.sign[idx]
 
     def direction(self, j: int) -> np.ndarray:
         """B^-1 times column j."""
-        n = self.split
-        if j < n:
-            return self.binv @ self.s[:, j]
-        d = self.binv @ self.s[:, j - n]
-        return np.negative(d, out=d) if j < 2 * n else d
+        d = self.binv @ self.s[:, self.col_of[j]]
+        return np.negative(d, out=d) if self.negated[j] else d
 
     def reduced_costs(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """c - y E with y = c_B B^-1 into ``out``, basic entries set to +inf."""
-        n = self.split
         g = (c[self.basis] @ self.binv) @ self.s
-        if n:
-            np.subtract(c[:n], g[:n], out=out[:n])
-            np.add(c[n:2 * n], g[:n], out=out[n:2 * n])
-        if g.shape[0] > n:  # phase I's artificials, or every column of a generic LP
-            np.subtract(c[2 * n:], g[n:], out=out[2 * n:])
+        np.subtract(c, self.sign * g[self.cols], out=out)
         out[self.basis] = np.inf
         return out
 
     def tableau_row(self, r: int) -> np.ndarray:
         """Row r of B^-1 E, zero at the basic columns."""
-        n = self.split
-        g = self.binv[r] @ self.s
-        row = np.concatenate([g[:n], -g[:n], g[n:]])
+        row = self.sign * (self.binv[r] @ self.s)[self.cols]
         row[self.basis] = 0.0
         return row
 
     def refactor(self):
-        self.rebase(self.s, self.basis, self.b)
+        self.rebase(self.s, self.cols, self.sign, self.basis, self.b)
         self.refactors += 1
 
     def pivot(self, row: int, col: int, direction: np.ndarray):
@@ -391,27 +387,25 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
     if max_pivots is None:
         max_pivots = default_pivot_budget(m, n)
 
-    e, split, b = problem.a_eq, problem.split, problem.b_eq
-    flip = b < 0
-    if flip.any():
-        e, b = e.copy(), b.copy()
-        e[flip] *= -1.0
-        b[flip] *= -1.0
-
+    a, b = problem.a_eq, problem.b_eq
+    cols, sign = problem.column_map
     rows = None
     state = None
     if initial_basis is not None:
         try:
-            cand = _Basis(e, initial_basis, b, split, max_pivots)
+            cand = _Basis(a, cols, sign, initial_basis, b, max_pivots)
         except np.linalg.LinAlgError:
             cand = None  # singular or non-square start: fall back to phase I
         if cand is not None and _inverts(cand) and cand.values().min(initial=0.0) >= -feas_tol:
             state = cand
 
     if state is None:
-        # Phase I: artificial basis, minimize the sum of artificials.
+        # Phase I: artificial basis, minimize the sum of artificials.  Row i's
+        # artificial is sign(b_i) e_i, so its basic value is |b_i|.
         c1 = np.concatenate([np.zeros(n), np.ones(m)])
-        state = _Basis(np.hstack([e, np.eye(m)]), np.arange(n, n + m), b, split, max_pivots)
+        state = _Basis(np.hstack([a, np.eye(m)]), np.concatenate([cols, a.shape[1] + np.arange(m)]),
+                       np.concatenate([sign, np.where(b < 0, -1.0, 1.0)]),
+                       np.arange(n, n + m), b, max_pivots)
         if _run_phase(state, c1, feas_tol) is LPStatus.UNBOUNDED:  # bounded below by 0
             raise CertificationError("phase I ended unbounded")
         if float(c1[state.basis] @ np.maximum(state.values(), 0.0)) > feas_tol:
@@ -419,8 +413,8 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
             return state.solution(LPStatus.INFEASIBLE, None, 0.0)
         kept = _drive_out_artificials(state, n)
         if kept.size < m:
-            e, rows = e[kept], kept
-        state.rebase(e, state.basis, state.b)
+            a, rows = a[kept], kept
+        state.rebase(a, cols, sign, state.basis, state.b)
     state.phase1_pivots = state.pivots
 
     # Phase II on the structural columns only.
@@ -462,8 +456,8 @@ def _inverts(state: _Basis) -> bool:
 def _residual(problem: LPProblem, z: np.ndarray) -> float:
     if problem.m == 0:
         return 0.0
-    n = problem.split
-    az = problem.a_eq @ (z[:n] - z[n:] if n else z)
+    cols, sign = problem.column_map
+    az = problem.a_eq @ np.bincount(cols, sign * z)  # exactly u - v for the split LP, else z
     return float(np.max(np.abs(az - problem.b_eq)))
 
 
@@ -474,8 +468,9 @@ def _drive_out_artificials(state: _Basis, n: int) -> np.ndarray:
     a negative pivot element is acceptable.  When a basis position has no
     usable structural column, its tableau row certifies a linear dependence
     among the original constraints; the row with the largest basis-inverse
-    weight is deleted, which keeps the remaining basis nonsingular.  Returns
-    the indices of the kept rows.
+    weight is deleted, which keeps the remaining basis nonsingular.  Its
+    artificial is left a zero column, which is nonbasic (only position r
+    weighs that row) and never enters.  Returns the indices of the kept rows.
     """
     rows = np.arange(state.s.shape[0])
     while True:
@@ -489,12 +484,9 @@ def _drive_out_artificials(state: _Basis, n: int) -> np.ndarray:
             state.pivot(r, entering, state.direction(entering))
         else:
             drop = int(np.argmax(np.abs(state.binv[r, :])))
-            units = state.s.shape[1] - state.s.shape[0]  # first column of the unit block
-            s = np.delete(np.delete(state.s, drop, axis=0), units + drop, axis=1)
             rows = np.delete(rows, drop)
-            basis = np.delete(state.basis, r)
-            basis[basis > n + drop] -= 1  # the later rows' artificials shift up a row
-            state.rebase(s, basis, np.delete(state.b, drop))
+            state.rebase(np.delete(state.s, drop, axis=0), state.cols, state.sign,
+                         np.delete(state.basis, r), np.delete(state.b, drop))
 
 
 def _crash_basis(am: np.ndarray, bv: np.ndarray) -> np.ndarray | None:

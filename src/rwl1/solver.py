@@ -149,13 +149,16 @@ def reweighted_l1(a, b, scheme: WeightScheme,
 
     The l1 scheme performs exactly one LP solve.  Other schemes reweight
     until the iterate stops moving (inf-norm change below x_change_tol) or
-    the LP budget of max_iter solves is spent.
+    the LP budget of max_iter solves is spent.  Raises ValueError for a
+    system that is not 1 <= m <= n, or square under the cwb eps rule.
     """
     am = as_matrix(a)
     bv = as_vector(b, length=am.shape[0])
     m, n = am.shape
     if not 1 <= m <= n:
         raise ValueError(f"expected a system with 1 <= m <= n, got {m}x{n}")
+    if config.schedule.rule == "cwb" and m >= n:  # rejected before any LP, not when first used
+        raise ValueError(f"cwb eps rule requires m < n, got m={m}, n={n}")
 
     history: list[IterationRecord] = []
 

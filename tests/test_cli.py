@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from rwl1.bench import CSV_HEADER
@@ -41,6 +42,22 @@ class TestSolve:
         assert code == 0
         assert "success: true" in out
         assert "residual_inf: 0.000e+00" in out
+
+    def test_cwb_rule_on_square_instance_exits_1(self, tmp_path, capsys):
+        # rows 5-9 repeat rows 0-4: this run reached the cwb rule at its
+        # second LP and ended in a traceback
+        top = np.random.default_rng(4).normal(size=(5, 10))
+        a, x = np.vstack([top, top]), np.repeat([0.0, 1.0], [6, 4])
+        doc = {**IDENTITY_INSTANCE, "m": 10, "n": 10, "k": 4, "A": a.ravel().tolist(),
+               "b": (a @ x).tolist(), "x_true": x.tolist()}
+        for name, inst in (("repeated", doc), ("identity", IDENTITY_INSTANCE)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(inst))
+            code, out, err = run(["solve", "--instance", str(path), "--scheme", "w1",
+                                  "--eps-rule", "cwb"], capsys)
+            m = inst["m"]
+            assert (code, out) == (1, "")
+            assert err == f"error: cwb eps rule requires m < n, got m={m}, n={m}\n"
 
     def test_missing_k_without_instance(self, capsys):
         code, _, err = run(["solve"], capsys)

@@ -153,10 +153,11 @@ class TestCertification:
 
     def test_reduced_cost_check_rejects_a_non_optimal_basis(self):
         problem = LPProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
-        z = _certified_point(problem, _Basis(problem.a_eq, [0], problem.b_eq), problem.c, 1e-9)
+        state = _Basis(problem.a_eq, *problem.column_map, [0], problem.b_eq)
+        z = _certified_point(problem, state, problem.c, 1e-9)
         np.testing.assert_array_equal(z, [1.0, 0.0])
         # z = (0, 1) is feasible, but column 0 prices out at 1 - 2 = -1
-        state = _Basis(problem.a_eq, [1], problem.b_eq)
+        state = _Basis(problem.a_eq, *problem.column_map, [1], problem.b_eq)
         with pytest.raises(CertificationError, match="reduced cost -1 below"):
             _certified_point(problem, state, problem.c, 1e-9)
         assert state.refactors == 1  # one fresh factorization before giving up

@@ -82,11 +82,21 @@ class TestReweightedL1:
             # one reweighting pass confirms the fixed point for non-l1 schemes
             assert res.iterations_used == (1 if kind == "l1" else 2)
 
-    def test_square_system_with_cwb_schedule(self):
-        # converges on the first pass, so the wide-system eps rule never fires
+    def test_square_system_with_cwb_schedule(self, monkeypatch):
+        # rejected before the first LP: on the identity the run would stop
+        # before the eps rule is first used, on the repeated rows it would
+        # reach the rule mid-run
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP ran before the eps rule was rejected")
+
+        monkeypatch.setattr(rwl1.solver, "weighted_l1_lp", no_lp)
         cfg = SolverConfig(schedule=EpsilonSchedule("cwb", eps0=1.0))
-        res = reweighted_l1(np.eye(2), [1.0, 2.0], WeightScheme("cwb"), cfg)
-        np.testing.assert_allclose(res.x_hat, [1.0, 2.0], atol=1e-12)
+        top = np.random.default_rng(4).normal(size=(5, 10))
+        for a in (np.eye(2), np.vstack([top, top])):
+            m = a.shape[0]
+            for kind in ("l1", "w1"):
+                with pytest.raises(ValueError, match=f"requires m < n, got m={m}, n={m}"):
+                    reweighted_l1(a, a @ np.ones(m), WeightScheme(kind), cfg)
 
     def test_one_sparse_vertex(self):
         cfg = SolverConfig(schedule=EpsilonSchedule("halving", eps0=1.0))
@@ -234,8 +244,8 @@ class TestReweightedL1:
             rwl1.solver.weighted_l1_lp = lp
             problem = rwl1.simplex.LPProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
             try:  # a feasible basis that is not optimal
-                rwl1.simplex._certified_point(
-                    problem, rwl1.simplex._Basis(problem.a_eq, [1], problem.b_eq), problem.c, 1e-9)
+                state = rwl1.simplex._Basis(problem.a_eq, *problem.column_map, [1], problem.b_eq)
+                rwl1.simplex._certified_point(problem, state, problem.c, 1e-9)
             except CertificationError:
                 print("dual check fired")
             rwl1.simplex._residual = lambda problem, z: 1.0
