@@ -10,7 +10,7 @@ The matrix is generated in blocks (``Sampler.draws``) that consume the
 stream in exactly that order, so the output is bit-identical to drawing
 one entry at a time.  Each sampler call leaves the stream just past the
 units it used (see ``Sampler``); the k planted magnitudes and their sign
-draws take the same candidate layout as a gamma run, in one call.
+draws take the same candidate layout as a gamma block, in one call.
 
 Only exact operations go to numpy: the splitmix64 integer mix, the unit
 mapping, + - * /, abs, sqrt and comparisons, all correctly rounded alike
@@ -150,14 +150,18 @@ class Sampler:
     between calls.  Normal, exponential and uniform blocks read exactly
     their units; the others step back over what they did not use:
 
-    - A gamma run (shape >= 1) lays out candidates with ``_candidates``
+    - A gamma block (shape >= 1) lays out candidates with ``_candidates``
       and keeps a prefix with ``_commit``: with no boost draw, which units
-      a candidate reads does not depend on which earlier ones were accepted.
-    - One value per loop (Poisson; F and gamma below shape 1 through
-      ``_gammas``) reads prefetched units through a cursor local to the
-      call.  Here the layout depends on every earlier value: the product
-      method takes a variable number of draws, a boost draw precedes each
-      value below shape 1, and F interleaves two gammas (shapes d1/2, d2/2).
+      a candidate reads does not depend on which earlier ones were
+      accepted, up to the first candidate with 1 + c*z <= 0.  From there
+      it hands the rest of the chunk to ``_gammas``.
+    - One value per loop (Poisson; F, gamma below shape 1 and the gamma
+      block's remainder through ``_gammas``) reads prefetched units through
+      a cursor local to the call.  Here the layout depends on every earlier
+      value: the product method takes a variable number of draws, a
+      1 + c*z <= 0 candidate takes no acceptance draw, a boost draw
+      precedes each value below shape 1, and F interleaves two gammas
+      (shapes d1/2, d2/2).
     """
 
     def __init__(self, rng: SplitMix64):
@@ -195,7 +199,7 @@ class Sampler:
     def _uniform_block(self, count: int, high: float) -> np.ndarray:
         return high * self.rng.next_units(count)
 
-    # Gaussian candidates, each with the unit after it: gamma runs and planted values
+    # Gaussian candidates, each with the unit after it: gamma blocks and planted values
 
     def _candidates(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """At least ``count`` standard normal candidates ``z``, each with the
@@ -214,37 +218,29 @@ class Sampler:
             z[0], after[0] = self._gauss_cache, units[0]
         return z, after
 
-    def _commit(self, z: np.ndarray, stop: int, spent: int = 0) -> None:
-        """Keep candidates [0, stop) of ``z``, the last one without its unit
-        after if ``spent``; a cosine's sine partner stays cached."""
+    def _commit(self, z: np.ndarray, stop: int) -> None:
+        """Keep candidates [0, stop) of ``z``, each with its unit after; a
+        cosine's sine partner stays cached."""
         lead = len(z) % 2  # _candidates draws a cached variate and whole pairs
         pairs_used, cosine = divmod(stop - lead, 2)
         self._gauss_cache = float(z[stop]) if cosine else None
-        self.rng.skip(4 * pairs_used + 3 * cosine - spent - 2 * (len(z) - lead))
+        self.rng.skip(4 * pairs_used + 3 * cosine - 2 * (len(z) - lead))
 
     def _gamma_block(self, count: int, shape: float, scale: float) -> np.ndarray | list[float]:
+        """``count`` Marsaglia-Tsang values; for shape >= 1 a block of
+        candidates worked out at once, and the rest through ``_gammas``.
+
+        A candidate's unit after is its acceptance draw, up to the first
+        candidate with 1 + c*z <= 0, which takes none and so shifts the
+        layout.  The block keeps the values accepted before that candidate
+        and commits the stream there; ``_gammas`` then draws the rest of the
+        chunk, starting with that candidate again.
+        """
         if shape < 1.0:
             return self._gammas(count, (shape,), scale)
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
-        out = np.empty(count)
-        done = 0
-        while done < count:
-            done = self._gamma_run(out, done, d, c, scale)
-        return out
-
-    def _gamma_run(self, out: np.ndarray, done: int, d: float, c: float, scale: float) -> int:
-        """Fill ``out`` from ``done`` on with Marsaglia-Tsang values (shape
-        >= 1) worked out for a run of candidates at once; returns the new
-        fill, with the stream just past the units the run committed.
-
-        A candidate's unit after is its acceptance draw, up to the first
-        candidate with 1 + c*z <= 0, which takes none.  A run ends at such a
-        candidate, spent without its acceptance draw, and the next run
-        starts on the shifted layout.
-        """
-        need = len(out) - done
-        z, accept = self._candidates(need + need // 16 + 4)  # a little over one per value
+        z, accept = self._candidates(count + count // 16 + 4)  # a little over one per value
         t = 1.0 + c * z
         bad = np.flatnonzero(t <= 0.0)  # pow(t, 3) <= 0 exactly when t <= 0
         stop = int(bad[0]) if len(bad) else len(z)
@@ -255,16 +251,13 @@ class Sampler:
         miss = np.flatnonzero(~ok)
         zm, vm = zs[miss], vs[miss]
         ok[miss] = _per_element(math.log, us[miss]) < 0.5 * zm * zm + d * (1.0 - vm + _per_element(math.log, vm))
-        taken = np.flatnonzero(ok)[:need]
-        out[done:done + len(taken)] = d * vs[taken] * scale
-        done += len(taken)
-        spent = 0  # the acceptance draw a 1 + c*z <= 0 candidate does not take
-        if done == len(out):
-            stop = int(taken[-1]) + 1
-        elif stop < len(z):
-            stop, spent = stop + 1, 1
-        self._commit(z, stop, spent)
-        return done
+        taken = np.flatnonzero(ok)[:count]
+        kept = d * vs[taken] * scale
+        if len(taken) == count:
+            self._commit(z, int(taken[-1]) + 1)
+            return kept
+        self._commit(z, stop)
+        return np.concatenate((kept, self._gammas(count - len(taken), (shape,), scale)))
 
     # one value per loop: through a cursor over prefetched units
 

@@ -128,7 +128,7 @@ class LPStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LPProblem:
     """Standard-form LP: min c'z s.t. a_eq z = b_eq, z >= 0."""
 
@@ -173,7 +173,7 @@ class _SplitLP:
         self.column_map = np.tile(np.arange(ncols), 2), np.repeat([1.0, -1.0], ncols)
 
 
-@dataclass
+@dataclass(eq=False)
 class LPSolution:
     """``basis`` holds the optimal basis's column indices (None unless OPTIMAL);
     when phase I dropped redundant rows it has fewer than m entries and

@@ -92,7 +92,7 @@ class IterationRecord:
     residual_inf: float
 
 
-@dataclass
+@dataclass(eq=False)
 class ReweightedResult:
     x_hat: np.ndarray
     history: list[IterationRecord] = field(default_factory=list)

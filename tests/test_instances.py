@@ -126,18 +126,37 @@ class TestGammaOracle:
     @pytest.mark.parametrize("count", [1, 7, CHUNK - 1, CHUNK + 1, 3 * CHUNK])
     @pytest.mark.parametrize("lead", [0, 3], ids=lambda c: f"after{c}")
     def test_block_path(self, shape, count, lead):
-        # at shape 1 about 0.7% of candidates have 1 + c*z <= 0 and end a run
+        # at shape 1 about 0.7% of candidates have 1 + c*z <= 0 and end the block
         sampler, oracle = _oracle_pair(17, lead)
         got = sampler.draws(DistributionSpec("gamma", (shape, 3.0)), count)
         _assert_same_stream(got, gamma_scalar_draws(oracle, count, shape, 3.0), sampler, oracle)
 
     def test_block_path_ends_a_run_at_a_cached_candidate(self):
         # seed 10 leaves z = -2.60 cached after one normal draw: at shape 1
-        # 1 + z/sqrt(6) < 0, so the first run ends at its first candidate
+        # 1 + z/sqrt(6) < 0, so the block hands off at its first candidate
         sampler, oracle = _oracle_pair(10, 1)
         assert 1.0 + sampler._gauss_cache / math.sqrt(6.0) < 0.0
         got = sampler.draws(DistributionSpec("gamma", (1.0, 1.0)), 5)
         _assert_same_stream(got, gamma_scalar_draws(oracle, 5, 1.0, 1.0), sampler, oracle)
+
+    @pytest.mark.parametrize("seed,ends_at", [(4, "cosine"), (2, "sine"), (313, None)],
+                             ids=["cosine", "sine", "short"])
+    def test_block_hands_the_rest_to_the_one_value_loop(self, seed, ends_at, monkeypatch):
+        # seeds found by search for 64 values at shape 1, whose block lays
+        # out 64 + 64 // 16 + 4 = 72 candidates: the first with 1 + c*z <= 0
+        # is a cosine variate (seed 4) or a sine variate (seed 2); seed 313
+        # has none, and fewer than 64 of its candidates are accepted
+        count = 64
+        sampler, oracle = _oracle_pair(seed, 0)
+        z, _ = Sampler(SplitMix64(seed))._candidates(count + count // 16 + 4)
+        bad = np.flatnonzero(1.0 + z / math.sqrt(6.0) <= 0.0)
+        assert (("cosine", "sine")[bad[0] % 2] if len(bad) else None) == ends_at
+        handed = []
+        loop = sampler._gammas
+        monkeypatch.setattr(sampler, "_gammas", lambda n, *args: handed.append(n) or loop(n, *args))
+        got = sampler.draws(DistributionSpec("gamma", (1.0, 1.0)), count)
+        assert len(handed) == 1 and 0 < handed[0] < count
+        _assert_same_stream(got, gamma_scalar_draws(oracle, count, 1.0, 1.0), sampler, oracle)
 
     @pytest.mark.parametrize("spec,scalar", [
         (DistributionSpec("gamma", (1.0, 2.0)), gamma_scalar_draws),

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import subprocess
@@ -12,8 +13,8 @@ import rwl1.simplex
 import rwl1.solver
 from rwl1.instances import DistributionSpec, make_instance
 from rwl1.merit import WeightClamp, WeightScheme
-from rwl1.simplex import weighted_l1_lp
-from rwl1.solver import (EpsilonSchedule, ReweightedSolveError, SolverConfig,
+from rwl1.simplex import LPProblem, LPSolution, LPStatus, weighted_l1_lp
+from rwl1.solver import (EpsilonSchedule, ReweightedResult, ReweightedSolveError, SolverConfig,
                          epsilon_update, reweighted_l1)
 
 from test_golden_solver import special_instance
@@ -261,3 +262,14 @@ class TestReweightedL1:
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == ["solver check fired", "dual check fired",
                                            "simplex check fired"]
+
+
+@pytest.mark.parametrize("record", [
+    LPProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]),
+    LPSolution(LPStatus.OPTIMAL, np.array([1.0, 0.0]), 1.0, 1, basis=np.array([0])),
+    ReweightedResult(np.array([1.0, 0.0])),
+], ids=lambda record: type(record).__name__)
+def test_array_holding_records_compare_by_identity(record):
+    # a generated __eq__ would compare the ndarray fields and raise
+    assert record == record
+    assert (record == copy.copy(record)) is False
