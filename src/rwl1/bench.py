@@ -20,6 +20,7 @@ timed separately as gen_ms, which stays in memory and out of the CSV.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -69,6 +70,9 @@ class SweepSpec:
             raise ValueError("k_values and schemes must be nonempty")
         if len(self.schemes) > MAX_INDEX:
             raise ValueError(f"at most {MAX_INDEX} schemes, got {len(self.schemes)}")
+        (scheme, config), count = Counter(self.schemes).most_common(1)[0]
+        if count > 1:  # their CSV rows would share every key
+            raise ValueError(f"schemes must be distinct, got {scheme} with {config} {count} times")
         if not all(1 <= k <= self.m < self.n for k in self.k_values):
             raise ValueError(f"k must be in [1, m] with m < n, got k={self.k_values}, "
                              f"m={self.m}, n={self.n}")

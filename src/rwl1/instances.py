@@ -118,11 +118,10 @@ class DistributionSpec:
         name = obj["name"]
         if not isinstance(name, str) or name not in DISTRIBUTIONS:
             raise InstanceParseError(f"unknown distribution {name!r} in dist field")
-        names, _ = DISTRIBUTIONS[name]
         params = []
-        for key in names:
+        for key in DISTRIBUTIONS[name][0]:
             try:
-                params.append(float(obj[key]))
+                params.append(_number(obj[key]))
             except KeyError:
                 raise InstanceParseError(f"dist field missing parameter {key!r}") from None
             except (TypeError, ValueError, OverflowError) as exc:
@@ -425,11 +424,14 @@ def save_instance(inst: ProblemInstance, path) -> None:
         fh.write("\n")
 
 
-def _as_int(value) -> int:
-    """int(value), refusing to truncate a non-integral number."""
-    if isinstance(value, float) and not value.is_integer():
+def _number(value, integral: bool = False) -> float | int:
+    """float(value), or int(value) if ``integral``, of a JSON number: a string or a
+    boolean (float() and int() take both) or a value int() would truncate raises."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"could not convert {'string' if isinstance(value, str) else 'boolean'} to float: {value!r}")
+    if integral and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not integral")
-    return int(value)
+    return int(value) if integral else float(value)
 
 
 def load_instance(path) -> ProblemInstance:
@@ -446,14 +448,12 @@ def load_instance(path) -> ProblemInstance:
         if fld not in doc:
             raise InstanceParseError(f"missing field {fld!r}")
     try:
-        m, n, k, seed = (_as_int(doc[fld]) for fld in ("m", "n", "k", "seed"))
+        m, n, k, seed = (_number(doc[fld], integral=True) for fld in ("m", "n", "k", "seed"))
     except (TypeError, ValueError) as exc:
         raise InstanceParseError(f"m, n, k, seed must be integers: {exc}") from exc
     dist = DistributionSpec.from_json(doc["dist"])
     try:
-        flat = as_vector([float(v) for v in doc["A"]])
-        b = as_vector([float(v) for v in doc["b"]])
-        x_true = as_vector([float(v) for v in doc["x_true"]])
+        flat, b, x_true = (as_vector([_number(v) for v in doc[fld]]) for fld in ("A", "b", "x_true"))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceParseError(f"A, b, x_true must be arrays of finite reals: {exc}") from exc
     if flat.shape[0] != m * n:

@@ -36,10 +36,10 @@ II: the basis and its inverse, the right-hand side, the pivot budget and the
 counters that LPSolution reports.  Every solve returns its optimal basis.
 Between the LPs of a reweighting run only the cost vector (w, w) changes, so
 the previous optimal basis is still primal-feasible and the next LP can start
-phase II from it directly (warm start; Chvatal, Linear Programming, 1983).  A supplied basis, warm
-or crash, is accepted only if it is square, numerically invertible (its
-computed inverse satisfies B B^-1 = I to BASIS_INVERSE_TOL) and
-primal-feasible within feas_tol; otherwise the solve falls back to phase I.
+phase II from it directly (warm start; Chvatal, Linear Programming, 1983).  Every
+B^-1 the solve forms, refactors included, missing B B^-1 = I by more than
+BASIS_INVERSE_TOL raises CertificationError; a supplied basis, warm or crash,
+that misses it or is not primal-feasible within feas_tol goes to phase I.
 When phase I drops redundant rows, the optimal basis spans the kept rows
 only and the solution names them, so that a caller can warm-start later LPs
 on those rows.  Either way the result passes the same explicit
@@ -90,10 +90,10 @@ REFACTOR_EVERY = 50
 REFACTOR_PIVOT_TOL = 1e-6
 # Default feas_tol: bound of the certification checks and of basis feasibility.
 FEAS_TOL = 1e-9
-# Largest entry of |B B^-1 - I| for which a supplied basis counts as
-# invertible.  np.linalg.inv raises only on exact singularity; a basis with a
+# Largest entry of |B B^-1 - I| for which a computed B^-1 counts as an
+# inverse.  Inversion raises only on exact singularity; a basis with a
 # repeated column inverts to entries of ~1e16 and misses I by O(1), while the
-# warm and crash bases of 50x200 instances miss it by under 1e-11.
+# bases of 50x200 instances miss it by under 1e-11.
 BASIS_INVERSE_TOL = 1e-6
 # Reweighted least-squares steps that rank the crash basis columns, and the
 # smoothing eps of their weights as a fraction of the largest magnitude in
@@ -224,12 +224,20 @@ class _Basis:
 
     def rebase(self, s: np.ndarray, cols: np.ndarray, sign: np.ndarray, basis,
                b: np.ndarray) -> None:
-        """Invert ``basis`` of the E that s, cols and sign map; right-hand side b."""
+        """Invert ``basis`` of the E that s, cols and sign map; right-hand side b.
+        CertificationError if B does not invert or B B^-1 misses I by > BASIS_INVERSE_TOL."""
         self.s, self.cols, self.sign, self.b = s, cols, sign, b
         # direction reads one entry of each per pivot: from lists, not arrays
         self.col_of, self.negated = cols.tolist(), (sign < 0).tolist()
         self.basis = np.array(basis, dtype=int)
-        self.binv = np.linalg.inv(self.columns(self.basis))
+        bmat = self.columns(self.basis)
+        try:
+            self.binv = np.linalg.inv(bmat)
+        except np.linalg.LinAlgError as exc:
+            raise CertificationError(f"basis does not invert: {exc}") from exc
+        miss = float(np.max(np.abs(bmat @ self.binv - np.eye(len(bmat))), initial=0.0))
+        if miss > BASIS_INVERSE_TOL:
+            raise CertificationError(f"basis inverse misses B B^-1 = I by {miss:.3g}")
         self.pivots_since_refactor = 0
 
     def solution(self, status: LPStatus, z, objective: float, **fields) -> LPSolution:
@@ -392,12 +400,11 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
     rows = None
     state = None
     if initial_basis is not None:
-        try:
+        try:  # a start that does not invert, or is infeasible, falls back to phase I
             cand = _Basis(a, cols, sign, initial_basis, b, max_pivots)
-        except np.linalg.LinAlgError:
-            cand = None  # singular or non-square start: fall back to phase I
-        if cand is not None and _inverts(cand) and cand.values().min(initial=0.0) >= -feas_tol:
-            state = cand
+            state = cand if cand.values().min(initial=0.0) >= -feas_tol else None
+        except CertificationError:
+            pass
 
     if state is None:
         # Phase I: artificial basis, minimize the sum of artificials.  Row i's
@@ -447,18 +454,10 @@ def _certified_point(problem: LPProblem, state: _Basis, c: np.ndarray,
     raise CertificationError(f"reduced cost {worst:.3g} below -feas_tol {feas_tol:g}")
 
 
-def _inverts(state: _Basis) -> bool:
-    """Whether the computed B^-1 of ``state`` is an inverse to BASIS_INVERSE_TOL."""
-    identity_error = state.columns(state.basis) @ state.binv - np.eye(len(state.basis))
-    return float(np.max(np.abs(identity_error), initial=0.0)) <= BASIS_INVERSE_TOL
-
-
 def _residual(problem: LPProblem, z: np.ndarray) -> float:
-    if problem.m == 0:
-        return 0.0
     cols, sign = problem.column_map
     az = problem.a_eq @ np.bincount(cols, sign * z)  # exactly u - v for the split LP, else z
-    return float(np.max(np.abs(az - problem.b_eq)))
+    return float(np.max(np.abs(az - problem.b_eq), initial=0.0))
 
 
 def _drive_out_artificials(state: _Basis, n: int) -> np.ndarray:

@@ -7,8 +7,9 @@ import rwl1.bench
 import rwl1.simplex
 import rwl1.solver
 from rwl1.bench import CSV_HEADER, SweepSpec, is_success, run_trial, sweep, trial_seed
-from rwl1.instances import DistributionSpec
+from rwl1.instances import DistributionSpec, make_instance
 from rwl1.merit import WeightScheme
+from rwl1.simplex import CertificationError
 from rwl1.solver import SolverConfig
 
 NORMAL = DistributionSpec.default("normal")
@@ -18,6 +19,23 @@ def small_spec(k_values=(2,), kinds=("cwb",), trials=5, seed_base=42, m=10, n=30
     schemes = tuple((WeightScheme(kind), SolverConfig()) for kind in kinds)
     return SweepSpec(dist=NORMAL, m=m, n=n, k_values=k_values, schemes=schemes,
                      trials=trials, seed_base=seed_base)
+
+
+def break_refactor(monkeypatch, broken):
+    """np.linalg.inv gives broken(inv, matrix) from its second call on, and the
+    first certification misses once, so that its refactor makes that call."""
+    inv, residual = np.linalg.inv, rwl1.simplex._residual
+    calls, misses = [], [1.0]
+
+    def patched_inv(matrix):
+        calls.append(matrix.shape)
+        return inv(matrix) if len(calls) == 1 else broken(inv, matrix)
+
+    def residual_once(problem, z):
+        return misses.pop() if misses else residual(problem, z)
+
+    monkeypatch.setattr(np.linalg, "inv", patched_inv)
+    monkeypatch.setattr(rwl1.simplex, "_residual", residual_once)
 
 
 class TestIsSuccess:
@@ -51,10 +69,15 @@ class TestRunTrial:
         spec = small_spec()
         assert run_trial(spec, 0, 2, 3) == run_trial(spec, 0, 2, 3)
 
-    @pytest.mark.parametrize("layer", ["simplex", "solver"])
+    @pytest.mark.parametrize("layer", ["simplex", "solver", "refactor"])
     def test_certification_miss_is_recorded(self, layer, monkeypatch):
         if layer == "simplex":
             monkeypatch.setattr(rwl1.simplex, "_residual", lambda problem, z: 1.0)
+        elif layer == "refactor":
+            def singular(inv, matrix):
+                raise np.linalg.LinAlgError("Singular matrix")
+
+            break_refactor(monkeypatch, singular)
         else:
             lp = rwl1.solver.weighted_l1_lp
 
@@ -65,7 +88,14 @@ class TestRunTrial:
             monkeypatch.setattr(rwl1.solver, "weighted_l1_lp", off_by_a_little)
         rec = run_trial(small_spec(), 0, 2, 0)
         assert not rec.success and rec.iterations == 0
-        assert "residual" in rec.fail_reason
+        assert ("basis" if layer == "refactor" else "residual") in rec.fail_reason
+
+    def test_refactor_that_misses_identity_raises(self, monkeypatch):
+        # the inverse is perturbed, not singular: only the B B^-1 = I check sees it
+        break_refactor(monkeypatch, lambda inv, matrix: inv(matrix) + 1e-3)
+        inst = make_instance(NORMAL, 10, 30, 2, trial_seed(42, 2, 0, 0))
+        with pytest.raises(CertificationError, match=r"basis inverse misses B B\^-1 = I"):
+            rwl1.simplex.weighted_l1_lp(np.ones(30), inst.a, inst.b)
 
     def test_generation_is_timed_apart_from_the_solve(self, monkeypatch):
         make = rwl1.bench.make_instance
@@ -211,6 +241,9 @@ class TestSweep:
         with pytest.raises(ValueError, match="at most 1048576 schemes, got 1048577"):
             SweepSpec(dist=NORMAL, m=10, n=30, k_values=(2,), trials=1, seed_base=0,
                       schemes=((WeightScheme("l1"), SolverConfig()),) * (2**20 + 1))
+        # two equal members would write two CSV rows per k with equal keys
+        with pytest.raises(ValueError, match=r"schemes must be distinct, got .*'w1'.* 2 times"):
+            small_spec(kinds=("w1", "cwb", "w1"))
         with pytest.raises(ValueError, match="workers must be >= 1"):
             sweep(small_spec(), workers=0)
         with pytest.raises(ValueError, match="nonempty"):

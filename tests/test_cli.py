@@ -420,6 +420,9 @@ BAD_FLAGS = [
      "floor must be > 0 and finite"),
     (["sweep", "--m", "2", "--n", "3", "--k", "1", "--trials", "1048577"],
      "trials must be in [1, 1048576]"),
+    (["sweep", "--k", "2", "--schemes", "w1,w1", "--trials", "1"], "schemes must be distinct"),
+    (["study-p", "--p-grid", "0.1,0.1", "--k-list", "2", "--trials", "1"],
+     "schemes must be distinct"),
 ]
 
 

@@ -329,6 +329,17 @@ BAD_FILES = [
     ({"dist": {"name": "normal", "mu": 10**400, "sigma": 1.0}},
      "dist parameter 'mu' is not a number: int too large"),
     ({"b": [10**400, -4.0]}, "A, b, x_true must be arrays of finite reals: int too large"),
+    # only JSON numbers are numbers: float() and int() would take these strings and booleans
+    ({"A": "1001"}, "A, b, x_true must be arrays of finite reals: "
+                    "could not convert string to float: '1'"),
+    ({"m": "2"}, "m, n, k, seed must be integers: could not convert string to float: '2'"),
+    ({"seed": True}, "m, n, k, seed must be integers: could not convert boolean to float: True"),
+    ({"b": [True, -4.0], "x_true": [1.0, -4.0]},
+     "A, b, x_true must be arrays of finite reals: could not convert boolean to float: True"),
+    ({"k": 1, "x_true": [False, True], "b": [0.0, 1.0]},
+     "A, b, x_true must be arrays of finite reals: could not convert boolean to float: False"),
+    ({"dist": {"name": "normal", "mu": "0", "sigma": 1.0}},
+     "dist parameter 'mu' is not a number: could not convert string to float: '0'"),
 ]
 
 
