@@ -21,15 +21,11 @@ phase I altogether.  Its m columns are the largest entries of a few
 iteratively reweighted least-squares steps from the min-norm solution
 (Chartrand and Yin, ICASSP 2008), which sit near the l1 optimum's support:
 on normal 50x200 instances the cold LP takes about half the pivots it took
-from the leading m columns.  The split LP is priced and pivoted from A alone
-through a column map that reads columns j and n + j of [A, -A] as A's column
-j with signs +1 and -1: with g = y A, the reduced costs are w - g for the
-u-columns and w + g for the v-columns, and the entering direction of v_j is
-the negation of u_j's.  These are exact sign flips of the products on
-[A, -A], so every pivot is the same as on the full matrix, at half the
-pricing work.  Phase I maps row i's artificial to sign(b_i) e_i of [A, I],
-so no row of A is flipped and the 400-column block of a 50x200 instance is
-never formed.
+from the leading m columns.  [A, -A] is formed once per LP and pivoted like
+any constraint matrix; phase I appends diag(sign b), so row i's artificial
+is sign(b_i) e_i with basic value |b_i| and no row is flipped.  The split
+LP's primal residual is measured at x = u - v, the point weighted_l1_lp
+returns, as A x - b.
 
 One _Basis object holds the whole state of a solve, from phase I into phase
 II: the basis and its inverse, the right-hand side, the pivot budget and the
@@ -38,8 +34,10 @@ Between the LPs of a reweighting run only the cost vector (w, w) changes, so
 the previous optimal basis is still primal-feasible and the next LP can start
 phase II from it directly (warm start; Chvatal, Linear Programming, 1983).  Every
 B^-1 the solve forms, refactors included, missing B B^-1 = I by more than
-BASIS_INVERSE_TOL raises CertificationError; a supplied basis, warm or crash,
-that misses it or is not primal-feasible within feas_tol goes to phase I.
+BASIS_INVERSE_TOL raises CertificationError.  A supplied basis, warm or
+crash, goes to phase I when it misses that check or when its basic point is
+not primal-feasible by the rule that certifies the answer: no basic value
+below -feas_tol and a residual within feas_tol.
 When phase I drops redundant rows, the optimal basis spans the kept rows
 only and the solution names them, so that a caller can warm-start later LPs
 on those rows.  Either way the result passes the same explicit
@@ -154,23 +152,30 @@ class LPProblem:
     def n(self) -> int:
         return self.a_eq.shape[1]
 
-    @property
-    def column_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cols, sign) of _Basis: the constraint matrix is a_eq itself."""
-        return np.arange(self.n), np.ones(self.n)
+    def residual(self, z: np.ndarray) -> np.ndarray:
+        """a_eq z - b_eq."""
+        return self.a_eq @ z - self.b_eq
 
 
 class _SplitLP:
     """The split LP  min c'(u, v)  s.t.  A u - A v = b,  u, v >= 0,  i.e. the
-    standard form with constraint matrix [A, -A], held as a_eq = A with the
-    column map that reads [A, -A] from it.  weighted_l1_lp builds it from
+    standard form with a_eq = [A, -A], formed here.  Its residual is
+    A (u - v) - b at the x that weighted_l1_lp returns, not [A, -A] z - b,
+    which differs when u_j and v_j cancel.  weighted_l1_lp builds it from
     inputs it has already validated."""
 
     def __init__(self, c: np.ndarray, a: np.ndarray, b_eq: np.ndarray):
-        self.c, self.a_eq, self.b_eq = c, a, b_eq
-        ncols = a.shape[1]
-        self.m, self.n = a.shape[0], 2 * ncols
-        self.column_map = np.tile(np.arange(ncols), 2), np.repeat([1.0, -1.0], ncols)
+        self.c, self.a, self.b_eq = c, a, b_eq
+        self.a_eq = np.hstack([a, -a])
+        self.m, self.n = self.a_eq.shape
+
+    def x(self, z: np.ndarray) -> np.ndarray:
+        """u - v of z = (u, v)."""
+        return z[:self.a.shape[1]] - z[self.a.shape[1]:]
+
+    def residual(self, z: np.ndarray) -> np.ndarray:
+        """A x - b_eq at x = u - v."""
+        return self.a @ self.x(z) - self.b_eq
 
 
 @dataclass(eq=False)
@@ -203,34 +208,23 @@ def default_pivot_budget(m: int, n: int) -> int:
 
 class _Basis:
     """Whole state of one solve: the column indices and B^-1 of a basis of the
-    constraint matrix E, the right-hand side b, the pivot budget and the
-    counts of pivots and refactors across the solve's phases.
-
-    E is read from a stored matrix s through a column map: column j of E is
-    sign[j] * s[:, cols[j]].  A generic LP maps s = a_eq column for column.
-    The split LP of weighted_l1_lp maps columns j and n + j to A's column j
-    with signs +1 and -1, and phase I appends I to s and maps row i's
-    artificial to sign(b_i) e_i, so [A, -A] (or [A, -A, I]) is never formed;
-    every product is an exact sign flip of the same product on the formed
-    matrix.  ``rebase`` moves the state to another map and b, for phase II
-    and when the drive-out drops a row.
+    constraint matrix s, the right-hand side b, the pivot budget and the
+    counts of pivots and refactors across the solve's phases.  s is a_eq,
+    or [a_eq, diag(sign b)] in phase I; ``rebase`` moves the state to
+    another matrix and b, for phase II and when the drive-out drops a row.
     """
 
-    def __init__(self, s: np.ndarray, cols: np.ndarray, sign: np.ndarray, basis,
-                 b: np.ndarray, budget: float = np.inf):
+    def __init__(self, s: np.ndarray, basis, b: np.ndarray, budget: float = np.inf):
         self.budget = budget
         self.pivots = self.phase1_pivots = self.degenerate = self.guarded = self.refactors = 0
-        self.rebase(s, cols, sign, basis, b)
+        self.rebase(s, basis, b)
 
-    def rebase(self, s: np.ndarray, cols: np.ndarray, sign: np.ndarray, basis,
-               b: np.ndarray) -> None:
-        """Invert ``basis`` of the E that s, cols and sign map; right-hand side b.
-        CertificationError if B does not invert or B B^-1 misses I by > BASIS_INVERSE_TOL."""
-        self.s, self.cols, self.sign, self.b = s, cols, sign, b
-        # direction reads one entry of each per pivot: from lists, not arrays
-        self.col_of, self.negated = cols.tolist(), (sign < 0).tolist()
+    def rebase(self, s: np.ndarray, basis, b: np.ndarray) -> None:
+        """Invert ``basis`` of s; right-hand side b.  CertificationError if B
+        does not invert or B B^-1 misses I by > BASIS_INVERSE_TOL."""
+        self.s, self.b = s, b
         self.basis = np.array(basis, dtype=int)
-        bmat = self.columns(self.basis)
+        bmat = s[:, self.basis]
         try:
             self.binv = np.linalg.inv(bmat)
         except np.linalg.LinAlgError as exc:
@@ -249,29 +243,30 @@ class _Basis:
         """The basic values B^-1 b."""
         return self.binv @ self.b
 
-    def columns(self, idx: np.ndarray) -> np.ndarray:
-        return self.s[:, self.cols[idx]] * self.sign[idx]
+    def point(self, n: int) -> np.ndarray:
+        """The basic solution in n columns, its basic values clipped at zero."""
+        z = np.zeros(n)
+        z[self.basis] = np.maximum(self.values(), 0.0)
+        return z
 
     def direction(self, j: int) -> np.ndarray:
         """B^-1 times column j."""
-        d = self.binv @ self.s[:, self.col_of[j]]
-        return np.negative(d, out=d) if self.negated[j] else d
+        return self.binv @ self.s[:, j]
 
     def reduced_costs(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """c - y E with y = c_B B^-1 into ``out``, basic entries set to +inf."""
-        g = (c[self.basis] @ self.binv) @ self.s
-        np.subtract(c, self.sign * g[self.cols], out=out)
+        """c - y s with y = c_B B^-1 into ``out``, basic entries set to +inf."""
+        np.subtract(c, (c[self.basis] @ self.binv) @ self.s, out=out)
         out[self.basis] = np.inf
         return out
 
     def tableau_row(self, r: int) -> np.ndarray:
-        """Row r of B^-1 E, zero at the basic columns."""
-        row = self.sign * (self.binv[r] @ self.s)[self.cols]
+        """Row r of B^-1 s, zero at the basic columns."""
+        row = self.binv[r] @ self.s
         row[self.basis] = 0.0
         return row
 
     def refactor(self):
-        self.rebase(self.s, self.cols, self.sign, self.basis, self.b)
+        self.rebase(self.s, self.basis, self.b)
         self.refactors += 1
 
     def pivot(self, row: int, col: int, direction: np.ndarray):
@@ -378,11 +373,12 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
     ``||a_eq z - b_eq||_inf <= feas_tol``.  An exhausted pivot budget raises
     SimplexStalledError rather than returning an uncertified point, and a
     failed certification raises CertificationError.  When ``initial_basis``
-    names a square, numerically invertible, primal-feasible basis, phase I is
-    skipped; any other basis of column indices in [0, n) falls back to phase
-    I, and one with another entry raises ValueError.  ``problem`` is an
-    LPProblem or the split LP of weighted_l1_lp, which is pivoted without
-    forming [A, -A].
+    names a square, numerically invertible basis whose basic point, clipped
+    at zero, passes the residual check above with no basic value below
+    -feas_tol, phase I is skipped; any other basis of column indices in
+    [0, n) falls back to phase I, and one with another entry raises
+    ValueError.  ``problem`` is an LPProblem or the split LP of
+    weighted_l1_lp, whose residual is taken at x = u - v.
     """
     if feas_tol <= 0:
         raise ValueError(f"feas_tol must be > 0, got {feas_tol}")
@@ -396,13 +392,14 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
         max_pivots = default_pivot_budget(m, n)
 
     a, b = problem.a_eq, problem.b_eq
-    cols, sign = problem.column_map
     rows = None
     state = None
     if initial_basis is not None:
         try:  # a start that does not invert, or is infeasible, falls back to phase I
-            cand = _Basis(a, cols, sign, initial_basis, b, max_pivots)
-            state = cand if cand.values().min(initial=0.0) >= -feas_tol else None
+            cand = _Basis(a, initial_basis, b, max_pivots)
+            if (cand.values().min(initial=0.0) >= -feas_tol
+                    and _residual(problem, cand.point(n)) <= feas_tol):
+                state = cand
         except CertificationError:
             pass
 
@@ -410,8 +407,7 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
         # Phase I: artificial basis, minimize the sum of artificials.  Row i's
         # artificial is sign(b_i) e_i, so its basic value is |b_i|.
         c1 = np.concatenate([np.zeros(n), np.ones(m)])
-        state = _Basis(np.hstack([a, np.eye(m)]), np.concatenate([cols, a.shape[1] + np.arange(m)]),
-                       np.concatenate([sign, np.where(b < 0, -1.0, 1.0)]),
+        state = _Basis(np.hstack([a, np.diag(np.where(b < 0, -1.0, 1.0))]),
                        np.arange(n, n + m), b, max_pivots)
         if _run_phase(state, c1, feas_tol) is LPStatus.UNBOUNDED:  # bounded below by 0
             raise CertificationError("phase I ended unbounded")
@@ -421,7 +417,7 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
         kept = _drive_out_artificials(state, n)
         if kept.size < m:
             a, rows = a[kept], kept
-        state.rebase(a, cols, sign, state.basis, state.b)
+        state.rebase(a, state.basis, state.b)
     state.phase1_pivots = state.pivots
 
     # Phase II on the structural columns only.
@@ -443,8 +439,7 @@ def _certified_point(problem: LPProblem, state: _Basis, c: np.ndarray,
     for attempt in range(2):
         if attempt:
             state.refactor()
-        z = np.zeros(problem.n)
-        z[state.basis] = np.maximum(state.values(), 0.0)
+        z = state.point(problem.n)
         residual = _residual(problem, z)
         worst = float(state.reduced_costs(c, reduced).min(initial=np.inf))
         if residual <= feas_tol and worst >= -feas_tol:
@@ -455,9 +450,7 @@ def _certified_point(problem: LPProblem, state: _Basis, c: np.ndarray,
 
 
 def _residual(problem: LPProblem, z: np.ndarray) -> float:
-    cols, sign = problem.column_map
-    az = problem.a_eq @ np.bincount(cols, sign * z)  # exactly u - v for the split LP, else z
-    return float(np.max(np.abs(az - problem.b_eq), initial=0.0))
+    return float(np.max(np.abs(problem.residual(z)), initial=0.0))
 
 
 def _drive_out_artificials(state: _Basis, n: int) -> np.ndarray:
@@ -484,8 +477,8 @@ def _drive_out_artificials(state: _Basis, n: int) -> np.ndarray:
         else:
             drop = int(np.argmax(np.abs(state.binv[r, :])))
             rows = np.delete(rows, drop)
-            state.rebase(np.delete(state.s, drop, axis=0), state.cols, state.sign,
-                         np.delete(state.basis, r), np.delete(state.b, drop))
+            state.rebase(np.delete(state.s, drop, axis=0), np.delete(state.basis, r),
+                         np.delete(state.b, drop))
 
 
 def _crash_basis(am: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
@@ -500,12 +493,12 @@ def _crash_basis(am: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
     any basis.
     """
     m, n = am.shape
-    cols = np.argsort(-np.abs(_crash_ranking(am, bv)), kind="stable")[:m]
+    picked = np.argsort(-np.abs(_crash_ranking(am, bv)), kind="stable")[:m]
     try:
-        x = np.linalg.solve(am[:, cols], bv)
+        x = np.linalg.solve(am[:, picked], bv)
     except np.linalg.LinAlgError:
         return None
-    return np.where(x >= 0, cols, cols + n)
+    return np.where(x >= 0, picked, picked + n)
 
 
 def _crash_ranking(am: np.ndarray, bv: np.ndarray) -> np.ndarray:
@@ -576,6 +569,4 @@ def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
         raise LPInfeasibleError("system A x = b is infeasible")
     if sol.status is not LPStatus.OPTIMAL:  # positive weights rule out unboundedness
         raise CertificationError(f"weighted-l1 LP ended {sol.status.value}")
-    ncols = am.shape[1]
-    x = sol.z[:ncols] - sol.z[ncols:]
-    return x, sol.objective, sol.pivots, sol.basis, sol.rows
+    return split.x(sol.z), sol.objective, sol.pivots, sol.basis, sol.rows

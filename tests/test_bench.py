@@ -23,16 +23,18 @@ def small_spec(k_values=(2,), kinds=("cwb",), trials=5, seed_base=42, m=10, n=30
 
 def break_refactor(monkeypatch, broken):
     """np.linalg.inv gives broken(inv, matrix) from its second call on, and the
-    first certification misses once, so that its refactor makes that call."""
+    first certification misses once, so that its refactor makes that call.
+    The residual check before it is the one that accepts the crash basis."""
     inv, residual = np.linalg.inv, rwl1.simplex._residual
-    calls, misses = [], [1.0]
+    calls, checks = [], []
 
     def patched_inv(matrix):
         calls.append(matrix.shape)
         return inv(matrix) if len(calls) == 1 else broken(inv, matrix)
 
     def residual_once(problem, z):
-        return misses.pop() if misses else residual(problem, z)
+        checks.append(z)
+        return 1.0 if len(checks) == 2 else residual(problem, z)
 
     monkeypatch.setattr(np.linalg, "inv", patched_inv)
     monkeypatch.setattr(rwl1.simplex, "_residual", residual_once)

@@ -153,14 +153,28 @@ class TestCertification:
 
     def test_reduced_cost_check_rejects_a_non_optimal_basis(self):
         problem = LPProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
-        state = _Basis(problem.a_eq, *problem.column_map, [0], problem.b_eq)
+        state = _Basis(problem.a_eq, [0], problem.b_eq)
         z = _certified_point(problem, state, problem.c, 1e-9)
         np.testing.assert_array_equal(z, [1.0, 0.0])
         # z = (0, 1) is feasible, but column 0 prices out at 1 - 2 = -1
-        state = _Basis(problem.a_eq, *problem.column_map, [1], problem.b_eq)
+        state = _Basis(problem.a_eq, [1], problem.b_eq)
         with pytest.raises(CertificationError, match="reduced cost -1 below"):
             _certified_point(problem, state, problem.c, 1e-9)
         assert state.refactors == 1  # one fresh factorization before giving up
+
+    def test_split_residual_is_measured_at_x(self):
+        # a cancelling pair u_j = v_j = 1e8 leaves x_j = 0, but [A, -A] z
+        # rounds it into the product; certification measures the x callers get
+        inst = make_instance(DistributionSpec.default("normal"), 50, 200, 8, 3)
+        a, b = inst.a, inst.b
+        (_, _, _, basis, _), sol = split_solve(np.ones(200), a, b)
+        z = sol.z.copy()
+        j = int(np.setdiff1d(np.arange(200), basis % 200)[0])
+        z[j] = z[200 + j] = 1e8
+        problem = rwl1.simplex._SplitLP(np.ones(400), a, b)
+        at_x = float(np.max(np.abs(a @ (z[:200] - z[200:]) - b)))
+        assert rwl1.simplex._residual(problem, z) == at_x
+        assert float(np.max(np.abs(np.hstack([a, -a]) @ z - b))) != at_x
 
     def test_near_degenerate_right_hand_sides_certify(self):
         # the l1 LPs of the figure grid with b moved by B_crash delta,
@@ -269,6 +283,25 @@ class TestInitialBasis:
         sol = solve(c, a, b, initial_basis=cold.basis)
         self.assert_certified_cold_optimum(sol, cold, np.array(a), np.array(b))
         assert sol.pivots == cold.pivots
+
+    def test_basis_whose_point_misses_the_residual_falls_back_to_phase_one(self, monkeypatch):
+        # a crash basis inverse off by 1e-8 per entry still meets B B^-1 = I
+        # to BASIS_INVERSE_TOL and gives nonnegative basic values, but its
+        # point misses A x = b by far more than feas_tol
+        inst = make_instance(DistributionSpec.default("normal"), 50, 200, 8, 3)
+        (_, objective, *_), exact = split_solve(np.ones(200), inst.a, inst.b)
+        assert exact.phase1_pivots == 0
+        inv, calls = np.linalg.inv, []
+
+        def first_off(matrix):
+            calls.append(matrix.shape)
+            return inv(matrix) + (1e-8 if len(calls) == 1 else 0.0)
+
+        monkeypatch.setattr(np.linalg, "inv", first_off)
+        (x, perturbed_objective, *_), sol = split_solve(np.ones(200), inst.a, inst.b)
+        assert calls[0] == (50, 50) and sol.phase1_pivots > 0
+        assert perturbed_objective == pytest.approx(objective, abs=1e-9)
+        assert np.max(np.abs(inst.a @ x - inst.b)) <= 1e-9
 
 
 class TestWeightedL1:
@@ -423,8 +456,8 @@ class TestRowDrop:
 
 
 class TestSplitPricing:
-    """weighted_l1_lp pivots on A alone; the same LP written out as
-    LPProblem(c=[w, w], a_eq=[A, -A]) must take the same path to the bit,
+    """weighted_l1_lp pivots on the [A, -A] it forms; the same LP written out
+    as LPProblem(c=[w, w], a_eq=[A, -A]) must take the same path to the bit,
     from the crash basis and through phase I from a rejected start, with or
     without a dropped row."""
 
