@@ -1,10 +1,19 @@
 """Recovery-probability benchmarking over grids of (scheme, sparsity, params).
 
 Trials are pure functions of (spec, scheme index, k, trial index): each gets
-its own instance seed derived by hashing the indices into the base seed, so
-results are independent of execution order and of the worker count, and any
-cell can be recomputed in isolation.  Failed solves (stalled LPs, failed
-certification checks) count as recovery failures and never abort a sweep.
+its instance seed by hashing the indices into the base seed, so results are
+independent of execution order and of the worker count, and any cell can be
+recomputed in isolation.  A paired sweep (the default) hashes scheme index 0
+for every scheme, so all schemes of one (k, trial) solve the same instance
+and can be compared trial by trial; an unpaired sweep hashes each scheme's
+own index.  Failed solves (stalled LPs, failed certification checks) count
+as recovery failures and never abort a sweep.
+
+A sweep runs one task per (k, trial), which runs every scheme's trial in
+turn.  A trial whose seed is the one before it reuses that trial's instance
+and its unit-weight LP, the first LP of every scheme, instead of drawing and
+solving them again; its record is the one run_trial alone gives.  Unpaired
+seeds differ, so there nothing is reused.
 
 A sweep returns its TrialRecords in grid order (scheme index, then the
 spec's k order, then trial index).  Its cells, its CSV and the CLI tables are
@@ -14,7 +23,10 @@ Wall-clock time is measured per trial and reported in the in-memory results
 and the CLI summary, but the CSV wall_ms column is written as 0 unless
 timing is explicitly requested: emitted artifacts stay byte-reproducible.
 A trial's wall_ms covers the solve; the instance generation before it is
-timed separately as gen_ms, which stays in memory and out of the CSV.
+timed separately as gen_ms, which stays in memory and out of the CSV.  Work
+is timed in the trial that did it: a trial that reuses the instance has
+gen_ms 0, and one that reuses the unit-weight LP leaves its time out of
+wall_ms (the record still counts its pivots).
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instances import DistributionSpec, make_instance
+from .instances import DistributionSpec, ProblemInstance, make_instance
 from .linalg import as_vector
 from .merit import WeightScheme
 from .rng import mix64
@@ -60,6 +72,7 @@ class SweepSpec:
     schemes: tuple[tuple[WeightScheme, SolverConfig], ...]
     trials: int
     seed_base: int
+    paired: bool = True  # every scheme of a (k, trial) solves the same instance
 
     def __post_init__(self):
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
@@ -183,41 +196,66 @@ def trial_seed(seed_base: int, k: int, scheme_index: int, trial_index: int) -> i
     return (int(seed_base) ^ mix64(packed)) & ((1 << 64) - 1)
 
 
-def run_trial(spec: SweepSpec, scheme_index: int, k: int, trial_index: int) -> TrialRecord:
-    """One recovery attempt; solver failures are recorded, not raised."""
+@dataclass
+class _Shared:
+    """What the trials of one sweep task hand on: the last instance drawn, its
+    seed and, once a trial has solved it, its unit-weight LP."""
+
+    seed: int | None = None
+    inst: ProblemInstance | None = None
+    start: tuple | None = None
+
+
+def run_trial(spec: SweepSpec, scheme_index: int, k: int, trial_index: int,
+              shared: _Shared | None = None) -> TrialRecord:
+    """One recovery attempt; solver failures are recorded, not raised.
+
+    Within a sweep task ``shared`` carries the instance and its unit-weight LP
+    from trial to trial; this trial reuses them if its seed is theirs, else
+    draws its own and leaves them there.  The record is the same either way."""
     scheme, config = spec.schemes[scheme_index]
-    seed = trial_seed(spec.seed_base, k, scheme_index, trial_index)
-    gen_start = time.perf_counter()
-    inst = make_instance(spec.dist, spec.m, spec.n, k, seed)
+    seed = trial_seed(spec.seed_base, k, 0 if spec.paired else scheme_index, trial_index)
+    shared = _Shared() if shared is None else shared
+    gen = 0.0
+    if shared.seed != seed:
+        gen_start = time.perf_counter()
+        inst = make_instance(spec.dist, spec.m, spec.n, k, seed)
+        gen = (time.perf_counter() - gen_start) * 1e3
+        shared.seed, shared.inst, shared.start = seed, inst, None
+    inst = shared.inst
     start = time.perf_counter()
-    gen = (start - gen_start) * 1e3
     try:
-        result: ReweightedResult = reweighted_l1(inst.a, inst.b, scheme, config)
+        result: ReweightedResult = reweighted_l1(inst.a, inst.b, scheme, config,
+                                                 start=shared.start)
     except SolverError as exc:
         wall = (time.perf_counter() - start) * 1e3
         return TrialRecord(scheme_index, k, trial_index, seed, success=False,
                            iterations=0, pivots=0, wall_ms=wall, fail_reason=str(exc), gen_ms=gen)
     wall = (time.perf_counter() - start) * 1e3
+    shared.start = result.start
     pivots = sum(rec.lp_pivots for rec in result.history)
     ok = is_success(result.x_hat, inst.x_true)
     return TrialRecord(scheme_index, k, trial_index, seed, success=ok,
                        iterations=result.iterations_used, pivots=pivots, wall_ms=wall, gen_ms=gen)
 
 
-def _run_cell(args) -> list[TrialRecord]:
-    spec, scheme_index, k = args
-    return [run_trial(spec, scheme_index, k, t) for t in range(spec.trials)]
+def _run_task(args) -> list[TrialRecord]:
+    """Every scheme's trial at one (k, trial index), in scheme order."""
+    spec, k, trial_index = args
+    shared = _Shared()
+    return [run_trial(spec, si, k, trial_index, shared) for si in range(len(spec.schemes))]
 
 
 def sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run the full grid; identical results for any worker count."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    cells = [(spec, si, k) for si in range(len(spec.schemes)) for k in spec.k_values]
+    tasks = [(spec, k, t) for k in spec.k_values for t in range(spec.trials)]
     if workers == 1:
-        per_cell = [_run_cell(c) for c in cells]
+        per_task = [_run_task(task) for task in tasks]
     else:
-        # a fork pool starts every worker on the first submit: no more than cells
-        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            per_cell = list(pool.map(_run_cell, cells))
-    return SweepResult(spec, [r for records in per_cell for r in records])
+        # a fork pool starts every worker on the first submit: no more than tasks
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            per_task = list(pool.map(_run_task, tasks))
+    return SweepResult(spec, [records[si] for si in range(len(spec.schemes))
+                              for records in per_task])

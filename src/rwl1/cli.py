@@ -91,6 +91,8 @@ def _config_flags(p: argparse.ArgumentParser, eps_rule: bool = True):
 def _grid_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--trials", type=positive_int, default=20)
     p.add_argument("--workers", type=positive_int, default=1)
+    p.add_argument("--unpaired", action="store_true",
+                   help="give each member its own instances (default: all share each trial's)")
     p.add_argument("--out", default=None)
 
 
@@ -248,7 +250,7 @@ def _run_grid(args, k_values, members, table) -> int:
         members = list(members)
         spec = SweepSpec(dist=_dist_from_args(args), m=args.m, n=args.n,
                          k_values=tuple(k_values), schemes=tuple(pair for _, pair in members),
-                         trials=args.trials, seed_base=args.seed)
+                         trials=args.trials, seed_base=args.seed, paired=not args.unpaired)
     result = sweep(spec, workers=args.workers)
     summary = sys.stdout if args.out else sys.stderr
     print(f"{'scheme':<10}{'cells':>6}{'trials':>8}{'mean rate':>11}{'mean iters':>12}"

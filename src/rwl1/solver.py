@@ -10,11 +10,13 @@ so a run never costs more than max_iter subproblems.
 The LPs of one run share A and b and differ only in their weights, so each
 LP after the first is warm-started from the previous LP's optimal basis,
 which is still primal-feasible; the simplex goes straight to phase II from
-it instead of from a fresh crash basis.  When phase I of the first LP drops
-redundant rows of A, the later LPs solve on the kept rows, which the
-returned basis spans.  Every iterate is certified by its own primal
-residual on all rows; a miss raises ReweightedSolveError caused by a
-CertificationError, which a sweep records as a failed trial.
+it instead of from a fresh crash basis.  The first LP has unit weights for
+every scheme, so a run can begin from another run's on the same system.
+When phase I of the first LP drops redundant rows of A, the later LPs solve
+on the kept rows, which the returned basis spans.  Every iterate is
+certified by its own primal residual on all rows; a miss raises
+ReweightedSolveError caused by a CertificationError, which a sweep records
+as a failed trial.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ class IterationRecord:
 class ReweightedResult:
     x_hat: np.ndarray
     history: list[IterationRecord] = field(default_factory=list)
+    start: tuple | None = None  # the unit-weight LP, as reweighted_l1(start=) takes it
 
     @property
     def iterations_used(self) -> int:
@@ -143,14 +146,18 @@ def _record(scheme: WeightScheme, x: np.ndarray, eps: float, objective: float,
     )
 
 
-def reweighted_l1(a, b, scheme: WeightScheme,
-                  config: SolverConfig = SolverConfig()) -> ReweightedResult:
+def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfig(),
+                  start: tuple | None = None) -> ReweightedResult:
     """Recover a sparse solution of A x = b by iterative reweighted l1.
 
     The l1 scheme performs exactly one LP solve.  Other schemes reweight
     until the iterate stops moving (inf-norm change below x_change_tol) or
     the LP budget of max_iter solves is spent.  Raises ValueError for a
     system that is not 1 <= m <= n, or square under the cwb eps rule.
+
+    ``start``, another run's ``ReweightedResult.start`` on this same A and b,
+    stands in for the unit-weight LP: the run records it as its own first LP,
+    with its own eps and merit, and counts its pivots, without solving it.
     """
     am = as_matrix(a)
     bv = as_vector(b, length=am.shape[0])
@@ -162,13 +169,14 @@ def reweighted_l1(a, b, scheme: WeightScheme,
 
     history: list[IterationRecord] = []
 
-    def solve(w, eps, basis):
-        """Certified LP solve on rows ``lp_rows`` from ``basis``; appends its
-        record and returns the iterate, its optimal basis and the rows phase I
-        kept (None if it dropped none)."""
+    def solve(w, eps, basis, lp=None):
+        """Certified LP solve on rows ``lp_rows`` from ``basis``, or the solved
+        ``lp``; appends its record and returns the LP's (x, objective, pivots,
+        optimal basis, rows phase I kept or None)."""
         try:
-            x, objective, pivots, basis, rows = weighted_l1_lp(w, am[lp_rows], bv[lp_rows],
-                                                               initial_basis=basis)
+            if lp is None:
+                lp = weighted_l1_lp(w, am[lp_rows], bv[lp_rows], initial_basis=basis)
+            x, objective, pivots, _, _ = lp
             record = _record(scheme, x, eps, objective, pivots, am, bv)
             if record.residual_inf > config.feas_tol:
                 raise CertificationError(f"iterate residual {record.residual_inf:.3g} "
@@ -176,18 +184,19 @@ def reweighted_l1(a, b, scheme: WeightScheme,
         except SolverError as exc:
             raise ReweightedSolveError(len(history) + 1, exc) from exc
         history.append(record)
-        return x, basis, rows
+        return lp
 
     eps = config.schedule.eps0
     lp_rows = slice(None)
-    x, basis, rows = solve(np.ones(n), eps, None)
+    start = solve(np.ones(n), eps, None, start)
+    x, _, _, basis, rows = start
     if rows is not None:
         # phase I dropped redundant rows; the later LPs leave them out too, so
         # that they can warm-start from the previous basis
         lp_rows = rows
 
     if scheme.kind == "l1":
-        return ReweightedResult(x_hat=x, history=history)
+        return ReweightedResult(x_hat=x, history=history, start=start)
 
     while len(history) < config.max_iter:
         w = weights(scheme, x, eps, config.clamp)
@@ -198,11 +207,11 @@ def reweighted_l1(a, b, scheme: WeightScheme,
                 len(history) + 1,
                 f"weights left the positive domain (min {np.min(w):.3g}, eps {eps:g})",
             )
-        x_new, basis, _ = solve(w, eps, basis)
+        x_new, _, _, basis, _ = solve(w, eps, basis)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
         if change < config.x_change_tol:
             break
         eps = epsilon_update(config.schedule, eps, x_new, m, n)
 
-    return ReweightedResult(x_hat=x, history=history)
+    return ReweightedResult(x_hat=x, history=history, start=start)

@@ -9,7 +9,7 @@ import rwl1.solver
 from rwl1.bench import CSV_HEADER, SweepSpec, is_success, run_trial, sweep, trial_seed
 from rwl1.instances import DistributionSpec, make_instance
 from rwl1.merit import WeightScheme
-from rwl1.simplex import CertificationError
+from rwl1.simplex import CertificationError, SolverError
 from rwl1.solver import SolverConfig
 
 NORMAL = DistributionSpec.default("normal")
@@ -120,6 +120,88 @@ class TestRunTrial:
         assert trial_seed(42, 3, 1, 7) != trial_seed(42, 4, 1, 7)
 
 
+def figure_spec(kinds=("l1", "cwb", "w1", "w2"), paired=True):
+    # k = 20 runs reach max_iter; k = 6 ones stop early
+    schemes = tuple((WeightScheme(kind), SolverConfig()) for kind in kinds)
+    return SweepSpec(dist=NORMAL, m=50, n=200, k_values=(6, 20), schemes=schemes,
+                     trials=3, seed_base=42, paired=paired)
+
+
+def unit_weight_lps(monkeypatch, fail_first=False):
+    """Spy on the cold (unit-weight) LPs the solver runs, by instance seed
+    order; ``fail_first`` makes the first of them raise SolverError."""
+    lp, calls = rwl1.solver.weighted_l1_lp, []
+
+    def spy(w, a, b, **kw):
+        if kw.get("initial_basis") is None:
+            assert np.all(w == 1.0)
+            calls.append(b.tobytes())
+            if fail_first and len(calls) == 1:
+                raise SolverError("injected")
+        return lp(w, a, b, **kw)
+
+    monkeypatch.setattr(rwl1.solver, "weighted_l1_lp", spy)
+    return calls
+
+
+class TestPairedSweep:
+    """Sharing an instance and its unit-weight LP between the schemes of a
+    (k, trial) changes no record: each equals run_trial alone."""
+
+    @pytest.mark.parametrize("paired", [True, False], ids=["paired", "unpaired"])
+    def test_records_equal_run_trial_alone(self, paired):
+        spec = figure_spec(paired=paired)
+        records = sweep(spec).records
+        assert any(r.iterations == SolverConfig.max_iter for r in records)
+        for r in records:
+            assert r.seed == trial_seed(42, r.k, 0 if paired else r.scheme_index, r.trial_index)
+            alone = run_trial(spec, r.scheme_index, r.k, r.trial_index)
+            assert (r.seed, r.success, r.iterations, r.pivots, r.fail_reason) == (
+                alone.seed, alone.success, alone.iterations, alone.pivots, alone.fail_reason)
+
+    def test_scheme_order_does_not_matter(self):
+        kinds = ("l1", "cwb", "w1", "w2")
+
+        def by_scheme(kinds):
+            return {(kinds[r.scheme_index], r.k, r.trial_index):
+                    (r.seed, r.success, r.iterations, r.pivots, r.fail_reason)
+                    for r in sweep(figure_spec(kinds)).records}
+
+        assert by_scheme(kinds) == by_scheme(kinds[::-1])
+
+    def test_instance_and_unit_weight_lp_once_per_pair(self, monkeypatch):
+        make, made = rwl1.bench.make_instance, []
+
+        def spy_make(*args):
+            made.append(args)
+            return make(*args)
+
+        monkeypatch.setattr(rwl1.bench, "make_instance", spy_make)
+        lps = unit_weight_lps(monkeypatch)
+        sweep(figure_spec())
+        assert len(made) == len(set(made)) == 2 * 3
+        assert len(lps) == len(set(lps)) == 2 * 3
+        made.clear()
+        lps.clear()
+        sweep(figure_spec(paired=False))
+        assert len(made) == len(lps) == 4 * 2 * 3
+
+    def test_failed_unit_weight_lp_is_not_shared(self, monkeypatch):
+        # the first scheme's first LP raises once: that trial records the
+        # failure, and the next scheme solves the LP again
+        spec = figure_spec()
+        alone = {(r.scheme_index, r.k, r.trial_index): r for r in sweep(spec).records}
+        lps = unit_weight_lps(monkeypatch, fail_first=True)
+        records = sweep(spec).records
+        assert lps[0] == lps[1] and len(set(lps)) == len(lps) - 1 == 2 * 3
+        failed = [r for r in records if r.fail_reason is not None]
+        assert [(r.scheme_index, r.k, r.trial_index) for r in failed] == [(0, 6, 0)]
+        assert failed[0].fail_reason == "LP solve failed at iteration 1: injected"
+        assert failed[0].iterations == failed[0].pivots == 0
+        assert [r for r in records if r is not failed[0]] == [
+            r for key, r in alone.items() if key != (0, 6, 0)]
+
+
 class TestSweep:
     def test_bookkeeping(self):
         res = sweep(small_spec(k_values=(2, 4), kinds=("cwb",), trials=5))
@@ -145,8 +227,9 @@ class TestSweep:
         assert [ln.split(",")[5] for ln in res.to_csv().splitlines()[1:]] == ["2", "4", "2", "4"]
 
     @pytest.mark.parametrize("workers,started", [(5000, 4), (3, 3)])
-    def test_pool_has_at_most_one_worker_per_cell(self, workers, started, monkeypatch):
-        # a fork pool starts all max_workers processes on the first submit
+    def test_pool_has_at_most_one_worker_per_task(self, workers, started, monkeypatch):
+        # a fork pool starts all max_workers processes on the first submit;
+        # a sweep has one task per (k, trial), here 2 x 2
         seen = []
 
         class FakePool:
@@ -163,7 +246,7 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(rwl1.bench, "ProcessPoolExecutor", FakePool)
-        spec = small_spec(k_values=(2, 3), kinds=("l1", "cwb"), trials=1)
+        spec = small_spec(k_values=(2, 3), kinds=("l1", "cwb"), trials=2)
         assert sweep(spec, workers=workers).cells == sweep(spec).cells
         assert seen == [started]
 
@@ -220,7 +303,7 @@ class TestSweep:
         # cold-start solver; solver changes must reproduce them, not regenerate them
         schemes = tuple((WeightScheme(kind), SolverConfig()) for kind in ("cwb", "w1", "w2"))
         spec = SweepSpec(dist=NORMAL, m=50, n=200, k_values=tuple(range(16, 21)),
-                         schemes=schemes, trials=6, seed_base=2013)
+                         schemes=schemes, trials=6, seed_base=2013, paired=False)
         got = {(c.scheme, c.k): c.successes for c in sweep(spec).cells}
         assert got == {
             ("cwb", 16): 5, ("cwb", 17): 5, ("cwb", 18): 2, ("cwb", 19): 1, ("cwb", 20): 2,

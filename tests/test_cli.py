@@ -303,13 +303,20 @@ def test_csv_goes_to_stdout_without_out(argv, labels, tmp_path, capsys):
 GOLDEN_RUNS = {
     "sweep-normal-five-schemes": (
         ["sweep", "--m", "10", "--n", "30", "--k", "1:4", "--schemes", "l1,cwb,zl,w1,w2",
-         "--trials", "3", "--seed", "5"],
+         "--trials", "3", "--seed", "5", "--unpaired"],
         "52feae7fd101ec1cd2da6f1b52d55f1c9823c72df13363cbab7d222dc0c96644",
         "810098e84e4cabe2500f96a0a45a4a9c2c79a4cce74d655325ebad7c7e1f650f"),
+    # the default paired sweep: every scheme of a (k, trial) solves one instance
+    "sweep-normal-five-schemes-paired": (
+        ["sweep", "--m", "10", "--n", "30", "--k", "1:4", "--schemes", "l1,cwb,zl,w1,w2",
+         "--trials", "3", "--seed", "5"],
+        "3f63cdcbe7dfdefc1652dbfece37ecda85bf1198fd8eb600532a9635edc46099",
+        "dc200e97b8e367af4fe941f686ab6a09d35b44721141ce2a5a1535c457f4e6d1"),
     "sweep-poisson-floor-cwb": (
         ["sweep", "--dist", "poisson", "--m", "8", "--n", "24", "--k", "2,3",
          "--schemes", "w1,w2", "--p", "0.3", "--q", "0.2", "--eps-rule", "cwb",
-         "--clamp", "floor", "--clamp-floor", "1e-6", "--trials", "2", "--seed", "9"],
+         "--clamp", "floor", "--clamp-floor", "1e-6", "--trials", "2", "--seed", "9",
+         "--unpaired"],
         "d60c2ba6c1c2190d1c9ff6a9850e21afa750f1a078f60b2ee40d7985fcfbe8e5",
         "e335cc7cdf55e4865b725fe121d67150683c2507f2125f45ce575978f2fdff0b"),
     "study-eps": (
@@ -319,17 +326,17 @@ GOLDEN_RUNS = {
         "2a02be448eb393e78727eae02eb616bd1211cc16328d15c485e0c423a0250def"),
     "study-p-list": (
         ["study-p", "--m", "10", "--n", "30", "--p-grid", "0.1,0.5,0.9", "--k-list", "2,4",
-         "--trials", "2", "--seed", "4"],
+         "--trials", "2", "--seed", "4", "--unpaired"],
         "b3d7816f22527ead6ce2fb6a21f54463e26798708d464cebdc824a5088d4bac3",
         "d9d15714a3361233a504fb7b1e868c29ef614e273786f6152dde7028391f919b"),
     "study-p-range": (
         ["study-p", "--m", "10", "--n", "30", "--p-grid", "0.1:0.4:0.9", "--k-list", "2:4",
-         "--eps-rule", "fixed", "--trials", "2", "--seed", "4"],
+         "--eps-rule", "fixed", "--trials", "2", "--seed", "4", "--unpaired"],
         "0154dce28dc1d040742ff638edcc3320203f51df9a2797e58c67d423c2b5f8c5",
         "058b8b11da4f127bf7db96867f4755f23074b03ae6adaaf0ffecbe814c76380c"),
     "study-pq": (
         ["study-pq", "--m", "8", "--n", "20", "--fixed-p", "0.08", "--q-grid", "0.04:0.3:1",
-         "--k-list", "2,3", "--trials", "2", "--seed", "4"],
+         "--k-list", "2,3", "--trials", "2", "--seed", "4", "--unpaired"],
         "8d77edba4eaf23c976878feb61c4fafb69c6e4090fd719ad87cd284d01ec319b",
         "deb17bbeffb281f75bc0ee9770061536a4c80829e7abb0f452ac81fcbf7db970"),
 }
