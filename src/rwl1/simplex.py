@@ -21,23 +21,29 @@ phase I altogether.  Its m columns are the largest entries of a few
 iteratively reweighted least-squares steps from the min-norm solution
 (Chartrand and Yin, ICASSP 2008), which sit near the l1 optimum's support:
 on normal 50x200 instances the cold LP takes about half the pivots it took
-from the leading m columns.  [A, -A] is formed once per LP and pivoted like
-any constraint matrix; phase I appends diag(sign b), so row i's artificial
+from the leading m columns.  [A, -A] is formed once per A and pivoted like
+any constraint matrix: a warm start on the same A and b hands it to the next
+LP.  Phase I appends diag(sign b), so row i's artificial
 is sign(b_i) e_i with basic value |b_i| and no row is flipped.  The split
 LP's primal residual is measured at x = u - v, the point weighted_l1_lp
 returns, as A x - b.
 
 One _Basis object holds the whole state of a solve, from phase I into phase
 II: the basis and its inverse, the right-hand side, the pivot budget and the
-counters that LPSolution reports.  Every solve returns its optimal basis.
-Between the LPs of a reweighting run only the cost vector (w, w) changes, so
-the previous optimal basis is still primal-feasible and the next LP can start
-phase II from it directly (warm start; Chvatal, Linear Programming, 1983).  Every
-B^-1 the solve forms, refactors included, missing B B^-1 = I by more than
-BASIS_INVERSE_TOL raises CertificationError.  A supplied basis, warm or
-crash, goes to phase I when it misses that check or when its basic point is
-not primal-feasible by the rule that certifies the answer: no basic value
-below -feas_tol and a residual within feas_tol.
+counters that LPSolution reports.  Every optimal solve returns its basis
+with its B^-1 as a WarmStart.  Between the LPs of a reweighting run only the
+cost vector (w, w) changes, so the previous optimal basis is still
+primal-feasible and the next LP can start phase II from it directly (warm
+start; Chvatal, Linear Programming, 1983).  That LP adopts a copy of the
+B^-1 instead of inverting the basis again, and REFACTOR_EVERY counts the
+updates since the inverse was last formed across the LPs it passes through.
+Every B^-1 the solve forms, refactors included, missing B B^-1 = I by more
+than BASIS_INVERSE_TOL raises CertificationError.  An adopted B^-1 goes
+unchecked only on the very matrix it was updated on, as it would within one
+solve; on any other it must meet the same bound.  A supplied basis, warm or
+crash, formed or adopted, goes to phase I when it misses that check or when
+its basic point is not primal-feasible by the rule that certifies the
+answer: no basic value below -feas_tol and a residual within feas_tol.
 When phase I drops redundant rows, the optimal basis spans the kept rows
 only and the solution names them, so that a caller can warm-start later LPs
 on those rows.  Either way the result passes the same explicit
@@ -49,7 +55,7 @@ and, unlike asserts, also run under ``python -O``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +65,7 @@ __all__ = [
     "LPStatus",
     "LPProblem",
     "LPSolution",
+    "WarmStart",
     "SolverError",
     "CertificationError",
     "SimplexStalledError",
@@ -162,11 +169,13 @@ class _SplitLP:
     standard form with a_eq = [A, -A], formed here.  Its residual is
     A (u - v) - b at the x that weighted_l1_lp returns, not [A, -A] z - b,
     which differs when u_j and v_j cancel.  weighted_l1_lp builds it from
-    inputs it has already validated."""
+    inputs it has already validated, and hands in the a_eq that an earlier
+    split LP formed from the same A."""
 
-    def __init__(self, c: np.ndarray, a: np.ndarray, b_eq: np.ndarray):
+    def __init__(self, c: np.ndarray, a: np.ndarray, b_eq: np.ndarray,
+                 a_eq: np.ndarray | None = None):
         self.c, self.a, self.b_eq = c, a, b_eq
-        self.a_eq = np.hstack([a, -a])
+        self.a_eq = np.hstack([a, -a]) if a_eq is None else a_eq
         self.m, self.n = self.a_eq.shape
 
     def x(self, z: np.ndarray) -> np.ndarray:
@@ -188,7 +197,9 @@ class LPSolution:
     accepted; ``degenerate_pivots`` those whose leaving basic value was at
     most HARRIS_TOL, so that the step did not move; ``guard_pivots`` those
     made by the stall guard's Bland rule.  ``refactors`` counts the rebuilds
-    of B^-1 from scratch after a basis was first inverted."""
+    of B^-1 from scratch after a basis was first inverted or adopted.
+    ``start`` is the optimal basis with its B^-1, to warm-start another LP on
+    the same rows (None unless OPTIMAL)."""
 
     status: LPStatus
     z: np.ndarray | None
@@ -200,6 +211,25 @@ class LPSolution:
     degenerate_pivots: int = 0
     guard_pivots: int = 0
     rows: np.ndarray | None = None
+    start: WarmStart | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class WarmStart:
+    """The basis a solve ended on, as ``initial_basis`` of another LP on the
+    same rows: its column indices, its B^-1, the pivots that have updated
+    that inverse since it was last formed from scratch, and the problem whose
+    rows it spans (None when phase I dropped rows).  ``np.asarray`` gives the
+    column indices.  A solve adopts copies of the indices and the inverse, so
+    one start can begin any number of solves."""
+
+    basis: np.ndarray
+    binv: np.ndarray = field(repr=False)
+    updates: int
+    problem: LPProblem | _SplitLP | None = field(repr=False)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.basis, dtype=dtype)
 
 
 def default_pivot_budget(m: int, n: int) -> int:
@@ -212,12 +242,17 @@ class _Basis:
     counts of pivots and refactors across the solve's phases.  s is a_eq,
     or [a_eq, diag(sign b)] in phase I; ``rebase`` moves the state to
     another matrix and b, for phase II and when the drive-out drops a row.
+    ``updates`` counts the pivots since B^-1 was last formed from scratch,
+    in this solve or, for an adopted WarmStart, in the solves before it.
     """
 
     def __init__(self, s: np.ndarray, basis, b: np.ndarray, budget: float = np.inf):
         self.budget = budget
         self.pivots = self.phase1_pivots = self.degenerate = self.guarded = self.refactors = 0
-        self.rebase(s, basis, b)
+        if isinstance(basis, WarmStart):
+            self.adopt(s, basis, b)
+        else:
+            self.rebase(s, basis, b)
 
     def rebase(self, s: np.ndarray, basis, b: np.ndarray) -> None:
         """Invert ``basis`` of s; right-hand side b.  CertificationError if B
@@ -229,10 +264,28 @@ class _Basis:
             self.binv = np.linalg.inv(bmat)
         except np.linalg.LinAlgError as exc:
             raise CertificationError(f"basis does not invert: {exc}") from exc
+        self._check(bmat)
+        self.updates = 0
+
+    def adopt(self, s: np.ndarray, start: WarmStart, b: np.ndarray) -> None:
+        """Take copies of ``start``'s basis and B^-1 as a basis of s, with its
+        update count; right-hand side b.  On the matrix it was updated on the
+        inverse goes on unchecked, as it would within one solve; on any other
+        it raises CertificationError where a formed one would."""
+        self.s, self.b = s, b
+        self.basis = np.array(start.basis, dtype=int)
+        self.binv = start.binv.copy()
+        if start.problem is None or start.problem.a_eq is not s:
+            if len(self.basis) != s.shape[0]:
+                raise CertificationError(f"basis of {len(self.basis)} columns "
+                                         f"for {s.shape[0]} rows")
+            self._check(s[:, self.basis])
+        self.updates = start.updates
+
+    def _check(self, bmat: np.ndarray) -> None:
         miss = float(np.max(np.abs(bmat @ self.binv - np.eye(len(bmat))), initial=0.0))
         if miss > BASIS_INVERSE_TOL:
             raise CertificationError(f"basis inverse misses B B^-1 = I by {miss:.3g}")
-        self.pivots_since_refactor = 0
 
     def solution(self, status: LPStatus, z, objective: float, **fields) -> LPSolution:
         return LPSolution(status, z, objective, self.pivots, phase1_pivots=self.phase1_pivots,
@@ -241,7 +294,7 @@ class _Basis:
 
     def values(self) -> np.ndarray:
         """The basic values B^-1 b."""
-        return self.binv @ self.b
+        return self.binv.dot(self.b)
 
     def point(self, n: int) -> np.ndarray:
         """The basic solution in n columns, its basic values clipped at zero."""
@@ -251,17 +304,17 @@ class _Basis:
 
     def direction(self, j: int) -> np.ndarray:
         """B^-1 times column j."""
-        return self.binv @ self.s[:, j]
+        return self.binv.dot(self.s[:, j])
 
     def reduced_costs(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """c - y s with y = c_B B^-1 into ``out``, basic entries set to +inf."""
-        np.subtract(c, (c[self.basis] @ self.binv) @ self.s, out=out)
+        np.subtract(c, c[self.basis].dot(self.binv).dot(self.s), out=out)
         out[self.basis] = np.inf
         return out
 
     def tableau_row(self, r: int) -> np.ndarray:
         """Row r of B^-1 s, zero at the basic columns."""
-        row = self.binv[r] @ self.s
+        row = self.binv[r].dot(self.s)
         row[self.basis] = 0.0
         return row
 
@@ -279,10 +332,10 @@ class _Basis:
         piv = direction[row]
         binv = self.binv
         r = binv[row] / piv
-        binv -= direction[:, None] * r
+        binv -= np.dot(direction[:, None], r[None, :])
         binv[row] = r
-        self.pivots_since_refactor += 1
-        if self.pivots_since_refactor >= REFACTOR_EVERY or abs(piv) < REFACTOR_PIVOT_TOL:
+        self.updates += 1
+        if self.updates >= REFACTOR_EVERY or abs(piv) < REFACTOR_PIVOT_TOL:
             self.refactor()
 
 
@@ -322,24 +375,32 @@ def _run_phase(state: _Basis, c: np.ndarray, feas_tol: float) -> LPStatus:
     """
     if c.shape[0] == 0:
         return LPStatus.OPTIMAL  # no column can enter
+    # the loop is state.reduced_costs, .direction and .values written out;
+    # s and b stay fixed within a phase, basis and B^-1 are re-read per pivot
+    # since a refactor replaces them
+    s, b, tol = state.s, state.b, -feas_tol
     reduced = np.empty(c.shape[0])
     stall_limit = STALL_GUARD * (len(state.basis) + c.shape[0])
     stalled = 0
     while True:
-        state.reduced_costs(c, reduced)
+        basis, binv = state.basis, state.binv
+        np.subtract(c, c[basis].dot(binv).dot(s), out=reduced)
+        reduced[basis] = np.inf
         guard = stalled >= stall_limit
-        entering = int((reduced < -feas_tol).argmax() if guard else reduced.argmin())
-        if not reduced[entering] < -feas_tol:
+        entering = int((reduced < tol).argmax() if guard else reduced.argmin())
+        if not reduced[entering] < tol:
             return LPStatus.OPTIMAL
 
-        d = state.direction(entering)
-        xb = state.values()
-        row = _leaving_row(d, xb, state.basis if guard else None)
+        d = binv.dot(s[:, entering])
+        xb = binv.dot(b)
+        row = _leaving_row(d, xb, basis if guard else None)
         if row is None:
             return LPStatus.UNBOUNDED
-        degenerate = bool(xb[row] <= HARRIS_TOL)
-        stalled = stalled + 1 if degenerate else 0
-        state.degenerate += degenerate
+        if xb[row] <= HARRIS_TOL:
+            stalled += 1
+            state.degenerate += 1
+        else:
+            stalled = 0
         state.guarded += guard
         state.pivot(row, entering, d)
 
@@ -366,7 +427,7 @@ def _lift_negative_basics(state: _Basis, c: np.ndarray) -> None:
 
 def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
                         max_pivots: int | None = None,
-                        initial_basis: np.ndarray | None = None) -> LPSolution:
+                        initial_basis: np.ndarray | WarmStart | None = None) -> LPSolution:
     """Two-phase revised simplex.
 
     OPTIMAL solutions are certified: reduced costs >= -feas_tol and
@@ -377,8 +438,11 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
     at zero, passes the residual check above with no basic value below
     -feas_tol, phase I is skipped; any other basis of column indices in
     [0, n) falls back to phase I, and one with another entry raises
-    ValueError.  ``problem`` is an LPProblem or the split LP of
-    weighted_l1_lp, whose residual is taken at x = u - v.
+    ValueError.  ``initial_basis`` is column indices, whose B^-1 the solve
+    forms, or another solve's ``LPSolution.start``, whose B^-1 it adopts
+    (WarmStart); the basic point is vetted the same way for both.
+    ``problem`` is an LPProblem or the split LP of weighted_l1_lp, whose
+    residual is taken at x = u - v.
     """
     if feas_tol <= 0:
         raise ValueError(f"feas_tol must be > 0, got {feas_tol}")
@@ -426,7 +490,9 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
         return state.solution(LPStatus.UNBOUNDED, None, float("-inf"))
     _lift_negative_basics(state, c)
     z = _certified_point(problem, state, c, feas_tol)
-    return state.solution(LPStatus.OPTIMAL, z, float(c @ z), basis=state.basis, rows=rows)
+    start = WarmStart(state.basis, state.binv, state.updates, problem if rows is None else None)
+    return state.solution(LPStatus.OPTIMAL, z, float(c @ z), basis=state.basis, rows=rows,
+                          start=start)
 
 
 def _certified_point(problem: LPProblem, state: _Basis, c: np.ndarray,
@@ -537,23 +603,31 @@ def _min_weighted_norm(am: np.ndarray, bv: np.ndarray, s: np.ndarray) -> np.ndar
 
 
 def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
-                   initial_basis: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, float, int, np.ndarray, np.ndarray | None]:
+                   initial_basis: np.ndarray | WarmStart | None = None
+                   ) -> tuple[np.ndarray, float, int, WarmStart, np.ndarray | None]:
     """Minimize sum_i w_i |x_i| subject to A x = b, via the split x = u - v.
 
     Requires strictly positive weights (which also guarantees a bounded LP).
-    ``initial_basis`` is a starting basis of the split LP, typically the basis
-    returned by a previous solve on the same A and b; by default the crash
-    basis.  Returns (x, objective, pivots, basis, rows) with the optimal
-    basis of the split LP; ``rows`` is None unless phase I dropped redundant
-    rows, and then holds the kept rows: the basis is a warm start for the
-    same LP on A[rows], b[rows].  Raises LPInfeasibleError if the system has
-    no solution, ValueError for an ``initial_basis`` entry that is not a
-    column index of the split LP, and propagates SimplexStalledError and
+    ``initial_basis`` is a starting basis of the split LP, typically the
+    WarmStart returned by a previous solve on the same A and b; by default
+    the crash basis.  Given the very A and b objects of that solve, the LP
+    reuses the [A, -A] it formed and skips validating them again.  Returns
+    (x, objective, pivots, start, rows) with the WarmStart of the optimal
+    basis of the split LP, which ``np.asarray`` turns into its column
+    indices; ``rows`` is None unless phase I dropped redundant rows, and then
+    holds the kept rows: the start is a warm start for the same LP on
+    A[rows], b[rows].  Raises LPInfeasibleError if the system has no
+    solution, ValueError for an ``initial_basis`` entry that is not a column
+    index of the split LP, and propagates SimplexStalledError and
     CertificationError from the simplex.
     """
-    am = as_matrix(a)
-    bv = as_vector(b, length=am.shape[0])
+    prev = initial_basis.problem if isinstance(initial_basis, WarmStart) else None
+    if isinstance(prev, _SplitLP) and prev.a is a and prev.b_eq is b:
+        am, bv, a_eq = a, b, prev.a_eq
+    else:
+        am = as_matrix(a)
+        bv = as_vector(b, length=am.shape[0])
+        a_eq = None
     wv = as_vector(w, length=am.shape[1])
     if np.any(wv <= 0):
         raise ValueError("weighted_l1_lp requires all weights > 0")
@@ -561,7 +635,7 @@ def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
     if am.shape[0] > 2 * am.shape[1]:
         raise ValueError(f"standard form requires rows <= cols, "
                          f"got {am.shape[0]}x{2 * am.shape[1]}")
-    split = _SplitLP(np.concatenate([wv, wv]), am, bv)
+    split = _SplitLP(np.concatenate([wv, wv]), am, bv, a_eq)
     if initial_basis is None:
         initial_basis = _crash_basis(am, bv)
     sol = solve_standard_form(split, feas_tol=feas_tol, initial_basis=initial_basis)
@@ -569,4 +643,4 @@ def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
         raise LPInfeasibleError("system A x = b is infeasible")
     if sol.status is not LPStatus.OPTIMAL:  # positive weights rule out unboundedness
         raise CertificationError(f"weighted-l1 LP ended {sol.status.value}")
-    return split.x(sol.z), sol.objective, sol.pivots, sol.basis, sol.rows
+    return split.x(sol.z), sol.objective, sol.pivots, sol.start, sol.rows

@@ -10,11 +10,16 @@ so a run never costs more than max_iter subproblems.
 The LPs of one run share A and b and differ only in their weights, so each
 LP after the first is warm-started from the previous LP's optimal basis,
 which is still primal-feasible; the simplex goes straight to phase II from
-it instead of from a fresh crash basis.  The first LP has unit weights for
-every scheme, so a run can begin from another run's on the same system.
-When phase I of the first LP drops redundant rows of A, the later LPs solve
-on the kept rows, which the returned basis spans.  Every iterate is
-certified by its own primal residual on all rows; a miss raises
+it instead of from a fresh crash basis.  The previous LP hands on its whole
+end state (simplex.WarmStart): the basis, its B^-1 and that inverse's update
+count, and the [A, -A] it formed.  The next LP adopts a copy of the inverse
+instead of inverting the basis, and takes it only if its basic point is
+primal-feasible within feas_tol, else it runs phase I.  The first LP has
+unit weights for every scheme, so a run can begin from another run's on the
+same system; each run pivots on its own copy of that start.  When phase I
+of the first LP drops redundant rows of A, the later LPs solve on the kept
+rows, which the returned basis spans, and adopt its inverse there.  Every
+iterate is certified by its own primal residual on all rows; a miss raises
 ReweightedSolveError caused by a CertificationError, which a sweep records
 as a failed trial.
 """
@@ -170,12 +175,12 @@ def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfi
     history: list[IterationRecord] = []
 
     def solve(w, eps, basis, lp=None):
-        """Certified LP solve on rows ``lp_rows`` from ``basis``, or the solved
-        ``lp``; appends its record and returns the LP's (x, objective, pivots,
-        optimal basis, rows phase I kept or None)."""
+        """Certified LP solve on ``lp_a``, ``lp_b`` from ``basis``, or the
+        solved ``lp``; appends its record and returns the LP's (x, objective,
+        pivots, WarmStart of its optimal basis, rows phase I kept or None)."""
         try:
             if lp is None:
-                lp = weighted_l1_lp(w, am[lp_rows], bv[lp_rows], initial_basis=basis)
+                lp = weighted_l1_lp(w, lp_a, lp_b, initial_basis=basis)
             x, objective, pivots, _, _ = lp
             record = _record(scheme, x, eps, objective, pivots, am, bv)
             if record.residual_inf > config.feas_tol:
@@ -187,13 +192,13 @@ def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfi
         return lp
 
     eps = config.schedule.eps0
-    lp_rows = slice(None)
+    lp_a, lp_b = am, bv
     start = solve(np.ones(n), eps, None, start)
     x, _, _, basis, rows = start
     if rows is not None:
         # phase I dropped redundant rows; the later LPs leave them out too, so
         # that they can warm-start from the previous basis
-        lp_rows = rows
+        lp_a, lp_b = am[rows], bv[rows]
 
     if scheme.kind == "l1":
         return ReweightedResult(x_hat=x, history=history, start=start)

@@ -186,6 +186,34 @@ class TestPairedSweep:
         sweep(figure_spec(paired=False))
         assert len(made) == len(lps) == 4 * 2 * 3
 
+    def test_warm_lps_form_no_inverse(self, monkeypatch):
+        # perfbench's reweight-deep grid, pass 0 at seed 42.  A warm LP
+        # adopts the B^-1 the LP before it ended with, so the grid forms one
+        # only for its 36 cold LPs and for refactors: 400 of them under the
+        # SkylakeX and Prescott kernels and 402 under Haswell, against 904
+        # (905) when every LP inverted its start.  The refactors follow the
+        # pivot path, which moves with the kernel, so only the sum is pinned.
+        formed, sols = [], []
+        rebase, solve = rwl1.simplex._Basis.rebase, rwl1.simplex.solve_standard_form
+
+        def counting(self, *args):
+            formed.append(args)
+            return rebase(self, *args)
+
+        def recording(*args, **kwargs):
+            sols.append(solve(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(rwl1.simplex._Basis, "rebase", counting)
+        monkeypatch.setattr(rwl1.simplex, "solve_standard_form", recording)
+        cold = unit_weight_lps(monkeypatch)
+        schemes = tuple((WeightScheme(kind), SolverConfig()) for kind in ("cwb", "w1", "w2"))
+        sweep(SweepSpec(dist=NORMAL, m=50, n=200, k_values=tuple(range(16, 25)),
+                        schemes=schemes, trials=4, seed_base=42))
+        assert (len(sols), len(cold)) == (785, 36)
+        assert all(sol.phase1_pivots == 0 for sol in sols)
+        assert len(formed) == len(cold) + sum(sol.refactors for sol in sols)
+
     def test_failed_unit_weight_lp_is_not_shared(self, monkeypatch):
         # the first scheme's first LP raises once: that trial records the
         # failure, and the next scheme solves the LP again

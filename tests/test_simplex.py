@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import rwl1.simplex
 from rwl1.bench import trial_seed
 from rwl1.instances import DistributionSpec, make_instance
-from rwl1.simplex import (REFACTOR_EVERY, CertificationError, LPInfeasibleError, LPProblem,
-                          LPStatus, SimplexStalledError, _Basis, _certified_point, _crash_basis,
-                          default_pivot_budget, solve_standard_form, weighted_l1_lp)
+from rwl1.simplex import (BASIS_INVERSE_TOL, REFACTOR_EVERY, CertificationError,
+                          LPInfeasibleError, LPProblem, LPStatus, SimplexStalledError, _Basis,
+                          _certified_point, _crash_basis, default_pivot_budget,
+                          solve_standard_form, weighted_l1_lp)
 
 from oracles import enumerate_standard_form_optimum, enumerate_weighted_l1_optimum
 from test_golden_solver import case_system, special_instance
@@ -169,7 +172,7 @@ class TestCertification:
         a, b = inst.a, inst.b
         (_, _, _, basis, _), sol = split_solve(np.ones(200), a, b)
         z = sol.z.copy()
-        j = int(np.setdiff1d(np.arange(200), basis % 200)[0])
+        j = int(np.setdiff1d(np.arange(200), np.asarray(basis) % 200)[0])
         z[j] = z[200 + j] = 1e8
         problem = rwl1.simplex._SplitLP(np.ones(400), a, b)
         at_x = float(np.max(np.abs(a @ (z[:200] - z[200:]) - b)))
@@ -304,6 +307,110 @@ class TestInitialBasis:
         assert np.max(np.abs(inst.a @ x - inst.b)) <= 1e-9
 
 
+class TestWarmStart:
+    """A WarmStart hands the next LP of a run the basis and B^-1 the last LP
+    ended on: the solve adopts copies of them instead of inverting, vets the
+    basic point like any supplied basis and falls back to phase I on a miss."""
+
+    @staticmethod
+    def run_start():
+        """A normal 50x200 instance, its unit-weight LP's WarmStart and the
+        weights of a second LP."""
+        inst = make_instance(DistributionSpec.default("normal"), 50, 200, 16, 42)
+        start = weighted_l1_lp(np.ones(200), inst.a, inst.b)[3]
+        return inst.a, inst.b, start, np.random.default_rng(4).uniform(0.1, 10.0, size=200)
+
+    @staticmethod
+    def formed(monkeypatch):
+        """One entry per B^-1 that _Basis.rebase forms from scratch."""
+        calls, rebase = [], _Basis.rebase
+
+        def spy(self, *args):
+            calls.append(args[1])
+            return rebase(self, *args)
+
+        monkeypatch.setattr(_Basis, "rebase", spy)
+        return calls
+
+    def test_adopted_start_is_never_mutated(self, monkeypatch):
+        # the second LP pivots on its copy of B^-1; the start keeps its bytes,
+        # so solving from it again takes the same path to the bit
+        a, b, start, w = self.run_start()
+        binv, basis = start.binv.tobytes(), start.basis.tobytes()
+        formed = self.formed(monkeypatch)
+        runs = []
+        for _ in range(2):
+            formed.clear()
+            (x, objective, pivots, after, _), sol = split_solve(w, a, b, initial_basis=start)
+            assert pivots > 0 and sol.phase1_pivots == 0
+            assert len(formed) == sol.refactors  # adopted, not inverted
+            assert start.binv.tobytes() == binv and start.basis.tobytes() == basis
+            runs.append((x.tobytes(), objective, pivots, sol.z.tobytes(),
+                         after.binv.tobytes(), np.asarray(after).tobytes(), after.updates))
+        assert runs[0] == runs[1]
+        # np.asarray gives the indices, as a copy
+        indices = np.asarray(start, dtype=np.int64)
+        indices[:] = -1
+        assert start.basis.tobytes() == basis
+
+    @pytest.mark.parametrize("system, drift", [("same", "uniform"), ("copied", "uniform"),
+                                               ("copied", "orthogonal")])
+    def test_drifted_inverse_falls_back_to_phase_one(self, system, drift):
+        # B^-1 off by 1e-8 in every entry ("uniform"), or by 1e-3 in rows
+        # orthogonal to b ("orthogonal").  On the same A and b the LP reuses
+        # their [A, -A] and the adopted inverse goes on unchecked, as within
+        # one solve; on a copy it must first meet B B^-1 = I.  The uniform
+        # drift meets it but moves the basic point far outside the residual
+        # bound; the orthogonal one keeps the point and misses B B^-1 = I.
+        # Either way the solve runs phase I and certifies a fresh start's optimum.
+        a, b, start, w = self.run_start()
+        fresh = weighted_l1_lp(w, a, b, initial_basis=np.asarray(start))
+        if drift == "uniform":
+            error = np.full((50, 50), 1e-8)
+        else:
+            v = np.random.default_rng(5).normal(size=50)
+            error = 1e-3 * np.outer(np.ones(50), v - (v @ b) / (b @ b) * b)
+        drifted = dataclasses.replace(start, binv=start.binv + error)
+        split = np.hstack([a, -a])
+        miss = np.max(np.abs(split[:, start.basis] @ drifted.binv - np.eye(50)))
+        point = np.zeros(400)
+        point[start.basis] = np.maximum(drifted.binv @ b, 0.0)
+        residual = np.max(np.abs(split @ point - b))
+        if drift == "uniform":
+            assert miss <= BASIS_INVERSE_TOL and residual > 1e-6
+        else:
+            assert miss > BASIS_INVERSE_TOL and residual <= 1e-9
+        if system == "copied":
+            a, b = a.copy(), b.copy()
+        (x, objective, *_), sol = split_solve(w, a, b, initial_basis=drifted)
+        assert sol.status is LPStatus.OPTIMAL and sol.phase1_pivots > 0
+        assert objective == pytest.approx(fresh[1], abs=1e-9)
+        assert np.max(np.abs(a @ x - b)) <= 1e-9
+
+    def test_start_of_another_matrix_is_checked(self):
+        # the generic LP [A, -A] written out is another matrix than the split
+        # LP's: the adopted inverse meets B B^-1 = I there and takes the same
+        # path to the bit; on a scaled A it misses and the solve runs phase I
+        a, b, start, w = self.run_start()
+        c = np.concatenate([w, w])
+        (x, objective, pivots, *_), split = split_solve(w, a, b, initial_basis=start)
+        generic = solve(c, np.hstack([a, -a]), b, initial_basis=start)
+        assert generic.phase1_pivots == 0 and generic.pivots == pivots > 0
+        assert generic.z.tobytes() == split.z.tobytes()
+        scaled = solve(c, 2.0 * np.hstack([a, -a]), 2.0 * b, initial_basis=start)
+        assert scaled.phase1_pivots > 0
+        assert scaled.objective == pytest.approx(objective, abs=1e-9)
+
+    def test_short_start_falls_back_to_phase_one(self):
+        # a start on 49 kept rows handed to the LP on all 50
+        a, b = special_instance("rowdrop")
+        (_, objective, _, start, rows), _ = split_solve(np.ones(200), a, b)
+        assert rows.size == 49 and len(np.asarray(start)) == 49
+        (_, again, *_), sol = split_solve(np.ones(200), a, b, initial_basis=start)
+        assert sol.phase1_pivots > 0
+        assert again == pytest.approx(objective, abs=1e-9)
+
+
 class TestWeightedL1:
     def test_two_vertex_example(self):
         x, obj, *_ = weighted_l1_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
@@ -319,7 +426,7 @@ class TestWeightedL1:
         for ncols in (3, 0):
             x, obj, pivots, basis, _ = weighted_l1_lp(np.ones(ncols), np.zeros((0, ncols)), [])
             np.testing.assert_array_equal(x, np.zeros(ncols))
-            assert obj == 0.0 and pivots == 0 and basis.size == 0
+            assert obj == 0.0 and pivots == 0 and np.asarray(basis).size == 0
 
     def test_tied_vertices_fix_objective_only(self):
         _, obj, *_ = weighted_l1_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])

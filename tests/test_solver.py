@@ -202,23 +202,31 @@ class TestReweightedL1:
 
     def test_row_drop_keeps_warm_starts(self, monkeypatch):
         # phase I of the first LP deletes the repeated row; the later LPs
-        # solve without it and start from the previous optimal basis
-        sols = []
-        real = rwl1.simplex.solve_standard_form
+        # solve without it and start from the previous optimal basis, whose
+        # B^-1 they adopt: they form an inverse only to refactor
+        sols, formed = [], []  # formed: the inverses of each solve
+        real, rebase = rwl1.simplex.solve_standard_form, rwl1.simplex._Basis.rebase
 
         def recording(*args, **kwargs):
+            formed.append(0)
             sols.append(real(*args, **kwargs))
             return sols[-1]
 
+        def counting(self, *args):
+            formed[-1] += 1
+            return rebase(self, *args)
+
         monkeypatch.setattr(rwl1.simplex, "solve_standard_form", recording)
+        monkeypatch.setattr(rwl1.simplex._Basis, "rebase", counting)
         a, b = special_instance("rowdrop")
         res = reweighted_l1(a, b, WeightScheme("w1"))
         assert len(sols) == len(res.history) >= 2
         assert sols[0].phase1_pivots > 0 and sols[0].rows.size == 49
         assert 1 not in sols[0].rows  # row 1 repeats row 0
-        for sol in sols[1:]:
+        for sol, inverses in zip(sols[1:], formed[1:]):
             assert sol.phase1_pivots == 0 and sol.rows is None
             assert sol.basis.size == 49
+            assert inverses == sol.refactors
         assert np.max(np.abs(a @ res.x_hat - b)) <= 1e-9
 
     def test_certification_survives_optimize_flag(self):
@@ -249,6 +257,19 @@ class TestReweightedL1:
                 rwl1.simplex._certified_point(problem, state, problem.c, 1e-9)
             except CertificationError:
                 print("dual check fired")
+            # a carried B^-1 that drifted: its basic point misses A x = b, so
+            # the solve runs phase I instead of pivoting from it
+            import dataclasses
+            from rwl1.instances import DistributionSpec, make_instance
+            inst = make_instance(DistributionSpec.default("normal"), 50, 200, 16, 42)
+            start = lp(np.ones(200), inst.a, inst.b)[3]
+            drifted = dataclasses.replace(start, binv=start.binv + 1e-8)
+            solve, sols = rwl1.simplex.solve_standard_form, []
+            rwl1.simplex.solve_standard_form = lambda *a, **kw: sols.append(solve(*a, **kw)) or sols[-1]
+            x, *_ = lp(1.0 + np.arange(200) % 3, inst.a, inst.b, initial_basis=drifted)
+            rwl1.simplex.solve_standard_form = solve
+            if sols[0].phase1_pivots > 0 and np.max(np.abs(inst.a @ x - inst.b)) <= 1e-9:
+                print("drifted start ran phase I")
             rwl1.simplex._residual = lambda problem, z: 1.0
             try:
                 lp([1.0, 1.0], a, b)
@@ -261,7 +282,7 @@ class TestReweightedL1:
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == ["solver check fired", "dual check fired",
-                                           "simplex check fired"]
+                                           "drifted start ran phase I", "simplex check fired"]
 
 
 @pytest.mark.parametrize("record", [
