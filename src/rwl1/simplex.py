@@ -611,7 +611,8 @@ def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
     ``initial_basis`` is a starting basis of the split LP, typically the
     WarmStart returned by a previous solve on the same A and b; by default
     the crash basis.  Given the very A and b objects of that solve, the LP
-    reuses the [A, -A] it formed and skips validating them again.  Returns
+    reuses the [A, -A] it formed and skips validating them again, so they
+    must not have been changed in place since.  Returns
     (x, objective, pivots, start, rows) with the WarmStart of the optimal
     basis of the split LP, which ``np.asarray`` turns into its column
     indices; ``rows`` is None unless phase I dropped redundant rows, and then

@@ -387,20 +387,6 @@ class TestWarmStart:
         assert objective == pytest.approx(fresh[1], abs=1e-9)
         assert np.max(np.abs(a @ x - b)) <= 1e-9
 
-    def test_start_of_another_matrix_is_checked(self):
-        # the generic LP [A, -A] written out is another matrix than the split
-        # LP's: the adopted inverse meets B B^-1 = I there and takes the same
-        # path to the bit; on a scaled A it misses and the solve runs phase I
-        a, b, start, w = self.run_start()
-        c = np.concatenate([w, w])
-        (x, objective, pivots, *_), split = split_solve(w, a, b, initial_basis=start)
-        generic = solve(c, np.hstack([a, -a]), b, initial_basis=start)
-        assert generic.phase1_pivots == 0 and generic.pivots == pivots > 0
-        assert generic.z.tobytes() == split.z.tobytes()
-        scaled = solve(c, 2.0 * np.hstack([a, -a]), 2.0 * b, initial_basis=start)
-        assert scaled.phase1_pivots > 0
-        assert scaled.objective == pytest.approx(objective, abs=1e-9)
-
     def test_short_start_falls_back_to_phase_one(self):
         # a start on 49 kept rows handed to the LP on all 50
         a, b = special_instance("rowdrop")
@@ -566,7 +552,9 @@ class TestSplitPricing:
     """weighted_l1_lp pivots on the [A, -A] it forms; the same LP written out
     as LPProblem(c=[w, w], a_eq=[A, -A]) must take the same path to the bit,
     from the crash basis and through phase I from a rejected start, with or
-    without a dropped row."""
+    without a dropped row.  The warm LP hands both the cold split LP's
+    WarmStart, which the generic LP adopts on its own matrix after checking
+    B B^-1 = I."""
 
     @pytest.mark.parametrize("system, start", [
         pytest.param(3, "crash", id="3"),
