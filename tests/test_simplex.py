@@ -553,8 +553,8 @@ class TestSplitPricing:
     as LPProblem(c=[w, w], a_eq=[A, -A]) must take the same path to the bit,
     from the crash basis and through phase I from a rejected start, with or
     without a dropped row.  The warm LP hands both the cold split LP's
-    WarmStart, which the generic LP adopts on its own matrix after checking
-    B B^-1 = I."""
+    WarmStart; the generic LP, on another matrix object, adopts its B^-1
+    only after checking B B^-1 = I."""
 
     @pytest.mark.parametrize("system, start", [
         pytest.param(3, "crash", id="3"),
