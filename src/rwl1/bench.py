@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,6 +253,8 @@ def sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if workers == 1:
         per_task = [_run_task(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep loads the pool
+
         # a fork pool starts every worker on the first submit: no more than tasks
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             per_task = list(pool.map(_run_task, tasks))

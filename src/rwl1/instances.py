@@ -350,7 +350,7 @@ def _per_element(fn, values: np.ndarray, *args: float) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist(), *map(repeat, args)), float, len(values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """One generated benchmark problem: b = A x_true with ||x_true||_0 = k."""
 
@@ -368,18 +368,6 @@ class ProblemInstance:
     @property
     def n(self) -> int:
         return self.a.shape[1]
-
-    def __eq__(self, other):
-        if not isinstance(other, ProblemInstance):
-            return NotImplemented
-        return (
-            self.k == other.k
-            and self.dist == other.dist
-            and self.seed == other.seed
-            and np.array_equal(self.a, other.a)
-            and np.array_equal(self.b, other.b)
-            and np.array_equal(self.x_true, other.x_true)
-        )
 
 
 def _draw_support(rng: SplitMix64, n: int, k: int) -> list[int]:

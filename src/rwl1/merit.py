@@ -26,7 +26,7 @@ import numpy as np
 
 from .linalg import as_vector
 
-__all__ = ["WeightScheme", "WeightClamp", "weights", "merit_value", "gradient_check"]
+__all__ = ["WeightScheme", "WeightClamp", "weights", "merit_value"]
 
 SCHEME_KINDS = ("l1", "cwb", "zl", "w1", "w2")
 CLAMP_KINDS = ("abs", "floor", "none")
@@ -138,33 +138,3 @@ def merit_value(scheme: WeightScheme, x, eps: float) -> float | None:
     if np.any(s <= 1.0):
         return None
     return float(np.sum(np.log(s) ** scheme.p) / scheme.p)
-
-
-def gradient_check(scheme: WeightScheme, x, eps: float, h: float = 1e-5) -> float:
-    """Max relative error between analytic weights and central differences.
-
-    Probes each coordinate of the (unclamped) weight formula against
-    (F(x + h e_i) - F(x - h e_i)) / 2h.  Requires all x_i > h > 0 so the
-    probe stays inside the smooth positive orthant, and a defined merit at
-    every probe point.
-    """
-    eps = _check_eps(eps)
-    xv = as_vector(x)
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h}")
-    if np.any(xv <= h):
-        raise ValueError("gradient_check requires all x_i > h")
-    analytic = _raw_weights(scheme, np.abs(xv), eps)
-    worst = 0.0
-    for i in range(xv.shape[0]):
-        probe = xv.copy()
-        probe[i] = xv[i] + h
-        f_plus = merit_value(scheme, probe, eps)
-        probe[i] = xv[i] - h
-        f_minus = merit_value(scheme, probe, eps)
-        if f_plus is None or f_minus is None:
-            raise ValueError(f"merit undefined at probe point for coordinate {i}")
-        fd = (f_plus - f_minus) / (2.0 * h)
-        err = abs(analytic[i] - fd) / max(abs(analytic[i]), 1e-12)
-        worst = max(worst, err)
-    return worst

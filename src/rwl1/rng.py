@@ -5,11 +5,14 @@ instances in any environment.  The unit-interval mapping uses the top 53
 bits offset by half a ulp, which keeps every draw strictly inside (0, 1)
 and so keeps downstream log/Box-Muller transforms free of edge cases.
 
-Draws come one at a time (``next_u64``, ``next_unit``) or as blocks
-(``next_u64s``, ``next_units``).  A block is the same outputs in the same
-order: the state is a counter stepped by a fixed odd constant, so output i
-of a block is the mix of ``state + i*gamma``, computed in numpy ``uint64``
-arithmetic, which wraps modulo 2^64 exactly like the masked Python ints.
+Integer draws come one at a time (``next_u64``) or as a block
+(``next_u64s``), and unit draws as a block (``next_units``): unit i is
+``((next_u64() >> 11) + 0.5) * 2^-53`` of output i, the scalar mapping
+that ``tests/oracles.py`` keeps as ``next_unit``.  A block is the same
+outputs in the same order: the state is a counter stepped by a fixed odd
+constant, so output i of a block is the mix of ``state + i*gamma``,
+computed in numpy ``uint64`` arithmetic, which wraps modulo 2^64 exactly
+like the masked Python ints.
 Only exact steps run in numpy: the integer mix, the uint64 -> float64
 conversion of a 53-bit value, one correctly rounded add and a power-of-two
 scale.
@@ -49,10 +52,6 @@ class SplitMix64:
         self.state = (self.state + _GAMMA) & _MASK64
         return z
 
-    def next_unit(self) -> float:
-        """Uniform double in the open interval (0, 1)."""
-        return ((self.next_u64() >> 11) + 0.5) * _UNIT
-
     def next_below(self, bound: int) -> int:
         """Integer in [0, bound) by modulo reduction (bias < 2^-40 for our bounds)."""
         if bound <= 0:
@@ -72,7 +71,8 @@ class SplitMix64:
         return z
 
     def next_units(self, count: int) -> np.ndarray:
-        """The next ``count`` unit draws, bit-identical to ``next_unit``."""
+        """The next ``count`` unit draws: ``((z >> 11) + 0.5) * 2^-53`` for each
+        of the next ``count`` outputs z, bit for bit."""
         return ((self.next_u64s(count) >> np.uint64(11)).astype(np.float64) + 0.5) * _UNIT
 
     def skip(self, count: int) -> None:

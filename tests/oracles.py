@@ -1,11 +1,15 @@
 """Independent oracles used to freeze expected values.
 
-Nothing here imports solver internals beyond public types: the LP oracle
-enumerates basic feasible solutions directly, the RNG oracle reimplements
-the generator with numpy uint64 arithmetic, the sampler oracles are the
-scalar samplers that the block samplers replaced (Marsaglia-Tsang gamma,
-Box-Muller with sign draws, Knuth's Poisson), and the merit oracles
-evaluate the weight formulas in 50-digit mpmath.
+Nothing here imports solver internals beyond public functions and types:
+the LP oracle enumerates basic feasible solutions directly, the RNG oracle
+reimplements the generator with numpy uint64 arithmetic, the unit oracle
+maps one ``next_u64`` output into (0, 1) as ``next_units`` maps a block,
+the sampler oracles are the scalar samplers that the block samplers
+replaced (Marsaglia-Tsang gamma, Box-Muller with sign draws, Knuth's
+Poisson), the gradient oracle checks the unclamped weights against central
+differences of the merit, the merit oracles evaluate the weight formulas in
+50-digit mpmath, and the instance oracle compares two instances field by
+field.
 """
 
 import math
@@ -13,6 +17,8 @@ from itertools import combinations
 
 import mpmath as mp
 import numpy as np
+
+from rwl1.merit import WeightClamp, merit_value, weights
 
 mp.mp.dps = 50
 
@@ -82,6 +88,12 @@ def splitmix64_reference(seed, count):
     return out
 
 
+def next_unit(rng):
+    """One uniform double in the open interval (0, 1) from a ``SplitMix64``:
+    the top 53 bits of its next output, offset by half a ulp."""
+    return ((rng.next_u64() >> 11) + 0.5) * 2.0 ** -53
+
+
 # ---------------------------------------------------------------------------
 # scalar samplers, one value per call, reading a ``Sampler``'s stream one
 # unit at a time and sharing its cached Box-Muller variate: the sampler's
@@ -91,10 +103,10 @@ _TWO_PI = 2.0 * math.pi
 
 
 def gamma_scalar(self, shape, scale):
-    next_unit = self.rng.next_unit
+    rng = self.rng
     boost = None
     if shape < 1.0:
-        boost = next_unit() ** (1.0 / shape)
+        boost = next_unit(rng) ** (1.0 / shape)
         shape += 1.0
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
@@ -102,8 +114,8 @@ def gamma_scalar(self, shape, scale):
     gauss = self._gauss_cache
     while True:
         if gauss is None:
-            r = math.sqrt(-2.0 * log(next_unit()))
-            theta = _TWO_PI * next_unit()
+            r = math.sqrt(-2.0 * log(next_unit(rng)))
+            theta = _TWO_PI * next_unit(rng)
             gauss = r * math.sin(theta)
             z = r * math.cos(theta)
         else:
@@ -111,7 +123,7 @@ def gamma_scalar(self, shape, scale):
         v = (1.0 + c * z) ** 3
         if v <= 0.0:
             continue
-        u = next_unit()
+        u = next_unit(rng)
         if u < 1.0 - 0.0331 * z**4 or log(u) < 0.5 * z * z + d * (1.0 - v + log(v)):
             break
     self._gauss_cache = gauss
@@ -135,10 +147,10 @@ def poisson_scalar_draws(sampler, count, lam):
     limit = math.exp(-lam)
     out = []
     for _ in range(count):
-        prod, k = sampler.rng.next_unit(), 0
+        prod, k = next_unit(sampler.rng), 0
         while prod > limit:
             k += 1
-            prod *= sampler.rng.next_unit()
+            prod *= next_unit(sampler.rng)
         out.append(float(k))
     return np.array(out)
 
@@ -150,8 +162,8 @@ def gauss_scalar(sampler):
     if g is not None:
         sampler._gauss_cache = None
         return g
-    r = math.sqrt(-2.0 * math.log(sampler.rng.next_unit()))
-    theta = _TWO_PI * sampler.rng.next_unit()
+    r = math.sqrt(-2.0 * math.log(next_unit(sampler.rng)))
+    theta = _TWO_PI * next_unit(sampler.rng)
     sampler._gauss_cache = r * math.sin(theta)
     return r * math.cos(theta)
 
@@ -162,9 +174,42 @@ def planted_scalar_draws(sampler, count, min_nonzero):
     out = []
     for _ in range(count):
         magnitude = min_nonzero + abs(gauss_scalar(sampler))
-        sign = 1.0 if sampler.rng.next_unit() < 0.5 else -1.0
+        sign = 1.0 if next_unit(sampler.rng) < 0.5 else -1.0
         out.append(sign * magnitude)
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# gradient check of the weights against the merit
+
+
+def gradient_check(scheme, x, eps, h=1e-5):
+    """Max relative error between the unclamped weights and central differences.
+
+    Probes each coordinate of ``weights(scheme, x, eps, WeightClamp("none"))``
+    against (F(x + h e_i) - F(x - h e_i)) / 2h, F = ``merit_value``.
+    Requires all x_i > h > 0 so the probe stays inside the smooth positive
+    orthant, and a defined merit at every probe point.
+    """
+    analytic = weights(scheme, x, eps, WeightClamp("none"))
+    xv = np.asarray(x, dtype=float)
+    if h <= 0:
+        raise ValueError(f"h must be > 0, got {h}")
+    if np.any(xv <= h):
+        raise ValueError("gradient_check requires all x_i > h")
+    worst = 0.0
+    for i in range(xv.shape[0]):
+        probe = xv.copy()
+        probe[i] = xv[i] + h
+        f_plus = merit_value(scheme, probe, eps)
+        probe[i] = xv[i] - h
+        f_minus = merit_value(scheme, probe, eps)
+        if f_plus is None or f_minus is None:
+            raise ValueError(f"merit undefined at probe point for coordinate {i}")
+        fd = (f_plus - f_minus) / (2.0 * h)
+        err = abs(analytic[i] - fd) / max(abs(analytic[i]), 1e-12)
+        worst = max(worst, err)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -227,3 +272,13 @@ def w2_merit_hp(xs, eps, p, q):
             return None
         total += mp.log(s) ** p
     return total / p
+
+
+# ---------------------------------------------------------------------------
+# instances compared field by field (ProblemInstance compares by identity)
+
+
+def same_instance(left, right):
+    """Whether two ``ProblemInstance``s hold equal fields and equal arrays."""
+    return ((left.k, left.dist, left.seed) == (right.k, right.dist, right.seed)
+            and all(np.array_equal(getattr(left, f), getattr(right, f)) for f in ("a", "b", "x_true")))

@@ -13,12 +13,12 @@ import pytest
 
 from rwl1.bench import SweepSpec, sweep
 from rwl1.instances import DISTRIBUTIONS, DistributionSpec, Sampler, make_instance
-from rwl1.merit import WeightClamp, WeightScheme, gradient_check
+from rwl1.merit import WeightClamp, WeightScheme
 from rwl1.rng import SplitMix64
 from rwl1.simplex import LPProblem, LPStatus, solve_standard_form
 from rwl1.solver import EpsilonSchedule, SolverConfig, reweighted_l1
 
-from oracles import enumerate_standard_form_optimum
+from oracles import enumerate_standard_form_optimum, gradient_check
 
 SEED_BASE = 42
 NORMAL = DistributionSpec.default("normal")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import time
 
 import numpy as np
@@ -273,7 +274,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(rwl1.bench, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)  # read at call time
         spec = small_spec(k_values=(2, 3), kinds=("l1", "cwb"), trials=2)
         assert sweep(spec, workers=workers).cells == sweep(spec).cells
         assert seen == [started]

@@ -5,7 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import f_scalar_draws, gamma_scalar_draws, planted_scalar_draws, poisson_scalar_draws
+from oracles import (f_scalar_draws, gamma_scalar_draws, planted_scalar_draws, poisson_scalar_draws,
+                     same_instance)
 from rwl1.instances import (CHUNK, MIN_NONZERO, DistributionSpec, InstanceParseError,
                             InstanceValidationError, Sampler, load_instance, make_instance,
                             save_instance)
@@ -246,7 +247,7 @@ class TestMakeInstance:
         spec = DistributionSpec.default("exponential")
         a = make_instance(spec, 12, 40, 4, 42)
         b = make_instance(spec, 12, 40, 4, 42)
-        assert a == b
+        assert same_instance(a, b)
 
     def test_distinct_seeds_differ(self):
         spec = DistributionSpec.default("normal")
@@ -360,7 +361,7 @@ class TestInstanceFiles:
         inst = make_instance(DistributionSpec.default("f"), 8, 20, 3, 77)
         path = tmp_path / "inst.json"
         save_instance(inst, path)
-        assert load_instance(path) == inst
+        assert same_instance(load_instance(path), inst)
 
     def test_bad_json_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rwl1.merit import WeightClamp, WeightScheme, gradient_check, merit_value, weights
+from rwl1.merit import WeightClamp, WeightScheme, merit_value, weights
 
-from oracles import (cwb_weight_hp, w1_merit_hp, w1_weight_hp, w2_weight_hp,
+from oracles import (cwb_weight_hp, gradient_check, w1_merit_hp, w1_weight_hp, w2_weight_hp,
                      zl_merit_hp, zl_weight_hp)
 
 ABS = WeightClamp("abs")

@@ -289,6 +289,7 @@ class TestReweightedL1:
     LPProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]),
     LPSolution(LPStatus.OPTIMAL, np.array([1.0, 0.0]), 1.0, 1, basis=np.array([0])),
     ReweightedResult(np.array([1.0, 0.0])),
+    make_instance(DistributionSpec.default("normal"), 2, 4, 1, 7),
 ], ids=lambda record: type(record).__name__)
 def test_array_holding_records_compare_by_identity(record):
     # a generated __eq__ would compare the ndarray fields and raise
