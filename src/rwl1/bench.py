@@ -7,7 +7,8 @@ recomputed in isolation.  A paired sweep (the default) hashes scheme index 0
 for every scheme, so all schemes of one (k, trial) solve the same instance
 and can be compared trial by trial; an unpaired sweep hashes each scheme's
 own index.  Failed solves (stalled LPs, failed certification checks) count
-as recovery failures and never abort a sweep.
+as recovery failures and never abort a sweep; their records count the LPs
+the run finished before it failed.
 
 A sweep runs one task per (k, trial), which runs every scheme's trial in
 turn.  A trial whose seed is the one before it reuses that trial's instance
@@ -227,15 +228,15 @@ def run_trial(spec: SweepSpec, scheme_index: int, k: int, trial_index: int,
         result: ReweightedResult = reweighted_l1(inst.a, inst.b, scheme, config,
                                                  start=shared.start)
     except SolverError as exc:
-        wall = (time.perf_counter() - start) * 1e3
-        return TrialRecord(scheme_index, k, trial_index, seed, success=False,
-                           iterations=0, pivots=0, wall_ms=wall, fail_reason=str(exc), gen_ms=gen)
+        # the LPs the run finished before it failed; a plain SolverError has none
+        result, history, reason = None, getattr(exc, "history", []), str(exc)
+    else:
+        shared.start, history, reason = result.start, result.history, None
     wall = (time.perf_counter() - start) * 1e3
-    shared.start = result.start
-    pivots = sum(rec.lp_pivots for rec in result.history)
-    ok = is_success(result.x_hat, inst.x_true)
-    return TrialRecord(scheme_index, k, trial_index, seed, success=ok,
-                       iterations=result.iterations_used, pivots=pivots, wall_ms=wall, gen_ms=gen)
+    return TrialRecord(scheme_index, k, trial_index, seed,
+                       success=result is not None and is_success(result.x_hat, inst.x_true),
+                       iterations=len(history), pivots=sum(rec.lp_pivots for rec in history),
+                       wall_ms=wall, fail_reason=reason, gen_ms=gen)
 
 
 def _run_task(args) -> list[TrialRecord]:

@@ -30,13 +30,14 @@ returns, as A x - b.
 
 One _Basis object holds the whole state of a solve, from phase I into phase
 II: the basis and its inverse, the right-hand side, the pivot budget and the
-counters that LPSolution reports.  Every optimal solve returns its basis
-with its B^-1 as a WarmStart.  Between the LPs of a reweighting run only the
-cost vector (w, w) changes, so the previous optimal basis is still
-primal-feasible and the next LP can start phase II from it directly (warm
-start; Chvatal, Linear Programming, 1983).  That LP adopts a copy of the
-B^-1 instead of inverting the basis again, and REFACTOR_EVERY counts the
-updates since the inverse was last formed across the LPs it passes through.
+counters that LPSolution reports.  An optimal LPSolution carries its basis
+with its B^-1, so it is itself a warm start.  Between the LPs of a
+reweighting run only the cost vector (w, w) changes, so the previous optimal
+basis is still primal-feasible and the next LP can start phase II from it
+directly (warm start; Chvatal, Linear Programming, 1983).  That LP adopts a
+copy of the B^-1 instead of inverting the basis again, and REFACTOR_EVERY
+counts the updates since the inverse was last formed across the LPs it
+passes through.
 Every B^-1 the solve forms, refactors included, missing B B^-1 = I by more
 than BASIS_INVERSE_TOL raises CertificationError.  An adopted B^-1 goes
 unchecked only on the very matrix it was updated on, as it would within one
@@ -65,7 +66,6 @@ __all__ = [
     "LPStatus",
     "LPProblem",
     "LPSolution",
-    "WarmStart",
     "SolverError",
     "CertificationError",
     "SimplexStalledError",
@@ -187,7 +187,7 @@ class _SplitLP:
         return self.a @ self.x(z) - self.b_eq
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LPSolution:
     """``basis`` holds the optimal basis's column indices (None unless OPTIMAL);
     when phase I dropped redundant rows it has fewer than m entries and
@@ -198,8 +198,13 @@ class LPSolution:
     most HARRIS_TOL, so that the step did not move; ``guard_pivots`` those
     made by the stall guard's Bland rule.  ``refactors`` counts the rebuilds
     of B^-1 from scratch after a basis was first inverted or adopted.
-    ``start`` is the optimal basis with its B^-1, to warm-start another LP on
-    the same rows (None unless OPTIMAL)."""
+
+    An OPTIMAL solution is the ``initial_basis`` of another LP on the same
+    rows: ``binv`` is its basis's B^-1, ``updates`` the pivots that have
+    updated that inverse since it was last formed from scratch, and
+    ``problem`` the problem whose rows the basis spans (None when phase I
+    dropped rows).  A solve adopts copies of the basis and the inverse, so
+    one solution can start any number of solves."""
 
     status: LPStatus
     z: np.ndarray | None
@@ -211,25 +216,9 @@ class LPSolution:
     degenerate_pivots: int = 0
     guard_pivots: int = 0
     rows: np.ndarray | None = None
-    start: WarmStart | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class WarmStart:
-    """The basis a solve ended on, as ``initial_basis`` of another LP on the
-    same rows: its column indices, its B^-1, the pivots that have updated
-    that inverse since it was last formed from scratch, and the problem whose
-    rows it spans (None when phase I dropped rows).  ``np.asarray`` gives the
-    column indices.  A solve adopts copies of the indices and the inverse, so
-    one start can begin any number of solves."""
-
-    basis: np.ndarray
-    binv: np.ndarray = field(repr=False)
-    updates: int
-    problem: LPProblem | _SplitLP | None = field(repr=False)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.basis, dtype=dtype)
+    binv: np.ndarray | None = field(default=None, repr=False)
+    updates: int = 0
+    problem: LPProblem | _SplitLP | None = field(default=None, repr=False)
 
 
 def default_pivot_budget(m: int, n: int) -> int:
@@ -243,13 +232,13 @@ class _Basis:
     or [a_eq, diag(sign b)] in phase I; ``rebase`` moves the state to
     another matrix and b, for phase II and when the drive-out drops a row.
     ``updates`` counts the pivots since B^-1 was last formed from scratch,
-    in this solve or, for an adopted WarmStart, in the solves before it.
+    in this solve or, for an adopted LPSolution, in the solves before it.
     """
 
     def __init__(self, s: np.ndarray, basis, b: np.ndarray, budget: float = np.inf):
         self.budget = budget
         self.pivots = self.phase1_pivots = self.degenerate = self.guarded = self.refactors = 0
-        if isinstance(basis, WarmStart):
+        if isinstance(basis, LPSolution):
             self.adopt(s, basis, b)
         else:
             self.rebase(s, basis, b)
@@ -267,7 +256,7 @@ class _Basis:
         self._check(bmat)
         self.updates = 0
 
-    def adopt(self, s: np.ndarray, start: WarmStart, b: np.ndarray) -> None:
+    def adopt(self, s: np.ndarray, start: LPSolution, b: np.ndarray) -> None:
         """Take copies of ``start``'s basis and B^-1 as a basis of s, with its
         update count; right-hand side b.  On the matrix it was updated on the
         inverse goes on unchecked, as it would within one solve; on any other
@@ -427,7 +416,7 @@ def _lift_negative_basics(state: _Basis, c: np.ndarray) -> None:
 
 def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
                         max_pivots: int | None = None,
-                        initial_basis: np.ndarray | WarmStart | None = None) -> LPSolution:
+                        initial_basis: np.ndarray | LPSolution | None = None) -> LPSolution:
     """Two-phase revised simplex.
 
     OPTIMAL solutions are certified: reduced costs >= -feas_tol and
@@ -439,8 +428,8 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
     -feas_tol, phase I is skipped; any other basis of column indices in
     [0, n) falls back to phase I, and one with another entry raises
     ValueError.  ``initial_basis`` is column indices, whose B^-1 the solve
-    forms, or another solve's ``LPSolution.start``, whose B^-1 it adopts
-    (WarmStart); the basic point is vetted the same way for both.
+    forms, or another solve's OPTIMAL LPSolution, whose B^-1 it adopts; the
+    basic point is vetted the same way for both.
     ``problem`` is an LPProblem or the split LP of weighted_l1_lp, whose
     residual is taken at x = u - v.
     """
@@ -448,7 +437,8 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
         raise ValueError(f"feas_tol must be > 0, got {feas_tol}")
     m, n = problem.m, problem.n
     if initial_basis is not None:
-        idx = np.asarray(initial_basis)
+        idx = np.asarray(initial_basis.basis if isinstance(initial_basis, LPSolution)
+                         else initial_basis)
         if (idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu"
                 or not np.all((idx >= 0) & (idx < n))):
             raise ValueError(f"initial_basis must list integer column indices in [0, {n})")
@@ -490,9 +480,9 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
         return state.solution(LPStatus.UNBOUNDED, None, float("-inf"))
     _lift_negative_basics(state, c)
     z = _certified_point(problem, state, c, feas_tol)
-    start = WarmStart(state.basis, state.binv, state.updates, problem if rows is None else None)
     return state.solution(LPStatus.OPTIMAL, z, float(c @ z), basis=state.basis, rows=rows,
-                          start=start)
+                          binv=state.binv, updates=state.updates,
+                          problem=problem if rows is None else None)
 
 
 def _certified_point(problem: LPProblem, state: _Basis, c: np.ndarray,
@@ -603,26 +593,26 @@ def _min_weighted_norm(am: np.ndarray, bv: np.ndarray, s: np.ndarray) -> np.ndar
 
 
 def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
-                   initial_basis: np.ndarray | WarmStart | None = None
-                   ) -> tuple[np.ndarray, float, int, WarmStart, np.ndarray | None]:
+                   initial_basis: np.ndarray | LPSolution | None = None
+                   ) -> tuple[np.ndarray, float, int, LPSolution]:
     """Minimize sum_i w_i |x_i| subject to A x = b, via the split x = u - v.
 
     Requires strictly positive weights (which also guarantees a bounded LP).
     ``initial_basis`` is a starting basis of the split LP, typically the
-    WarmStart returned by a previous solve on the same A and b; by default
+    LPSolution returned by a previous solve on the same A and b; by default
     the crash basis.  Given the very A and b objects of that solve, the LP
     reuses the [A, -A] it formed and skips validating them again, so they
     must not have been changed in place since.  Returns
-    (x, objective, pivots, start, rows) with the WarmStart of the optimal
-    basis of the split LP, which ``np.asarray`` turns into its column
-    indices; ``rows`` is None unless phase I dropped redundant rows, and then
-    holds the kept rows: the start is a warm start for the same LP on
+    (x, objective, pivots, solution) with the OPTIMAL LPSolution of the
+    split LP, whose ``basis`` holds the optimal basis's column indices;
+    ``solution.rows`` is None unless phase I dropped redundant rows, and then
+    holds the kept rows: the solution is a warm start for the same LP on
     A[rows], b[rows].  Raises LPInfeasibleError if the system has no
     solution, ValueError for an ``initial_basis`` entry that is not a column
     index of the split LP, and propagates SimplexStalledError and
     CertificationError from the simplex.
     """
-    prev = initial_basis.problem if isinstance(initial_basis, WarmStart) else None
+    prev = initial_basis.problem if isinstance(initial_basis, LPSolution) else None
     if isinstance(prev, _SplitLP) and prev.a is a and prev.b_eq is b:
         am, bv, a_eq = a, b, prev.a_eq
     else:
@@ -644,4 +634,4 @@ def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
         raise LPInfeasibleError("system A x = b is infeasible")
     if sol.status is not LPStatus.OPTIMAL:  # positive weights rule out unboundedness
         raise CertificationError(f"weighted-l1 LP ended {sol.status.value}")
-    return split.x(sol.z), sol.objective, sol.pivots, sol.start, sol.rows
+    return split.x(sol.z), sol.objective, sol.pivots, sol

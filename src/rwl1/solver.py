@@ -11,17 +11,17 @@ The LPs of one run share A and b and differ only in their weights, so each
 LP after the first is warm-started from the previous LP's optimal basis,
 which is still primal-feasible; the simplex goes straight to phase II from
 it instead of from a fresh crash basis.  The previous LP hands on its whole
-end state (simplex.WarmStart): the basis, its B^-1 and that inverse's update
-count, and the [A, -A] it formed.  The next LP adopts a copy of the inverse
-instead of inverting the basis, and takes it only if its basic point is
-primal-feasible within feas_tol, else it runs phase I.  The first LP has
+end state, its simplex.LPSolution: the basis, its B^-1 and that inverse's
+update count, and the [A, -A] it formed.  The next LP adopts a copy of the
+inverse instead of inverting the basis, and takes it only if its basic point
+is primal-feasible within feas_tol, else it runs phase I.  The first LP has
 unit weights for every scheme, so a run can begin from another run's on the
 same system; each run pivots on its own copy of that start.  When phase I
 of the first LP drops redundant rows of A, the later LPs solve on the kept
 rows, which the returned basis spans, and adopt its inverse there.  Every
 iterate is certified by its own primal residual on all rows; a miss raises
 ReweightedSolveError caused by a CertificationError, which a sweep records
-as a failed trial.
+as a failed trial with the LPs of the error's history.
 """
 
 from __future__ import annotations
@@ -52,11 +52,12 @@ CWB_FLOOR = 0.001  # lower bound of the cwb rule's eps
 
 
 class ReweightedSolveError(SolverError):
-    """LP failure inside the recovery loop, tagged with the iteration index."""
+    """LP failure inside the recovery loop; ``history`` holds the records of
+    the LPs the run finished before it."""
 
-    def __init__(self, iteration: int, cause: Exception | str):
-        super().__init__(f"LP solve failed at iteration {iteration}: {cause}")
-        self.iteration = iteration
+    def __init__(self, history: list[IterationRecord], cause: Exception | str):
+        super().__init__(f"LP solve failed at iteration {len(history) + 1}: {cause}")
+        self.history = history
 
 
 @dataclass(frozen=True)
@@ -177,28 +178,28 @@ def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfi
     def solve(w, eps, basis, lp=None):
         """Certified LP solve on ``lp_a``, ``lp_b`` from ``basis``, or the
         solved ``lp``; appends its record and returns the LP's (x, objective,
-        pivots, WarmStart of its optimal basis, rows phase I kept or None)."""
+        pivots, LPSolution)."""
         try:
             if lp is None:
                 lp = weighted_l1_lp(w, lp_a, lp_b, initial_basis=basis)
-            x, objective, pivots, _, _ = lp
+            x, objective, pivots, _ = lp
             record = _record(scheme, x, eps, objective, pivots, am, bv)
             if record.residual_inf > config.feas_tol:
                 raise CertificationError(f"iterate residual {record.residual_inf:.3g} "
                                          f"exceeds feas_tol {config.feas_tol:g}")
         except SolverError as exc:
-            raise ReweightedSolveError(len(history) + 1, exc) from exc
+            raise ReweightedSolveError(history, exc) from exc
         history.append(record)
         return lp
 
     eps = config.schedule.eps0
     lp_a, lp_b = am, bv
     start = solve(np.ones(n), eps, None, start)
-    x, _, _, basis, rows = start
-    if rows is not None:
+    x, _, _, basis = start
+    if basis.rows is not None:
         # phase I dropped redundant rows; the later LPs leave them out too, so
         # that they can warm-start from the previous basis
-        lp_a, lp_b = am[rows], bv[rows]
+        lp_a, lp_b = am[basis.rows], bv[basis.rows]
 
     if scheme.kind == "l1":
         return ReweightedResult(x_hat=x, history=history, start=start)
@@ -208,11 +209,9 @@ def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfi
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             # reachable only with the "none" clamp: the raw weight formula
             # left its valid domain, making the LP subproblem unbounded
-            raise ReweightedSolveError(
-                len(history) + 1,
-                f"weights left the positive domain (min {np.min(w):.3g}, eps {eps:g})",
-            )
-        x_new, _, _, basis, _ = solve(w, eps, basis)
+            raise ReweightedSolveError(history, f"weights left the positive domain "
+                                                f"(min {np.min(w):.3g}, eps {eps:g})")
+        x_new, _, _, basis = solve(w, eps, basis)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
         if change < config.x_change_tol:

@@ -93,6 +93,23 @@ class TestRunTrial:
         assert not rec.success and rec.iterations == 0
         assert ("basis" if layer == "refactor" else "residual") in rec.fail_reason
 
+    def test_failed_trial_counts_the_lps_it_finished(self, monkeypatch):
+        # the run's third LP raises: its record keeps the two LPs before it
+        lp, pivots = rwl1.solver.weighted_l1_lp, []
+
+        def third_fails(*args, **kw):
+            if len(pivots) == 2:
+                raise SolverError("injected")
+            out = lp(*args, **kw)
+            pivots.append(out[2])
+            return out
+
+        monkeypatch.setattr(rwl1.solver, "weighted_l1_lp", third_fails)
+        rec = run_trial(small_spec(k_values=(4,)), 0, 4, 2)  # 4 LPs when nothing fails
+        assert not rec.success
+        assert rec.fail_reason == "LP solve failed at iteration 3: injected"
+        assert (rec.iterations, rec.pivots) == (2, sum(pivots))
+
     def test_refactor_that_misses_identity_raises(self, monkeypatch):
         # the inverse is perturbed, not singular: only the B B^-1 = I check sees it
         break_refactor(monkeypatch, lambda inv, matrix: inv(matrix) + 1e-3)

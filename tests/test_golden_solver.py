@@ -51,7 +51,7 @@ def trajectory_digest(a: np.ndarray, b: np.ndarray, kind: str) -> str:
 
     def recording(*args, **kwargs):
         out = real(*args, **kwargs)
-        bases.append(out[3])
+        bases.append(out[3].basis)
         return out
 
     rwl1.solver.weighted_l1_lp = recording

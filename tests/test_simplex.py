@@ -7,7 +7,8 @@ import rwl1.simplex
 from rwl1.bench import trial_seed
 from rwl1.instances import DistributionSpec, make_instance
 from rwl1.simplex import (BASIS_INVERSE_TOL, REFACTOR_EVERY, CertificationError,
-                          LPInfeasibleError, LPProblem, LPStatus, SimplexStalledError, _Basis,
+                          LPInfeasibleError, LPProblem, LPSolution, LPStatus,
+                          SimplexStalledError, _Basis,
                           _certified_point, _crash_basis, default_pivot_budget,
                           solve_standard_form, weighted_l1_lp)
 
@@ -170,9 +171,9 @@ class TestCertification:
         # rounds it into the product; certification measures the x callers get
         inst = make_instance(DistributionSpec.default("normal"), 50, 200, 8, 3)
         a, b = inst.a, inst.b
-        (_, _, _, basis, _), sol = split_solve(np.ones(200), a, b)
+        (_, _, _, solution), sol = split_solve(np.ones(200), a, b)
         z = sol.z.copy()
-        j = int(np.setdiff1d(np.arange(200), np.asarray(basis) % 200)[0])
+        j = int(np.setdiff1d(np.arange(200), solution.basis % 200)[0])
         z[j] = z[200 + j] = 1e8
         problem = rwl1.simplex._SplitLP(np.ones(400), a, b)
         at_x = float(np.max(np.abs(a @ (z[:200] - z[200:]) - b)))
@@ -239,6 +240,15 @@ class TestInitialBasis:
             basis[2] = bad
             with pytest.raises(ValueError, match=r"integer column indices in \[0, 14\)"):
                 resolve(basis)
+
+    def test_solution_that_is_not_optimal_rejected(self):
+        # an infeasible LP's solution has no basis to start another LP from
+        infeasible = solve([1.0], [[1.0]], [-1.0])
+        assert infeasible.status is LPStatus.INFEASIBLE
+        with pytest.raises(ValueError, match="integer column indices"):
+            solve([1.0], [[1.0]], [1.0], initial_basis=infeasible)
+        with pytest.raises(ValueError, match="integer column indices"):
+            weighted_l1_lp([1.0], [[1.0]], [1.0], initial_basis=infeasible)
 
     def test_singular_basis_falls_back_to_phase_one(self):
         c, a, b = self.lp()
@@ -308,13 +318,14 @@ class TestInitialBasis:
 
 
 class TestWarmStart:
-    """A WarmStart hands the next LP of a run the basis and B^-1 the last LP
-    ended on: the solve adopts copies of them instead of inverting, vets the
-    basic point like any supplied basis and falls back to phase I on a miss."""
+    """An optimal LPSolution hands the next LP of a run the basis and B^-1 the
+    last LP ended on: the solve adopts copies of them instead of inverting,
+    vets the basic point like any supplied basis and falls back to phase I on
+    a miss."""
 
     @staticmethod
     def run_start():
-        """A normal 50x200 instance, its unit-weight LP's WarmStart and the
+        """A normal 50x200 instance, its unit-weight LP's LPSolution and the
         weights of a second LP."""
         inst = make_instance(DistributionSpec.default("normal"), 50, 200, 16, 42)
         start = weighted_l1_lp(np.ones(200), inst.a, inst.b)[3]
@@ -341,17 +352,13 @@ class TestWarmStart:
         runs = []
         for _ in range(2):
             formed.clear()
-            (x, objective, pivots, after, _), sol = split_solve(w, a, b, initial_basis=start)
+            (x, objective, pivots, after), sol = split_solve(w, a, b, initial_basis=start)
             assert pivots > 0 and sol.phase1_pivots == 0
             assert len(formed) == sol.refactors  # adopted, not inverted
             assert start.binv.tobytes() == binv and start.basis.tobytes() == basis
             runs.append((x.tobytes(), objective, pivots, sol.z.tobytes(),
-                         after.binv.tobytes(), np.asarray(after).tobytes(), after.updates))
+                         after.binv.tobytes(), after.basis.tobytes(), after.updates))
         assert runs[0] == runs[1]
-        # np.asarray gives the indices, as a copy
-        indices = np.asarray(start, dtype=np.int64)
-        indices[:] = -1
-        assert start.basis.tobytes() == basis
 
     @pytest.mark.parametrize("system, drift", [("same", "uniform"), ("copied", "uniform"),
                                                ("copied", "orthogonal")])
@@ -364,7 +371,7 @@ class TestWarmStart:
         # bound; the orthogonal one keeps the point and misses B B^-1 = I.
         # Either way the solve runs phase I and certifies a fresh start's optimum.
         a, b, start, w = self.run_start()
-        fresh = weighted_l1_lp(w, a, b, initial_basis=np.asarray(start))
+        fresh = weighted_l1_lp(w, a, b, initial_basis=start.basis)
         if drift == "uniform":
             error = np.full((50, 50), 1e-8)
         else:
@@ -390,8 +397,8 @@ class TestWarmStart:
     def test_short_start_falls_back_to_phase_one(self):
         # a start on 49 kept rows handed to the LP on all 50
         a, b = special_instance("rowdrop")
-        (_, objective, _, start, rows), _ = split_solve(np.ones(200), a, b)
-        assert rows.size == 49 and len(np.asarray(start)) == 49
+        (_, objective, _, start), _ = split_solve(np.ones(200), a, b)
+        assert start.rows.size == 49 and len(start.basis) == 49
         (_, again, *_), sol = split_solve(np.ones(200), a, b, initial_basis=start)
         assert sol.phase1_pivots > 0
         assert again == pytest.approx(objective, abs=1e-9)
@@ -410,9 +417,26 @@ class TestWeightedL1:
     def test_no_rows_gives_zero(self):
         # the crash basis of a 0-row system is empty and must still be accepted
         for ncols in (3, 0):
-            x, obj, pivots, basis, _ = weighted_l1_lp(np.ones(ncols), np.zeros((0, ncols)), [])
+            x, obj, pivots, solution = weighted_l1_lp(np.ones(ncols), np.zeros((0, ncols)), [])
             np.testing.assert_array_equal(x, np.zeros(ncols))
-            assert obj == 0.0 and pivots == 0 and np.asarray(basis).size == 0
+            assert obj == 0.0 and pivots == 0 and solution.basis.size == 0
+
+    def test_returns_the_optimal_solution(self):
+        # (x, objective, pivots, solution): the solution's rows name the kept
+        # rows only when phase I dropped one
+        inst = make_instance(DistributionSpec.default("normal"), 50, 200, 8, 0)
+        full = weighted_l1_lp(np.ones(200), inst.a, inst.b)
+        dropped = weighted_l1_lp(np.ones(200), *special_instance("rowdrop"))
+        for out in (full, dropped):
+            assert len(out) == 4
+            x, objective, pivots, solution = out
+            assert isinstance(solution, LPSolution) and solution.status is LPStatus.OPTIMAL
+            assert (solution.objective, solution.pivots) == (objective, pivots)
+            assert x.tobytes() == (solution.z[:200] - solution.z[200:]).tobytes()
+        assert full[3].rows is None and full[3].basis.size == 50
+        # row 1 repeats row 0; which of the two goes depends on the BLAS kernel
+        assert set(range(50)) - set(dropped[3].rows.tolist()) in ({0}, {1})
+        assert dropped[3].rows.size == dropped[3].basis.size == 49
 
     def test_tied_vertices_fix_objective_only(self):
         _, obj, *_ = weighted_l1_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
@@ -536,7 +560,8 @@ class TestRowDrop:
     def test_split_lp(self, redundant, signs):
         a, b, independent = self.system(redundant, signs, 6)
         w = 1.0 + np.arange(6) % 4
-        (x, obj, _, basis, rows), sol = split_solve(w, a, b)
+        (x, obj, _, basis), sol = split_solve(w, a, b)
+        rows = basis.rows
         assert sol.phase1_pivots > 0
         oracle = enumerate_weighted_l1_optimum(w, a[independent], b[independent])
         assert obj == pytest.approx(oracle, abs=1e-8)
@@ -553,7 +578,7 @@ class TestSplitPricing:
     as LPProblem(c=[w, w], a_eq=[A, -A]) must take the same path to the bit,
     from the crash basis and through phase I from a rejected start, with or
     without a dropped row.  The warm LP hands both the cold split LP's
-    WarmStart; the generic LP, on another matrix object, adopts its B^-1
+    LPSolution; the generic LP, on another matrix object, adopts its B^-1
     only after checking B B^-1 = I."""
 
     @pytest.mark.parametrize("system, start", [
@@ -580,15 +605,16 @@ class TestSplitPricing:
         for w in (np.ones(200), rng.uniform(0.1, 10.0, size=200)):  # cold, then warm
             full = LPProblem(c=np.concatenate([w, w]), a_eq=np.hstack([a, -a]), b_eq=b)
             generic = solve_standard_form(full, initial_basis=basis)
-            (x, objective, pivots, split_basis, rows), split = split_solve(
+            (x, objective, pivots, split_basis), split = split_solve(
                 w, a, b, initial_basis=basis)
+            rows = split_basis.rows
             assert generic.pivots > 0
             assert split.z.tobytes() == generic.z.tobytes()
             assert split.objective == generic.objective == objective
             assert split.pivots == generic.pivots == pivots
             assert split.phase1_pivots == generic.phase1_pivots
             np.testing.assert_array_equal(split.basis, generic.basis)
-            np.testing.assert_array_equal(split_basis, generic.basis)
+            np.testing.assert_array_equal(split_basis.basis, generic.basis)
             assert (rows is None) == (generic.rows is None)
             if rows is not None:
                 np.testing.assert_array_equal(rows, generic.rows)
@@ -611,7 +637,7 @@ class TestCounters:
 
     def test_accepted_basis_has_no_phase_one(self):
         a, b = self.instance()
-        (_, _, pivots, basis, _), cold = split_solve(np.ones(200), a, b)
+        (_, _, pivots, basis), cold = split_solve(np.ones(200), a, b)
         assert cold.phase1_pivots == 0 and pivots == cold.pivots > 0
         _, warm = split_solve(np.ones(200), a, b, initial_basis=basis)
         assert (warm.pivots, warm.phase1_pivots, warm.refactors) == (0, 0, 0)

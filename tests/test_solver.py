@@ -155,16 +155,19 @@ class TestReweightedL1:
 
     def test_infeasible_system_reports_iteration(self):
         a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(ReweightedSolveError, match="iteration 1"):
+        with pytest.raises(ReweightedSolveError, match="iteration 1") as caught:
             reweighted_l1(a, [0.0, 1.0], WeightScheme("cwb"))
+        assert caught.value.history == []
 
     def test_nonpositive_weights_reported_with_iteration(self):
         # none clamp + tiny fixed eps drives the w1 raw weights negative
         cfg = SolverConfig(schedule=EpsilonSchedule("fixed", eps0=0.001),
                            clamp=WeightClamp("none"))
         inst = make_instance(DistributionSpec.default("normal"), 10, 30, 8, 11)
-        with pytest.raises(ReweightedSolveError, match="iteration"):
+        with pytest.raises(ReweightedSolveError, match="iteration") as caught:
             reweighted_l1(inst.a, inst.b, WeightScheme("w1", p=0.05), cfg)
+        history = caught.value.history  # the LPs solved before the weights went bad
+        assert history and f"iteration {len(history) + 1}:" in str(caught.value)
 
     def test_history_records_eps_sequence(self):
         inst = make_instance(DistributionSpec.default("normal"), 20, 50, 16, 13)
@@ -228,6 +231,23 @@ class TestReweightedL1:
             assert sol.basis.size == 49
             assert inverses == sol.refactors
         assert np.max(np.abs(a @ res.x_hat - b)) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["cwb", "w1", "w2"])
+    def test_handed_on_first_lp_keeps_its_rows(self, kind):
+        # row 7 repeats row 2, so phase I of the unit-weight LP keeps 49 rows;
+        # a run handed that LP solves its later LPs on the rows it names, as a
+        # run that solves its own first LP does
+        inst = make_instance(DistributionSpec.default("normal"), 50, 200, 20, 1)
+        a = inst.a.copy()
+        a[7] = a[2]
+        b = a @ inst.x_true
+        l1 = reweighted_l1(a, b, WeightScheme("l1"))
+        assert l1.start[3].rows.size == 49
+        alone = reweighted_l1(a, b, WeightScheme(kind))
+        handed = reweighted_l1(a, b, WeightScheme(kind), start=l1.start)
+        assert len(alone.history) >= 3
+        assert handed.history == alone.history
+        assert handed.x_hat.tobytes() == alone.x_hat.tobytes()
 
     def test_certification_survives_optimize_flag(self):
         # explicit checks, unlike asserts, still run under python -O
