@@ -228,8 +228,10 @@ def run_trial(spec: SweepSpec, scheme_index: int, k: int, trial_index: int,
         result: ReweightedResult = reweighted_l1(inst.a, inst.b, scheme, config,
                                                  start=shared.start)
     except SolverError as exc:
-        # the LPs the run finished before it failed; a plain SolverError has none
+        # the LPs the run finished before it failed and its unit-weight LP, if
+        # that finished; a plain SolverError has neither and leaves shared.start
         result, history, reason = None, getattr(exc, "history", []), str(exc)
+        shared.start = getattr(exc, "start", shared.start)
     else:
         shared.start, history, reason = result.start, result.history, None
     wall = (time.perf_counter() - start) * 1e3

@@ -122,6 +122,9 @@ class SimplexStalledError(SolverError):
         super().__init__(f"simplex stalled: pivot budget exhausted after {pivots} pivots")
         self.pivots = pivots
 
+    def __reduce__(self):  # rebuilt from its own argument, so that it pickles
+        return type(self), (self.pivots,)
+
 
 class LPInfeasibleError(SolverError):
     """Raised by callers that require a feasible system (e.g. weighted_l1_lp)."""
@@ -364,25 +367,19 @@ def _run_phase(state: _Basis, c: np.ndarray, feas_tol: float) -> LPStatus:
     """
     if c.shape[0] == 0:
         return LPStatus.OPTIMAL  # no column can enter
-    # the loop is state.reduced_costs, .direction and .values written out;
-    # s and b stay fixed within a phase, basis and B^-1 are re-read per pivot
-    # since a refactor replaces them
-    s, b, tol = state.s, state.b, -feas_tol
     reduced = np.empty(c.shape[0])
     stall_limit = STALL_GUARD * (len(state.basis) + c.shape[0])
     stalled = 0
     while True:
-        basis, binv = state.basis, state.binv
-        np.subtract(c, c[basis].dot(binv).dot(s), out=reduced)
-        reduced[basis] = np.inf
+        state.reduced_costs(c, reduced)
         guard = stalled >= stall_limit
-        entering = int((reduced < tol).argmax() if guard else reduced.argmin())
-        if not reduced[entering] < tol:
+        entering = int((reduced < -feas_tol).argmax() if guard else reduced.argmin())
+        if not reduced[entering] < -feas_tol:
             return LPStatus.OPTIMAL
 
-        d = binv.dot(s[:, entering])
-        xb = binv.dot(b)
-        row = _leaving_row(d, xb, basis if guard else None)
+        d = state.direction(entering)
+        xb = state.values()
+        row = _leaving_row(d, xb, state.basis if guard else None)
         if row is None:
             return LPStatus.UNBOUNDED
         if xb[row] <= HARRIS_TOL:
@@ -415,42 +412,37 @@ def _lift_negative_basics(state: _Basis, c: np.ndarray) -> None:
 
 
 def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
-                        max_pivots: int | None = None,
                         initial_basis: np.ndarray | LPSolution | None = None) -> LPSolution:
     """Two-phase revised simplex.
 
     OPTIMAL solutions are certified: reduced costs >= -feas_tol and
-    ``||a_eq z - b_eq||_inf <= feas_tol``.  An exhausted pivot budget raises
-    SimplexStalledError rather than returning an uncertified point, and a
-    failed certification raises CertificationError.  When ``initial_basis``
-    names a square, numerically invertible basis whose basic point, clipped
-    at zero, passes the residual check above with no basic value below
-    -feas_tol, phase I is skipped; any other basis of column indices in
-    [0, n) falls back to phase I, and one with another entry raises
-    ValueError.  ``initial_basis`` is column indices, whose B^-1 the solve
-    forms, or another solve's OPTIMAL LPSolution, whose B^-1 it adopts; the
-    basic point is vetted the same way for both.
+    ``||a_eq z - b_eq||_inf <= feas_tol``.  Spending the pivot budget,
+    default_pivot_budget(m, n), raises SimplexStalledError rather than
+    returning an uncertified point, and a failed certification raises
+    CertificationError.  When ``initial_basis`` names a square, numerically
+    invertible basis whose basic point, clipped at zero, passes the residual
+    check above with no basic value below -feas_tol, phase I is skipped; any
+    other basis of column indices in [0, n) falls back to phase I, and one
+    with another entry raises ValueError.  ``initial_basis`` is column
+    indices, whose B^-1 the solve forms, or another solve's OPTIMAL
+    LPSolution, whose B^-1 it adopts; both are vetted alike.
     ``problem`` is an LPProblem or the split LP of weighted_l1_lp, whose
     residual is taken at x = u - v.
     """
     if feas_tol <= 0:
         raise ValueError(f"feas_tol must be > 0, got {feas_tol}")
     m, n = problem.m, problem.n
+    a, b = problem.a_eq, problem.b_eq
+    budget = default_pivot_budget(m, n)
+    rows = state = None
     if initial_basis is not None:
         idx = np.asarray(initial_basis.basis if isinstance(initial_basis, LPSolution)
                          else initial_basis)
         if (idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu"
                 or not np.all((idx >= 0) & (idx < n))):
             raise ValueError(f"initial_basis must list integer column indices in [0, {n})")
-    if max_pivots is None:
-        max_pivots = default_pivot_budget(m, n)
-
-    a, b = problem.a_eq, problem.b_eq
-    rows = None
-    state = None
-    if initial_basis is not None:
         try:  # a start that does not invert, or is infeasible, falls back to phase I
-            cand = _Basis(a, initial_basis, b, max_pivots)
+            cand = _Basis(a, initial_basis, b, budget)
             if (cand.values().min(initial=0.0) >= -feas_tol
                     and _residual(problem, cand.point(n)) <= feas_tol):
                 state = cand
@@ -462,7 +454,7 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
         # artificial is sign(b_i) e_i, so its basic value is |b_i|.
         c1 = np.concatenate([np.zeros(n), np.ones(m)])
         state = _Basis(np.hstack([a, np.diag(np.where(b < 0, -1.0, 1.0))]),
-                       np.arange(n, n + m), b, max_pivots)
+                       np.arange(n, n + m), b, budget)
         if _run_phase(state, c1, feas_tol) is LPStatus.UNBOUNDED:  # bounded below by 0
             raise CertificationError("phase I ended unbounded")
         if float(c1[state.basis] @ np.maximum(state.values(), 0.0)) > feas_tol:

@@ -53,11 +53,16 @@ CWB_FLOOR = 0.001  # lower bound of the cwb rule's eps
 
 class ReweightedSolveError(SolverError):
     """LP failure inside the recovery loop; ``history`` holds the records of
-    the LPs the run finished before it."""
+    the LPs the run finished before it, ``start`` the first of them as
+    ReweightedResult.start holds it (None if there are none)."""
 
-    def __init__(self, history: list[IterationRecord], cause: Exception | str):
+    def __init__(self, history: list[IterationRecord], cause: Exception | str,
+                 start: tuple | None):
         super().__init__(f"LP solve failed at iteration {len(history) + 1}: {cause}")
-        self.history = history
+        self.history, self.cause, self.start = history, cause, start
+
+    def __reduce__(self):  # rebuilt from its own arguments, so that it pickles
+        return type(self), (self.history, self.cause, self.start)
 
 
 @dataclass(frozen=True)
@@ -188,7 +193,7 @@ def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfi
                 raise CertificationError(f"iterate residual {record.residual_inf:.3g} "
                                          f"exceeds feas_tol {config.feas_tol:g}")
         except SolverError as exc:
-            raise ReweightedSolveError(history, exc) from exc
+            raise ReweightedSolveError(history, exc, start if history else None) from exc
         history.append(record)
         return lp
 
@@ -210,7 +215,7 @@ def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfi
             # reachable only with the "none" clamp: the raw weight formula
             # left its valid domain, making the LP subproblem unbounded
             raise ReweightedSolveError(history, f"weights left the positive domain "
-                                                f"(min {np.min(w):.3g}, eps {eps:g})")
+                                                f"(min {np.min(w):.3g}, eps {eps:g})", start)
         x_new, _, _, basis = solve(w, eps, basis)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new

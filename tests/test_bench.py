@@ -247,6 +247,24 @@ class TestPairedSweep:
         assert [r for r in records if r is not failed[0]] == [
             r for key, r in alone.items() if key != (0, 6, 0)]
 
+    def test_failed_run_hands_on_its_unit_weight_lp(self, monkeypatch):
+        # the q = 1 scheme fails at LP 3 in 19 of the 40 trials; the q = 0.5
+        # scheme still reuses the unit-weight LP each of them solved
+        schemes = tuple((WeightScheme("w2", p=0.05, q=q), SolverConfig()) for q in (1.0, 0.5))
+        spec = SweepSpec(dist=NORMAL, m=50, n=200, k_values=(5, 10, 15, 20), schemes=schemes,
+                         trials=10, seed_base=42)
+        lps = unit_weight_lps(monkeypatch)
+        records = sweep(spec).records
+        assert len(lps) == len(set(lps)) == 4 * 10
+        failed = [r for r in records if r.fail_reason is not None]
+        assert len(failed) == 19 and {r.scheme_index for r in failed} == {0}
+        assert all(r.iterations == 2 for r in failed)
+        monkeypatch.undo()
+        for r in records:
+            alone = run_trial(spec, r.scheme_index, r.k, r.trial_index)
+            assert (r.seed, r.success, r.iterations, r.pivots, r.fail_reason) == (
+                alone.seed, alone.success, alone.iterations, alone.pivots, alone.fail_reason)
+
 
 class TestSweep:
     def test_bookkeeping(self):

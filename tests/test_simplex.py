@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -44,12 +45,13 @@ class TestSolveStandardForm:
         assert sol.status is LPStatus.OPTIMAL
         assert sol.objective == pytest.approx(1.0, abs=1e-12)
 
-    def test_unbounded_ray(self):
+    def test_unbounded_ray(self, monkeypatch):
         sol = solve([-1.0, 0.0], [[1.0, -1.0]], [0.0])
         assert sol.status is LPStatus.UNBOUNDED
         # the budget is checked when a pivot is made, so a ray found with the
         # budget spent is still reported
-        sol = solve([-1.0, 0.0], [[1.0, -1.0]], [0.0], max_pivots=0, initial_basis=[1])
+        monkeypatch.setattr(rwl1.simplex, "default_pivot_budget", lambda m, n: 0)
+        sol = solve([-1.0, 0.0], [[1.0, -1.0]], [0.0], initial_basis=[1])
         assert sol.status is LPStatus.UNBOUNDED and sol.pivots == 0
 
     def test_sign_contradiction_infeasible(self):
@@ -81,15 +83,21 @@ class TestSolveStandardForm:
         with pytest.raises(ValueError, match="feas_tol must be > 0"):
             solve([1.0], [[1.0]], [1.0], feas_tol=feas_tol)
 
-    def test_stalled_error_on_tiny_budget(self):
+    def test_stalled_error_on_tiny_budget(self, monkeypatch):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 9))
         z0 = np.abs(rng.normal(size=9)) + 0.5
         b = a @ z0
+        monkeypatch.setattr(rwl1.simplex, "default_pivot_budget", lambda m, n: 1)
         with pytest.raises(SimplexStalledError):
-            solve(np.abs(rng.normal(size=9)) + 0.1, a, b, max_pivots=1)
+            solve(np.abs(rng.normal(size=9)) + 0.1, a, b)
 
-    def test_phase1_drives_out_a_degenerate_artificial(self):
+    def test_stalled_error_pickles(self):
+        copied = pickle.loads(pickle.dumps(SimplexStalledError(5)))
+        assert type(copied) is SimplexStalledError and copied.pivots == 5
+        assert str(copied) == "simplex stalled: pivot budget exhausted after 5 pivots"
+
+    def test_phase1_drives_out_a_degenerate_artificial(self, monkeypatch):
         # b = 0: phase I is optimal at once with its artificial basic at zero,
         # and one degenerate pivot brings a structural column in for it
         sol = solve([1.0, 2.0], [[-1.0, -1.0]], [0.0])
@@ -97,8 +105,9 @@ class TestSolveStandardForm:
         np.testing.assert_array_equal(sol.z, [0.0, 0.0])
         assert sol.objective == 0.0
         assert sol.pivots == sol.phase1_pivots == 1
+        monkeypatch.setattr(rwl1.simplex, "default_pivot_budget", lambda m, n: 0)
         with pytest.raises(SimplexStalledError) as exc:  # the drive-out pivot needs budget too
-            solve([1.0, 2.0], [[-1.0, -1.0]], [0.0], max_pivots=0)
+            solve([1.0, 2.0], [[-1.0, -1.0]], [0.0])
         assert exc.value.pivots == 0
 
     def test_matches_bfs_enumeration_on_seeded_lps(self):

@@ -1,6 +1,9 @@
+import concurrent.futures
 import copy
 import math
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -11,6 +14,7 @@ import pytest
 import rwl1
 import rwl1.simplex
 import rwl1.solver
+from rwl1.bench import trial_seed
 from rwl1.instances import DistributionSpec, make_instance
 from rwl1.merit import WeightClamp, WeightScheme
 from rwl1.simplex import LPProblem, LPSolution, LPStatus, weighted_l1_lp
@@ -158,6 +162,7 @@ class TestReweightedL1:
         with pytest.raises(ReweightedSolveError, match="iteration 1") as caught:
             reweighted_l1(a, [0.0, 1.0], WeightScheme("cwb"))
         assert caught.value.history == []
+        assert caught.value.start is None  # a first LP that raises hands nothing on
 
     def test_nonpositive_weights_reported_with_iteration(self):
         # none clamp + tiny fixed eps drives the w1 raw weights negative
@@ -168,6 +173,47 @@ class TestReweightedL1:
             reweighted_l1(inst.a, inst.b, WeightScheme("w1", p=0.05), cfg)
         history = caught.value.history  # the LPs solved before the weights went bad
         assert history and f"iteration {len(history) + 1}:" in str(caught.value)
+
+    @staticmethod
+    def fails_at_third_lp():
+        """A run whose w1 weights at p = 1 leave the positive domain at LP 3."""
+        inst = make_instance(DistributionSpec.default("normal"), 50, 200, 16,
+                             trial_seed(42, 16, 0, 2))
+        return inst.a, inst.b, WeightScheme("w1", p=1.0)
+
+    def test_failed_run_carries_its_unit_weight_lp(self):
+        a, b, scheme = self.fails_at_third_lp()
+        with pytest.raises(ReweightedSolveError, match="iteration 3: weights left") as caught:
+            reweighted_l1(a, b, scheme)
+        l1 = reweighted_l1(a, b, WeightScheme("l1"))
+        start = caught.value.start
+        assert len(caught.value.history) == 2
+        assert start[0].tobytes() == l1.start[0].tobytes() and start[1:3] == l1.start[1:3]
+        assert start[3].basis.tolist() == l1.start[3].basis.tolist()
+
+    def test_error_pickles_with_its_run(self):
+        empty = pickle.loads(pickle.dumps(ReweightedSolveError([], "x", None)))
+        assert type(empty) is ReweightedSolveError
+        assert str(empty) == "LP solve failed at iteration 1: x"
+        assert (empty.history, empty.start) == ([], None)
+        a, b, scheme = self.fails_at_third_lp()
+        with pytest.raises(ReweightedSolveError) as caught:
+            reweighted_l1(a, b, scheme)
+        copied = pickle.loads(pickle.dumps(caught.value))
+        assert str(copied) == str(caught.value)
+        assert copied.history == caught.value.history
+        assert copied.start[0].tobytes() == caught.value.start[0].tobytes()
+        assert copied.start[3].binv.tobytes() == caught.value.start[3].binv.tobytes()
+
+    def test_error_crosses_a_process_pool(self):
+        # the worker's error reaches the caller, not a broken pool
+        a, b, scheme = self.fails_at_third_lp()
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            future = pool.submit(reweighted_l1, a, b, scheme)
+            with pytest.raises(ReweightedSolveError, match="iteration 3: weights left") as caught:
+                future.result()
+        assert len(caught.value.history) == 2
 
     def test_history_records_eps_sequence(self):
         inst = make_instance(DistributionSpec.default("normal"), 20, 50, 16, 13)
