@@ -30,7 +30,8 @@ returns, as A x - b.
 
 One _Basis object holds the whole state of a solve, from phase I into phase
 II: the basis and its inverse, the right-hand side, the pivot budget and the
-counters that LPSolution reports.  An optimal LPSolution carries its basis
+counters that LPSolution reports.  A solve returns only a certified optimum,
+and every other end raises a SolverError.  An LPSolution carries its basis
 with its B^-1, so it is itself a warm start.  Between the LPs of a
 reweighting run only the cost vector (w, w) changes, so the previous optimal
 basis is still primal-feasible and the next LP can start phase II from it
@@ -55,7 +56,6 @@ and, unlike asserts, also run under ``python -O``.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,13 +63,13 @@ import numpy as np
 from .linalg import as_matrix, as_vector
 
 __all__ = [
-    "LPStatus",
     "LPProblem",
     "LPSolution",
     "SolverError",
     "CertificationError",
     "SimplexStalledError",
     "LPInfeasibleError",
+    "LPUnboundedError",
     "default_pivot_budget",
     "solve_standard_form",
     "weighted_l1_lp",
@@ -127,13 +127,11 @@ class SimplexStalledError(SolverError):
 
 
 class LPInfeasibleError(SolverError):
-    """Raised by callers that require a feasible system (e.g. weighted_l1_lp)."""
+    """Phase I proved that the constraints have no nonnegative solution."""
 
 
-class LPStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
+class LPUnboundedError(SolverError):
+    """Phase II found a ray along which the objective decreases without bound."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,28 +190,27 @@ class _SplitLP:
 
 @dataclass(frozen=True, eq=False)
 class LPSolution:
-    """``basis`` holds the optimal basis's column indices (None unless OPTIMAL);
-    when phase I dropped redundant rows it has fewer than m entries and
-    ``rows`` holds the indices of the kept rows, which the basis spans (None
-    when every row was kept).  ``phase1_pivots`` counts the pivots of phase I
+    """A certified optimum ``z`` of an LP.  ``basis`` holds the optimal
+    basis's column indices; when phase I dropped redundant rows it has fewer
+    than m entries and ``rows`` holds the indices of the kept rows, which the
+    basis spans (None when every row was kept).  ``phase1_pivots`` counts the pivots of phase I
     and of driving out its artificials, 0 when the supplied basis was
     accepted; ``degenerate_pivots`` those whose leaving basic value was at
     most HARRIS_TOL, so that the step did not move; ``guard_pivots`` those
     made by the stall guard's Bland rule.  ``refactors`` counts the rebuilds
     of B^-1 from scratch after a basis was first inverted or adopted.
 
-    An OPTIMAL solution is the ``initial_basis`` of another LP on the same
-    rows: ``binv`` is its basis's B^-1, ``updates`` the pivots that have
-    updated that inverse since it was last formed from scratch, and
-    ``problem`` the problem whose rows the basis spans (None when phase I
-    dropped rows).  A solve adopts copies of the basis and the inverse, so
-    one solution can start any number of solves."""
+    A solution is the ``initial_basis`` of another LP on the same rows:
+    ``binv`` is its basis's B^-1, ``updates`` the pivots that have updated
+    that inverse since it was last formed from scratch, and ``problem`` the
+    problem whose rows the basis spans (None when phase I dropped rows).  A
+    solve adopts copies of the basis and the inverse, so one solution can
+    start any number of solves."""
 
-    status: LPStatus
-    z: np.ndarray | None
+    z: np.ndarray
     objective: float
     pivots: int
-    basis: np.ndarray | None = None
+    basis: np.ndarray
     phase1_pivots: int = 0
     refactors: int = 0
     degenerate_pivots: int = 0
@@ -278,11 +275,6 @@ class _Basis:
         miss = float(np.max(np.abs(bmat @ self.binv - np.eye(len(bmat))), initial=0.0))
         if miss > BASIS_INVERSE_TOL:
             raise CertificationError(f"basis inverse misses B B^-1 = I by {miss:.3g}")
-
-    def solution(self, status: LPStatus, z, objective: float, **fields) -> LPSolution:
-        return LPSolution(status, z, objective, self.pivots, phase1_pivots=self.phase1_pivots,
-                          refactors=self.refactors, degenerate_pivots=self.degenerate,
-                          guard_pivots=self.guarded, **fields)
 
     def values(self) -> np.ndarray:
         """The basic values B^-1 b."""
@@ -353,9 +345,9 @@ def _leaving_row(d: np.ndarray, xb: np.ndarray, bland_basis: np.ndarray | None =
     return int(blocking[near][db[near].argmax()])
 
 
-def _run_phase(state: _Basis, c: np.ndarray, feas_tol: float) -> LPStatus:
-    """Pivot until optimal or unbounded; raises SimplexStalledError when the
-    solve's pivot budget runs out.
+def _run_phase(state: _Basis, c: np.ndarray, feas_tol: float) -> bool:
+    """Pivot until optimal (True) or unbounded (False); raises
+    SimplexStalledError when the solve's pivot budget runs out.
 
     The entering column is the nonbasic one with the most negative reduced
     cost below -feas_tol, smallest index on ties: basic entries are set to
@@ -366,7 +358,7 @@ def _run_phase(state: _Basis, c: np.ndarray, feas_tol: float) -> LPStatus:
     cannot cycle, until a step moves.
     """
     if c.shape[0] == 0:
-        return LPStatus.OPTIMAL  # no column can enter
+        return True  # no column can enter
     reduced = np.empty(c.shape[0])
     stall_limit = STALL_GUARD * (len(state.basis) + c.shape[0])
     stalled = 0
@@ -375,13 +367,13 @@ def _run_phase(state: _Basis, c: np.ndarray, feas_tol: float) -> LPStatus:
         guard = stalled >= stall_limit
         entering = int((reduced < -feas_tol).argmax() if guard else reduced.argmin())
         if not reduced[entering] < -feas_tol:
-            return LPStatus.OPTIMAL
+            return True
 
         d = state.direction(entering)
         xb = state.values()
         row = _leaving_row(d, xb, state.basis if guard else None)
         if row is None:
-            return LPStatus.UNBOUNDED
+            return False
         if xb[row] <= HARRIS_TOL:
             stalled += 1
             state.degenerate += 1
@@ -415,17 +407,18 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
                         initial_basis: np.ndarray | LPSolution | None = None) -> LPSolution:
     """Two-phase revised simplex.
 
-    OPTIMAL solutions are certified: reduced costs >= -feas_tol and
-    ``||a_eq z - b_eq||_inf <= feas_tol``.  Spending the pivot budget,
-    default_pivot_budget(m, n), raises SimplexStalledError rather than
-    returning an uncertified point, and a failed certification raises
-    CertificationError.  When ``initial_basis`` names a square, numerically
-    invertible basis whose basic point, clipped at zero, passes the residual
-    check above with no basic value below -feas_tol, phase I is skipped; any
-    other basis of column indices in [0, n) falls back to phase I, and one
-    with another entry raises ValueError.  ``initial_basis`` is column
-    indices, whose B^-1 the solve forms, or another solve's OPTIMAL
-    LPSolution, whose B^-1 it adopts; both are vetted alike.
+    Returns only a certified optimum: reduced costs >= -feas_tol and
+    ``||a_eq z - b_eq||_inf <= feas_tol``.  Every other end raises: an
+    infeasible LP LPInfeasibleError, an unbounded one LPUnboundedError,
+    spending the pivot budget, default_pivot_budget(m, n),
+    SimplexStalledError, and a failed certification CertificationError.
+    When ``initial_basis`` names a square, numerically invertible basis
+    whose basic point, clipped at zero, passes the residual check above with
+    no basic value below -feas_tol, phase I is skipped; any other basis of
+    column indices in [0, n) falls back to phase I, and one with another
+    entry raises ValueError.  ``initial_basis`` is column indices, whose
+    B^-1 the solve forms, or another solve's LPSolution, whose B^-1 it
+    adopts; both are vetted alike.
     ``problem`` is an LPProblem or the split LP of weighted_l1_lp, whose
     residual is taken at x = u - v.
     """
@@ -455,11 +448,10 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
         c1 = np.concatenate([np.zeros(n), np.ones(m)])
         state = _Basis(np.hstack([a, np.diag(np.where(b < 0, -1.0, 1.0))]),
                        np.arange(n, n + m), b, budget)
-        if _run_phase(state, c1, feas_tol) is LPStatus.UNBOUNDED:  # bounded below by 0
+        if not _run_phase(state, c1, feas_tol):  # bounded below by 0
             raise CertificationError("phase I ended unbounded")
         if float(c1[state.basis] @ np.maximum(state.values(), 0.0)) > feas_tol:
-            state.phase1_pivots = state.pivots
-            return state.solution(LPStatus.INFEASIBLE, None, 0.0)
+            raise LPInfeasibleError("system A x = b is infeasible")
         kept = _drive_out_artificials(state, n)
         if kept.size < m:
             a, rows = a[kept], kept
@@ -468,13 +460,15 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
 
     # Phase II on the structural columns only.
     c = problem.c
-    if _run_phase(state, c, feas_tol) is LPStatus.UNBOUNDED:
-        return state.solution(LPStatus.UNBOUNDED, None, float("-inf"))
+    if not _run_phase(state, c, feas_tol):
+        raise LPUnboundedError("LP objective is unbounded below")
     _lift_negative_basics(state, c)
     z = _certified_point(problem, state, c, feas_tol)
-    return state.solution(LPStatus.OPTIMAL, z, float(c @ z), basis=state.basis, rows=rows,
-                          binv=state.binv, updates=state.updates,
-                          problem=problem if rows is None else None)
+    return LPSolution(z, float(c @ z), state.pivots, state.basis,
+                      phase1_pivots=state.phase1_pivots, refactors=state.refactors,
+                      degenerate_pivots=state.degenerate, guard_pivots=state.guarded,
+                      rows=rows, binv=state.binv, updates=state.updates,
+                      problem=problem if rows is None else None)
 
 
 def _certified_point(problem: LPProblem, state: _Basis, c: np.ndarray,
@@ -595,14 +589,15 @@ def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
     the crash basis.  Given the very A and b objects of that solve, the LP
     reuses the [A, -A] it formed and skips validating them again, so they
     must not have been changed in place since.  Returns
-    (x, objective, pivots, solution) with the OPTIMAL LPSolution of the
+    (x, objective, pivots, solution) with the certified LPSolution of the
     split LP, whose ``basis`` holds the optimal basis's column indices;
     ``solution.rows`` is None unless phase I dropped redundant rows, and then
     holds the kept rows: the solution is a warm start for the same LP on
-    A[rows], b[rows].  Raises LPInfeasibleError if the system has no
-    solution, ValueError for an ``initial_basis`` entry that is not a column
-    index of the split LP, and propagates SimplexStalledError and
-    CertificationError from the simplex.
+    A[rows], b[rows].  Raises ValueError for an ``initial_basis`` entry that
+    is not a column index of the split LP, and propagates the simplex's
+    errors: LPInfeasibleError if the system has no solution, and
+    SimplexStalledError or CertificationError; LPUnboundedError cannot
+    arise under positive weights.
     """
     prev = initial_basis.problem if isinstance(initial_basis, LPSolution) else None
     if isinstance(prev, _SplitLP) and prev.a is a and prev.b_eq is b:
@@ -622,8 +617,4 @@ def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
     if initial_basis is None:
         initial_basis = _crash_basis(am, bv)
     sol = solve_standard_form(split, feas_tol=feas_tol, initial_basis=initial_basis)
-    if sol.status is LPStatus.INFEASIBLE:
-        raise LPInfeasibleError("system A x = b is infeasible")
-    if sol.status is not LPStatus.OPTIMAL:  # positive weights rule out unboundedness
-        raise CertificationError(f"weighted-l1 LP ended {sol.status.value}")
     return split.x(sol.z), sol.objective, sol.pivots, sol

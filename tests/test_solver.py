@@ -17,7 +17,7 @@ import rwl1.solver
 from rwl1.bench import trial_seed
 from rwl1.instances import DistributionSpec, make_instance
 from rwl1.merit import WeightClamp, WeightScheme
-from rwl1.simplex import LPProblem, LPSolution, LPStatus, weighted_l1_lp
+from rwl1.simplex import LPProblem, LPSolution, weighted_l1_lp
 from rwl1.solver import (EpsilonSchedule, ReweightedResult, ReweightedSolveError, SolverConfig,
                          epsilon_update, reweighted_l1)
 
@@ -159,8 +159,10 @@ class TestReweightedL1:
 
     def test_infeasible_system_reports_iteration(self):
         a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(ReweightedSolveError, match="iteration 1") as caught:
+        with pytest.raises(ReweightedSolveError) as caught:
             reweighted_l1(a, [0.0, 1.0], WeightScheme("cwb"))
+        # the text that `rwl1 solve` prints and a sweep records as fail_reason
+        assert str(caught.value) == "LP solve failed at iteration 1: system A x = b is infeasible"
         assert caught.value.history == []
         assert caught.value.start is None  # a first LP that raises hands nothing on
 
@@ -271,7 +273,8 @@ class TestReweightedL1:
         res = reweighted_l1(a, b, WeightScheme("w1"))
         assert len(sols) == len(res.history) >= 2
         assert sols[0].phase1_pivots > 0 and sols[0].rows.size == 49
-        assert 1 not in sols[0].rows  # row 1 repeats row 0
+        # row 1 repeats row 0; which of the two goes depends on the BLAS kernel
+        assert set(range(50)) - set(sols[0].rows.tolist()) in ({0}, {1})
         for sol, inverses in zip(sols[1:], formed[1:]):
             assert sol.phase1_pivots == 0 and sol.rows is None
             assert sol.basis.size == 49
@@ -353,7 +356,7 @@ class TestReweightedL1:
 
 @pytest.mark.parametrize("record", [
     LPProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]),
-    LPSolution(LPStatus.OPTIMAL, np.array([1.0, 0.0]), 1.0, 1, basis=np.array([0])),
+    LPSolution(np.array([1.0, 0.0]), 1.0, 1, np.array([0])),
     ReweightedResult(np.array([1.0, 0.0])),
     make_instance(DistributionSpec.default("normal"), 2, 4, 1, 7),
 ], ids=lambda record: type(record).__name__)
