@@ -11,10 +11,8 @@ as recovery failures and never abort a sweep; their records count the LPs
 the run finished before it failed.
 
 A sweep runs one task per (k, trial), which runs every scheme's trial in
-turn.  A trial whose seed is the one before it reuses that trial's instance
-and its unit-weight LP, the first LP of every scheme, instead of drawing and
-solving them again; its record is the one run_trial alone gives.  Unpaired
-seeds differ, so there nothing is reused.
+turn; trials with one seed share its instance and, through one list, its
+unit-weight LP, and each record is the one run_trial alone gives.
 
 A sweep returns its TrialRecords in grid order (scheme index, then the
 spec's k order, then trial index).  Its cells, its CSV and the CLI tables are
@@ -38,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instances import DistributionSpec, ProblemInstance, make_instance
+from .instances import DistributionSpec, make_instance
 from .linalg import as_vector
 from .merit import WeightScheme
 from .rng import mix64
@@ -83,6 +81,8 @@ class SweepSpec:
             raise ValueError("k_values and schemes must be nonempty")
         if len(self.schemes) > MAX_INDEX:
             raise ValueError(f"at most {MAX_INDEX} schemes, got {len(self.schemes)}")
+        if len(set(self.k_values)) < len(self.k_values):  # a k's CSV rows would repeat
+            raise ValueError(f"k values must be distinct, got {self.k_values}")
         (scheme, config), count = Counter(self.schemes).most_common(1)[0]
         if count > 1:  # their CSV rows would share every key
             raise ValueError(f"schemes must be distinct, got {scheme} with {config} {count} times")
@@ -196,44 +196,34 @@ def trial_seed(seed_base: int, k: int, scheme_index: int, trial_index: int) -> i
     return (int(seed_base) ^ mix64(packed)) & ((1 << 64) - 1)
 
 
-@dataclass
-class _Shared:
-    """What the trials of one sweep task hand on: the last instance drawn, its
-    seed and, once a trial has solved it, its unit-weight LP."""
-
-    seed: int | None = None
-    inst: ProblemInstance | None = None
-    start: tuple | None = None
-
-
 def run_trial(spec: SweepSpec, scheme_index: int, k: int, trial_index: int,
-              shared: _Shared | None = None) -> TrialRecord:
+              drawn: dict | None = None) -> TrialRecord:
     """One recovery attempt; solver failures are recorded, not raised.
 
-    Within a sweep task ``shared`` carries the instance and its unit-weight LP
-    from trial to trial; this trial reuses them if its seed is theirs, else
-    draws its own and leaves them there.  The record is the same either way."""
+    Within a sweep task ``drawn`` maps the last seed drawn to its instance and
+    the list its runs share their unit-weight LP through; this trial reuses
+    both if its seed is that one, else draws its own in their place.  The
+    record is the same either way."""
     scheme, config = spec.schemes[scheme_index]
     seed = trial_seed(spec.seed_base, k, 0 if spec.paired else scheme_index, trial_index)
-    shared = _Shared() if shared is None else shared
+    drawn = {} if drawn is None else drawn
     gen = 0.0
-    if shared.seed != seed:
+    if seed not in drawn:
         gen_start = time.perf_counter()
         inst = make_instance(spec.dist, spec.m, spec.n, k, seed)
         gen = (time.perf_counter() - gen_start) * 1e3
-        shared.seed, shared.inst, shared.start = seed, inst, None
-    inst = shared.inst
+        drawn.clear()
+        drawn[seed] = inst, []
+    inst, unit_lp = drawn[seed]
     start = time.perf_counter()
     try:
         result: ReweightedResult = reweighted_l1(inst.a, inst.b, scheme, config,
-                                                 start=shared.start)
+                                                 unit_lp=unit_lp)
     except SolverError as exc:
-        # the LPs the run finished before it failed and its unit-weight LP, if
-        # that finished; a plain SolverError has neither and leaves shared.start
+        # the LPs the run finished before it failed; a plain SolverError has none
         result, history, reason = None, getattr(exc, "history", []), str(exc)
-        shared.start = getattr(exc, "start", shared.start)
     else:
-        shared.start, history, reason = result.start, result.history, None
+        history, reason = result.history, None
     wall = (time.perf_counter() - start) * 1e3
     return TrialRecord(scheme_index, k, trial_index, seed,
                        success=result is not None and is_success(result.x_hat, inst.x_true),
@@ -244,8 +234,8 @@ def run_trial(spec: SweepSpec, scheme_index: int, k: int, trial_index: int,
 def _run_task(args) -> list[TrialRecord]:
     """Every scheme's trial at one (k, trial index), in scheme order."""
     spec, k, trial_index = args
-    shared = _Shared()
-    return [run_trial(spec, si, k, trial_index, shared) for si in range(len(spec.schemes))]
+    drawn = {}
+    return [run_trial(spec, si, k, trial_index, drawn) for si in range(len(spec.schemes))]
 
 
 def sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:

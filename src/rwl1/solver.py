@@ -15,13 +15,13 @@ end state, its simplex.LPSolution: the basis, its B^-1 and that inverse's
 update count, and the [A, -A] it formed.  The next LP adopts a copy of the
 inverse instead of inverting the basis, and takes it only if its basic point
 is primal-feasible within feas_tol, else it runs phase I.  The first LP has
-unit weights for every scheme, so a run can begin from another run's on the
-same system; each run pivots on its own copy of that start.  When phase I
-of the first LP drops redundant rows of A, the later LPs solve on the kept
-rows, which the returned basis spans, and adopt its inverse there.  Every
-iterate is certified by its own primal residual on all rows; a miss raises
-ReweightedSolveError caused by a CertificationError, which a sweep records
-as a failed trial with the LPs of the error's history.
+unit weights for every scheme, so the runs on one system can share it
+through one list.  When phase I of the first LP drops redundant rows of A,
+the later LPs solve on the kept rows, which the returned basis spans, and
+adopt its inverse there.  Every iterate is certified by its own primal
+residual on all rows; a miss raises ReweightedSolveError caused by a
+CertificationError, which a sweep records as a failed trial with the LPs of
+the error's history.
 """
 
 from __future__ import annotations
@@ -53,16 +53,14 @@ CWB_FLOOR = 0.001  # lower bound of the cwb rule's eps
 
 class ReweightedSolveError(SolverError):
     """LP failure inside the recovery loop; ``history`` holds the records of
-    the LPs the run finished before it, ``start`` the first of them as
-    ReweightedResult.start holds it (None if there are none)."""
+    the LPs the run finished before it."""
 
-    def __init__(self, history: list[IterationRecord], cause: Exception | str,
-                 start: tuple | None):
+    def __init__(self, history: list[IterationRecord], cause: Exception | str):
         super().__init__(f"LP solve failed at iteration {len(history) + 1}: {cause}")
-        self.history, self.cause, self.start = history, cause, start
+        self.history, self.cause = history, cause
 
     def __reduce__(self):  # rebuilt from its own arguments, so that it pickles
-        return type(self), (self.history, self.cause, self.start)
+        return type(self), (self.history, self.cause)
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,6 @@ class IterationRecord:
 class ReweightedResult:
     x_hat: np.ndarray
     history: list[IterationRecord] = field(default_factory=list)
-    start: tuple | None = None  # the unit-weight LP, as reweighted_l1(start=) takes it
 
     @property
     def iterations_used(self) -> int:
@@ -158,7 +155,7 @@ def _record(scheme: WeightScheme, x: np.ndarray, eps: float, objective: float,
 
 
 def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfig(),
-                  start: tuple | None = None) -> ReweightedResult:
+                  unit_lp: list | None = None) -> ReweightedResult:
     """Recover a sparse solution of A x = b by iterative reweighted l1.
 
     The l1 scheme performs exactly one LP solve.  Other schemes reweight
@@ -166,9 +163,10 @@ def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfi
     the LP budget of max_iter solves is spent.  Raises ValueError for a
     system that is not 1 <= m <= n, or square under the cwb eps rule.
 
-    ``start``, another run's ``ReweightedResult.start`` on this same A and b,
-    stands in for the unit-weight LP: the run records it as its own first LP,
-    with its own eps and merit, and counts its pivots, without solving it.
+    ``unit_lp`` is a list shared by runs on this very A and b: empty, or
+    holding the unit-weight LP's (x, objective, pivots, LPSolution), which the
+    run then records as its own first LP, pivots counted, without solving it.
+    A run that solves that LP leaves it there once certified, even if it raises.
     """
     am = as_matrix(a)
     bv = as_vector(b, length=am.shape[0])
@@ -193,21 +191,22 @@ def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfi
                 raise CertificationError(f"iterate residual {record.residual_inf:.3g} "
                                          f"exceeds feas_tol {config.feas_tol:g}")
         except SolverError as exc:
-            raise ReweightedSolveError(history, exc, start if history else None) from exc
+            raise ReweightedSolveError(history, exc) from exc
         history.append(record)
         return lp
 
     eps = config.schedule.eps0
     lp_a, lp_b = am, bv
-    start = solve(np.ones(n), eps, None, start)
-    x, _, _, basis = start
+    unit_lp = [] if unit_lp is None else unit_lp
+    unit_lp[:] = [solve(np.ones(n), eps, None, unit_lp[0] if unit_lp else None)]
+    x, _, _, basis = unit_lp[0]
     if basis.rows is not None:
         # phase I dropped redundant rows; the later LPs leave them out too, so
         # that they can warm-start from the previous basis
         lp_a, lp_b = am[basis.rows], bv[basis.rows]
 
     if scheme.kind == "l1":
-        return ReweightedResult(x_hat=x, history=history, start=start)
+        return ReweightedResult(x_hat=x, history=history)
 
     while len(history) < config.max_iter:
         w = weights(scheme, x, eps, config.clamp)
@@ -215,7 +214,7 @@ def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfi
             # reachable only with the "none" clamp: the raw weight formula
             # left its valid domain, making the LP subproblem unbounded
             raise ReweightedSolveError(history, f"weights left the positive domain "
-                                                f"(min {np.min(w):.3g}, eps {eps:g})", start)
+                                                f"(min {np.min(w):.3g}, eps {eps:g})")
         x_new, _, _, basis = solve(w, eps, basis)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
@@ -223,4 +222,4 @@ def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfi
             break
         eps = epsilon_update(config.schedule, eps, x_new, m, n)
 
-    return ReweightedResult(x_hat=x, history=history, start=start)
+    return ReweightedResult(x_hat=x, history=history)

@@ -393,6 +393,8 @@ class TestSweep:
         # two equal members would write two CSV rows per k with equal keys
         with pytest.raises(ValueError, match=r"schemes must be distinct, got .*'w1'.* 2 times"):
             small_spec(kinds=("w1", "cwb", "w1"))
+        with pytest.raises(ValueError, match=r"k values must be distinct, got \(2, 3, 2\)"):
+            small_spec(k_values=(2, 3, 2))
         with pytest.raises(ValueError, match="workers must be >= 1"):
             sweep(small_spec(), workers=0)
         with pytest.raises(ValueError, match="nonempty"):

@@ -430,6 +430,8 @@ BAD_FLAGS = [
     (["sweep", "--k", "2", "--schemes", "w1,w1", "--trials", "1"], "schemes must be distinct"),
     (["study-p", "--p-grid", "0.1,0.1", "--k-list", "2", "--trials", "1"],
      "schemes must be distinct"),
+    (["sweep", "--m", "10", "--n", "30", "--k", "2,2", "--schemes", "l1", "--trials", "1"],
+     "k values must be distinct"),
 ]
 
 

@@ -104,7 +104,7 @@ class TestSolveStandardForm:
         # as the cause of a ReweightedSolveError it can cross a process pool
         with pytest.raises(error) as caught:
             solve(*lp)
-        copied = pickle.loads(pickle.dumps(ReweightedSolveError([], caught.value, None))).cause
+        copied = pickle.loads(pickle.dumps(ReweightedSolveError([], caught.value))).cause
         assert type(copied) is error and str(copied) == str(caught.value)
 
     def test_phase1_drives_out_a_degenerate_artificial(self, monkeypatch):

@@ -158,13 +158,13 @@ class TestReweightedL1:
                 assert cur <= prev + 1e-9, f"trial {trial}: merit rose {prev} -> {cur}"
 
     def test_infeasible_system_reports_iteration(self):
-        a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        a, unit_lp = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), []
         with pytest.raises(ReweightedSolveError) as caught:
-            reweighted_l1(a, [0.0, 1.0], WeightScheme("cwb"))
+            reweighted_l1(a, [0.0, 1.0], WeightScheme("cwb"), unit_lp=unit_lp)
         # the text that `rwl1 solve` prints and a sweep records as fail_reason
         assert str(caught.value) == "LP solve failed at iteration 1: system A x = b is infeasible"
         assert caught.value.history == []
-        assert caught.value.start is None  # a first LP that raises hands nothing on
+        assert unit_lp == []  # a first LP that raises leaves nothing to share
 
     def test_nonpositive_weights_reported_with_iteration(self):
         # none clamp + tiny fixed eps drives the w1 raw weights negative
@@ -184,28 +184,28 @@ class TestReweightedL1:
         return inst.a, inst.b, WeightScheme("w1", p=1.0)
 
     def test_failed_run_carries_its_unit_weight_lp(self):
+        # the list keeps the unit-weight LP the run certified before it raised
         a, b, scheme = self.fails_at_third_lp()
+        unit_lp, l1_lp = [], []
         with pytest.raises(ReweightedSolveError, match="iteration 3: weights left") as caught:
-            reweighted_l1(a, b, scheme)
-        l1 = reweighted_l1(a, b, WeightScheme("l1"))
-        start = caught.value.start
-        assert len(caught.value.history) == 2
-        assert start[0].tobytes() == l1.start[0].tobytes() and start[1:3] == l1.start[1:3]
-        assert start[3].basis.tolist() == l1.start[3].basis.tolist()
+            reweighted_l1(a, b, scheme, unit_lp=unit_lp)
+        reweighted_l1(a, b, WeightScheme("l1"), unit_lp=l1_lp)
+        assert len(caught.value.history) == 2 and len(unit_lp) == len(l1_lp) == 1
+        (x, objective, pivots, sol), (l1_x, l1_objective, l1_pivots, l1_sol) = unit_lp[0], l1_lp[0]
+        assert x.tobytes() == l1_x.tobytes() and (objective, pivots) == (l1_objective, l1_pivots)
+        assert sol.basis.tolist() == l1_sol.basis.tolist()
 
     def test_error_pickles_with_its_run(self):
-        empty = pickle.loads(pickle.dumps(ReweightedSolveError([], "x", None)))
+        empty = pickle.loads(pickle.dumps(ReweightedSolveError([], "x")))
         assert type(empty) is ReweightedSolveError
         assert str(empty) == "LP solve failed at iteration 1: x"
-        assert (empty.history, empty.start) == ([], None)
+        assert (empty.history, empty.cause) == ([], "x")
         a, b, scheme = self.fails_at_third_lp()
         with pytest.raises(ReweightedSolveError) as caught:
             reweighted_l1(a, b, scheme)
         copied = pickle.loads(pickle.dumps(caught.value))
         assert str(copied) == str(caught.value)
-        assert copied.history == caught.value.history
-        assert copied.start[0].tobytes() == caught.value.start[0].tobytes()
-        assert copied.start[3].binv.tobytes() == caught.value.start[3].binv.tobytes()
+        assert copied.history == caught.value.history and len(copied.history) == 2
 
     def test_error_crosses_a_process_pool(self):
         # the worker's error reaches the caller, not a broken pool
@@ -282,18 +282,29 @@ class TestReweightedL1:
         assert np.max(np.abs(a @ res.x_hat - b)) <= 1e-9
 
     @pytest.mark.parametrize("kind", ["cwb", "w1", "w2"])
-    def test_handed_on_first_lp_keeps_its_rows(self, kind):
+    def test_handed_on_first_lp_keeps_its_rows(self, kind, monkeypatch):
         # row 7 repeats row 2, so phase I of the unit-weight LP keeps 49 rows;
-        # a run handed that LP solves its later LPs on the rows it names, as a
-        # run that solves its own first LP does
+        # a run handed that LP in a filled list solves no unit-weight LP and
+        # solves its later LPs on the rows it names, as a run of its own does
         inst = make_instance(DistributionSpec.default("normal"), 50, 200, 20, 1)
         a = inst.a.copy()
         a[7] = a[2]
         b = a @ inst.x_true
-        l1 = reweighted_l1(a, b, WeightScheme("l1"))
-        assert l1.start[3].rows.size == 49
+        unit_lp = []
+        reweighted_l1(a, b, WeightScheme("l1"), unit_lp=unit_lp)
+        (lp,) = unit_lp
+        assert lp[3].rows.size == 49
         alone = reweighted_l1(a, b, WeightScheme(kind))
-        handed = reweighted_l1(a, b, WeightScheme(kind), start=l1.start)
+        real, cold = rwl1.solver.weighted_l1_lp, []
+
+        def spy(w, a, b, **kw):
+            cold.append(kw["initial_basis"] is None)
+            return real(w, a, b, **kw)
+
+        monkeypatch.setattr(rwl1.solver, "weighted_l1_lp", spy)
+        handed = reweighted_l1(a, b, WeightScheme(kind), unit_lp=unit_lp)
+        assert len(cold) == len(handed.history) - 1 and not any(cold)
+        assert len(unit_lp) == 1 and unit_lp[0] is lp
         assert len(alone.history) >= 3
         assert handed.history == alone.history
         assert handed.x_hat.tobytes() == alone.x_hat.tobytes()
