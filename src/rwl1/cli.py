@@ -200,9 +200,9 @@ def _config(args, rule: str, eps0: float | None) -> SolverConfig:
                         clamp=WeightClamp(args.clamp, floor=args.clamp_floor))
 
 
-def _write_text(path: str, text: str):
+def _write_text(path: str, text: str, mode: str = "w"):
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, mode, encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
@@ -251,6 +251,8 @@ def _run_grid(args, k_values, members, table) -> int:
         spec = SweepSpec(dist=_dist_from_args(args), m=args.m, n=args.n,
                          k_values=tuple(k_values), schemes=tuple(pair for _, pair in members),
                          trials=args.trials, seed_base=args.seed, paired=not args.unpaired)
+    if args.out:
+        _write_text(args.out, "", "a")  # an unwritable --out fails before any trial
     result = sweep(spec, workers=args.workers)
     summary = sys.stdout if args.out else sys.stderr
     print(f"{'scheme':<10}{'cells':>6}{'trials':>8}{'mean rate':>11}{'mean iters':>12}"

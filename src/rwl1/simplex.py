@@ -47,11 +47,11 @@ crash, formed or adopted, goes to phase I when it misses that check or when
 its basic point is not primal-feasible by the rule that certifies the
 answer: no basic value below -feas_tol and a residual within feas_tol.
 When phase I drops redundant rows, the optimal basis spans the kept rows
-only and the solution names them, so that a caller can warm-start later LPs
-on those rows.  Either way the result passes the same explicit
-certification checks, on its primal residual and on the reduced costs
-recomputed from the final basis inverse, which raise CertificationError
-and, unlike asserts, also run under ``python -O``.
+only and the solution names them; a solve on the same a_eq that starts
+from it pivots on those rows.  Either way the result passes the same
+explicit certification checks, on its primal residual on every row and on
+the reduced costs recomputed from the final basis inverse, which raise
+CertificationError and, unlike asserts, also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -200,12 +200,13 @@ class LPSolution:
     made by the stall guard's Bland rule.  ``refactors`` counts the rebuilds
     of B^-1 from scratch after a basis was first inverted or adopted.
 
-    A solution is the ``initial_basis`` of another LP on the same rows:
-    ``binv`` is its basis's B^-1, ``updates`` the pivots that have updated
-    that inverse since it was last formed from scratch, and ``problem`` the
-    problem whose rows the basis spans (None when phase I dropped rows).  A
-    solve adopts copies of the basis and the inverse, so one solution can
-    start any number of solves."""
+    A solution is the ``initial_basis`` of another LP: ``binv`` is its
+    basis's B^-1, ``updates`` the pivots that have updated that inverse
+    since it was last formed from scratch, and ``problem`` the problem it
+    solved.  An LP on that problem's very a_eq pivots on ``rows``; an LP on
+    any other matrix needs as many rows as the basis has columns.  A solve
+    adopts copies of the basis and the inverse, so one solution can start
+    any number of solves."""
 
     z: np.ndarray
     objective: float
@@ -258,13 +259,14 @@ class _Basis:
 
     def adopt(self, s: np.ndarray, start: LPSolution, b: np.ndarray) -> None:
         """Take copies of ``start``'s basis and B^-1 as a basis of s, with its
-        update count; right-hand side b.  On the matrix it was updated on the
-        inverse goes on unchecked, as it would within one solve; on any other
-        it raises CertificationError where a formed one would."""
+        update count; right-hand side b.  On the very a_eq of the problem it
+        solved, the inverse goes on unchecked, as it would within one solve;
+        on any other matrix, the kept rows of that a_eq included, it raises
+        CertificationError where a formed one would."""
         self.s, self.b = s, b
         self.basis = np.array(start.basis, dtype=int)
         self.binv = start.binv.copy()
-        if start.problem is None or start.problem.a_eq is not s:
+        if start.problem.a_eq is not s:
             if len(self.basis) != s.shape[0]:
                 raise CertificationError(f"basis of {len(self.basis)} columns "
                                          f"for {s.shape[0]} rows")
@@ -418,7 +420,8 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
     column indices in [0, n) falls back to phase I, and one with another
     entry raises ValueError.  ``initial_basis`` is column indices, whose
     B^-1 the solve forms, or another solve's LPSolution, whose B^-1 it
-    adopts; both are vetted alike.
+    adopts; both are vetted alike.  An LPSolution of this very a_eq is
+    square on the rows its phase I kept, and the solve pivots on those.
     ``problem`` is an LPProblem or the split LP of weighted_l1_lp, whose
     residual is taken at x = u - v.
     """
@@ -429,16 +432,19 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
     budget = default_pivot_budget(m, n)
     rows = state = None
     if initial_basis is not None:
-        idx = np.asarray(initial_basis.basis if isinstance(initial_basis, LPSolution)
-                         else initial_basis)
+        warm = isinstance(initial_basis, LPSolution)
+        idx = np.asarray(initial_basis.basis if warm else initial_basis)
         if (idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu"
                 or not np.all((idx >= 0) & (idx < n))):
             raise ValueError(f"initial_basis must list integer column indices in [0, {n})")
+        # a solution of this very a_eq pivots on the rows its phase I kept
+        kept = initial_basis.rows if warm and initial_basis.problem.a_eq is a else None
         try:  # a start that does not invert, or is infeasible, falls back to phase I
-            cand = _Basis(a, initial_basis, b, budget)
+            cand = (_Basis(a, initial_basis, b, budget) if kept is None
+                    else _Basis(a[kept], initial_basis, b[kept], budget))
             if (cand.values().min(initial=0.0) >= -feas_tol
                     and _residual(problem, cand.point(n)) <= feas_tol):
-                state = cand
+                state, rows = cand, kept
         except CertificationError:
             pass
 
@@ -467,8 +473,7 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
     return LPSolution(z, float(c @ z), state.pivots, state.basis,
                       phase1_pivots=state.phase1_pivots, refactors=state.refactors,
                       degenerate_pivots=state.degenerate, guard_pivots=state.guarded,
-                      rows=rows, binv=state.binv, updates=state.updates,
-                      problem=problem if rows is None else None)
+                      rows=rows, binv=state.binv, updates=state.updates, problem=problem)
 
 
 def _certified_point(problem: LPProblem, state: _Basis, c: np.ndarray,
@@ -523,23 +528,23 @@ def _drive_out_artificials(state: _Basis, n: int) -> np.ndarray:
                          np.delete(state.b, drop))
 
 
-def _crash_basis(am: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
-    """Feasible starting basis for the split LP, if the ranked columns allow.
+def _crash_basis(am: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """Starting basis for the split LP, feasible when the ranked columns allow.
 
     Takes the m columns of A with the largest magnitudes in _crash_ranking's
     iterate, in rank order with ties to the lower index; for each, the
     u-copy or the v-copy is picked so the basic values come out
     nonnegative.  A zero iterate ranks the columns in index order, which
-    gives the leading m columns.  Returns None when the picked block is
-    exactly singular or not square; solve_standard_form vets the rest like
-    any basis.
+    gives the leading m columns.  When the picked block is exactly singular
+    (or A has fewer than m columns) it returns their u-copies, which do not
+    invert either, so solve_standard_form's vetting sends them to phase I.
     """
     m, n = am.shape
     picked = np.argsort(-np.abs(_crash_ranking(am, bv)), kind="stable")[:m]
     try:
         x = np.linalg.solve(am[:, picked], bv)
     except np.linalg.LinAlgError:
-        return None
+        return picked
     return np.where(x >= 0, picked, picked + n)
 
 
@@ -548,34 +553,26 @@ def _crash_ranking(am: np.ndarray, bv: np.ndarray) -> np.ndarray:
 
     Starts from the min-norm solution A^T (A A^T)^-1 b and takes
     CRASH_IRLS_STEPS steps x <- D A^T (A D A^T)^-1 b with
-    D = diag((|x| + eps)^2), eps = CRASH_IRLS_EPS * max|x| of the min-norm
-    solution (Chartrand and Yin, ICASSP 2008).  A step that fails ends the
-    loop with the last good iterate, which is all zeros if the min-norm
-    step fails.
+    D = diag(s^2), s = |x| + eps, eps = CRASH_IRLS_EPS * max|x| of the
+    min-norm solution (Chartrand and Yin, ICASSP 2008).  A step whose solve
+    raises LinAlgError or gives a non-finite or all-zero x ends the loop with
+    the last good iterate, all zeros if the min-norm step fails.
     """
-    x = _min_weighted_norm(am, bv, np.ones(am.shape[1]))
-    if x is None:
-        return np.zeros(am.shape[1])
-    eps = CRASH_IRLS_EPS * float(np.abs(x).max())
-    for _ in range(CRASH_IRLS_STEPS):
-        step = _min_weighted_norm(am, bv, np.abs(x) + eps)
-        if step is None:
+    x, eps = np.zeros(am.shape[1]), None
+    for _ in range(CRASH_IRLS_STEPS + 1):
+        s = np.ones(am.shape[1]) if eps is None else np.abs(x) + eps
+        scaled = am * s  # A D A^T = (A S)(A S)^T
+        try:
+            y = np.linalg.solve(scaled @ scaled.T, bv)
+        except np.linalg.LinAlgError:
+            break
+        step = s * (scaled.T @ y)
+        if not (np.isfinite(step).all() and step.any()):
             break
         x = step
+        if eps is None:
+            eps = CRASH_IRLS_EPS * float(np.abs(x).max())
     return x
-
-
-def _min_weighted_norm(am: np.ndarray, bv: np.ndarray, s: np.ndarray) -> np.ndarray | None:
-    """D A^T (A D A^T)^-1 b with D = diag(s^2), the solution of A x = b with
-    the least sum of (x_i / s_i)^2; None when the solve raises LinAlgError
-    or gives a non-finite or all-zero x."""
-    scaled = am * s  # A D A^T = (A S)(A S)^T
-    try:
-        y = np.linalg.solve(scaled @ scaled.T, bv)
-    except np.linalg.LinAlgError:
-        return None
-    x = s * (scaled.T @ y)
-    return x if np.isfinite(x).all() and x.any() else None
 
 
 def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
@@ -590,14 +587,13 @@ def weighted_l1_lp(w, a, b, feas_tol: float = FEAS_TOL,
     reuses the [A, -A] it formed and skips validating them again, so they
     must not have been changed in place since.  Returns
     (x, objective, pivots, solution) with the certified LPSolution of the
-    split LP, whose ``basis`` holds the optimal basis's column indices;
-    ``solution.rows`` is None unless phase I dropped redundant rows, and then
-    holds the kept rows: the solution is a warm start for the same LP on
-    A[rows], b[rows].  Raises ValueError for an ``initial_basis`` entry that
-    is not a column index of the split LP, and propagates the simplex's
-    errors: LPInfeasibleError if the system has no solution, and
-    SimplexStalledError or CertificationError; LPUnboundedError cannot
-    arise under positive weights.
+    split LP, whose ``basis`` holds the optimal basis's column indices; the
+    solution is a warm start for the next LP on the same A and b, also when
+    phase I dropped redundant rows.  Raises ValueError for an
+    ``initial_basis`` entry that is not a column index of the split LP, and
+    propagates the simplex's errors: LPInfeasibleError if the system has no
+    solution, and SimplexStalledError or CertificationError;
+    LPUnboundedError cannot arise under positive weights.
     """
     prev = initial_basis.problem if isinstance(initial_basis, LPSolution) else None
     if isinstance(prev, _SplitLP) and prev.a is a and prev.b_eq is b:

@@ -16,12 +16,10 @@ update count, and the [A, -A] it formed.  The next LP adopts a copy of the
 inverse instead of inverting the basis, and takes it only if its basic point
 is primal-feasible within feas_tol, else it runs phase I.  The first LP has
 unit weights for every scheme, so the runs on one system can share it
-through one list.  When phase I of the first LP drops redundant rows of A,
-the later LPs solve on the kept rows, which the returned basis spans, and
-adopt its inverse there.  Every iterate is certified by its own primal
-residual on all rows; a miss raises ReweightedSolveError caused by a
-CertificationError, which a sweep records as a failed trial with the LPs of
-the error's history.
+through one list.  Every iterate is certified by its own primal residual on
+all rows; a miss raises ReweightedSolveError caused by a CertificationError,
+which a sweep records as a failed trial with the LPs of the error's
+history.
 """
 
 from __future__ import annotations
@@ -179,12 +177,11 @@ def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfi
     history: list[IterationRecord] = []
 
     def solve(w, eps, basis, lp=None):
-        """Certified LP solve on ``lp_a``, ``lp_b`` from ``basis``, or the
-        solved ``lp``; appends its record and returns the LP's (x, objective,
-        pivots, LPSolution)."""
+        """Certified LP solve from ``basis``, or the solved ``lp``; appends
+        its record and returns the LP's (x, objective, pivots, LPSolution)."""
         try:
             if lp is None:
-                lp = weighted_l1_lp(w, lp_a, lp_b, initial_basis=basis)
+                lp = weighted_l1_lp(w, am, bv, initial_basis=basis)
             x, objective, pivots, _ = lp
             record = _record(scheme, x, eps, objective, pivots, am, bv)
             if record.residual_inf > config.feas_tol:
@@ -196,25 +193,21 @@ def reweighted_l1(a, b, scheme: WeightScheme, config: SolverConfig = SolverConfi
         return lp
 
     eps = config.schedule.eps0
-    lp_a, lp_b = am, bv
     unit_lp = [] if unit_lp is None else unit_lp
     unit_lp[:] = [solve(np.ones(n), eps, None, unit_lp[0] if unit_lp else None)]
     x, _, _, basis = unit_lp[0]
-    if basis.rows is not None:
-        # phase I dropped redundant rows; the later LPs leave them out too, so
-        # that they can warm-start from the previous basis
-        lp_a, lp_b = am[basis.rows], bv[basis.rows]
 
     if scheme.kind == "l1":
         return ReweightedResult(x_hat=x, history=history)
 
     while len(history) < config.max_iter:
         w = weights(scheme, x, eps, config.clamp)
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            # reachable only with the "none" clamp: the raw weight formula
-            # left its valid domain, making the LP subproblem unbounded
-            raise ReweightedSolveError(history, f"weights left the positive domain "
-                                                f"(min {np.min(w):.3g}, eps {eps:g})")
+        nonfinite, nonpositive = np.count_nonzero(~np.isfinite(w)), np.count_nonzero(w <= 0)
+        if nonfinite or nonpositive:
+            # the raw weights left their domain: negative under the "none" clamp, and
+            # inf or nan (log 1 = 0) where |x_i| + eps = 0.5 for w1 at p = 1 or w2 at q = 1
+            raise ReweightedSolveError(history, f"weights left the positive domain ({nonfinite} "
+                                                f"non-finite, {nonpositive} nonpositive, eps {eps:g})")
         x_new, _, _, basis = solve(w, eps, basis)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new

@@ -432,6 +432,7 @@ BAD_FLAGS = [
      "schemes must be distinct"),
     (["sweep", "--m", "10", "--n", "30", "--k", "2,2", "--schemes", "l1", "--trials", "1"],
      "k values must be distinct"),
+    (["sweep", "--k", "2", "--trials", "1", "--out", "{tmp}/missing/x.csv"], "cannot write"),
 ]
 
 

@@ -399,12 +399,21 @@ class TestWarmStart:
         assert objective == pytest.approx(fresh[1], abs=1e-9)
         assert np.max(np.abs(a @ x - b)) <= 1e-9
 
-    def test_short_start_falls_back_to_phase_one(self):
-        # a start on 49 kept rows handed to the LP on all 50
+    def test_short_start_warm_starts_its_own_lp(self):
+        # a start on 49 kept rows handed back with the very a and b it solved
         a, b = special_instance("rowdrop")
         (_, objective, _, start), _ = split_solve(np.ones(200), a, b)
         assert start.rows.size == 49 and len(start.basis) == 49
         (_, again, *_), sol = split_solve(np.ones(200), a, b, initial_basis=start)
+        assert sol.phase1_pivots == 0 and sol.pivots == 0
+        assert again == pytest.approx(objective, abs=1e-9)
+        np.testing.assert_array_equal(sol.rows, start.rows)
+
+    def test_short_start_falls_back_to_phase_one(self):
+        # the same start handed to the LP on all 50 rows of another matrix
+        a, b = special_instance("rowdrop")
+        (_, objective, _, start), _ = split_solve(np.ones(200), a, b)
+        (_, again, *_), sol = split_solve(np.ones(200), a.copy(), b, initial_basis=start)
         assert sol.phase1_pivots > 0
         assert again == pytest.approx(objective, abs=1e-9)
 
@@ -568,14 +577,16 @@ class TestRowDrop:
         (x, obj, _, basis), sol = split_solve(w, a, b)
         rows = basis.rows
         assert sol.phase1_pivots > 0
+        assert len(_crash_basis(a, b)) == len(a)  # a singular start, vetted like any other
         oracle = enumerate_weighted_l1_optimum(w, a[independent], b[independent])
         assert obj == pytest.approx(oracle, abs=1e-8)
         assert np.max(np.abs(a @ x - b)) <= 1e-9
         np.testing.assert_array_equal(rows, independent)
         np.testing.assert_array_equal(sol.rows, independent)
-        _, warm_obj, pivots, *_ = weighted_l1_lp(w, a[rows], b[rows], initial_basis=basis)
-        assert pivots == 0
-        assert warm_obj == pytest.approx(obj, abs=1e-9)
+        for rows_a, rows_b in ((a[rows], b[rows]), (a, b)):  # on the kept rows or all of them
+            _, warm_obj, pivots, *_ = weighted_l1_lp(w, rows_a, rows_b, initial_basis=basis)
+            assert pivots == 0
+            assert warm_obj == pytest.approx(obj, abs=1e-9)
 
 
 class TestSplitPricing:
