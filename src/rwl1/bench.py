@@ -33,6 +33,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -73,7 +74,12 @@ class SweepSpec:
     paired: bool = True  # every scheme of a (k, trial) solves the same instance
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
+        ks = tuple(self.k_values)
+        for name, value in [("m", self.m), ("n", self.n), ("trials", self.trials),
+                            ("seed_base", self.seed_base), *(("k", k) for k in ks)]:
+            if not isinstance(value, Integral):  # numpy integers are Integral too
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+        object.__setattr__(self, "k_values", tuple(int(k) for k in ks))
         object.__setattr__(self, "schemes", tuple(self.schemes))
         if not 1 <= self.trials <= MAX_INDEX:
             raise ValueError(f"trials must be in [1, {MAX_INDEX}], got {self.trials}")

@@ -35,22 +35,19 @@ and every other end raises a SolverError.  An LPSolution carries its basis
 with its B^-1, so it is itself a warm start.  Between the LPs of a
 reweighting run only the cost vector (w, w) changes, so the previous optimal
 basis is still primal-feasible and the next LP can start phase II from it
-directly (warm start; Chvatal, Linear Programming, 1983).  That LP adopts a
-copy of the B^-1 instead of inverting the basis again, and REFACTOR_EVERY
-counts the updates since the inverse was last formed across the LPs it
-passes through.
-Every B^-1 the solve forms, refactors included, missing B B^-1 = I by more
-than BASIS_INVERSE_TOL raises CertificationError.  An adopted B^-1 goes
-unchecked only on the very matrix it was updated on, as it would within one
-solve; on any other it must meet the same bound.  A supplied basis, warm or
-crash, formed or adopted, goes to phase I when it misses that check or when
-its basic point is not primal-feasible by the rule that certifies the
-answer: no basic value below -feas_tol and a residual within feas_tol.
-When phase I drops redundant rows, the optimal basis spans the kept rows
-only and the solution names them; a solve on the same a_eq that starts
-from it pivots on those rows.  Either way the result passes the same
-explicit certification checks, on its primal residual on every row and on
-the reduced costs recomputed from the final basis inverse, which raise
+directly (warm start; Chvatal, Linear Programming, 1983).  On the very a_eq
+it solved, that LP goes on from a copy of the B^-1, unchecked, as it would
+within one solve, on the rows the solution's phase I kept, and
+REFACTOR_EVERY counts the updates since the inverse was last formed across
+the LPs it passes through.  Any other start, a solution of another matrix
+included, is its column indices, whose B^-1 the solve forms.  Every B^-1 the
+solve forms, refactors included, missing B B^-1 = I by more than
+BASIS_INVERSE_TOL raises CertificationError.  A supplied basis goes to
+phase I when it misses that check or when its basic point is not
+primal-feasible by the rule that certifies the answer: no basic value below
+-feas_tol and a residual within feas_tol.  Either way the result passes the
+same explicit certification checks, on its primal residual on every row and
+on the reduced costs recomputed from the final basis inverse, which raise
 CertificationError and, unlike asserts, also run under ``python -O``.
 """
 
@@ -198,15 +195,14 @@ class LPSolution:
     accepted; ``degenerate_pivots`` those whose leaving basic value was at
     most HARRIS_TOL, so that the step did not move; ``guard_pivots`` those
     made by the stall guard's Bland rule.  ``refactors`` counts the rebuilds
-    of B^-1 from scratch after a basis was first inverted or adopted.
+    of B^-1 from scratch after a basis was first inverted or taken over.
 
     A solution is the ``initial_basis`` of another LP: ``binv`` is its
     basis's B^-1, ``updates`` the pivots that have updated that inverse
     since it was last formed from scratch, and ``problem`` the problem it
-    solved.  An LP on that problem's very a_eq pivots on ``rows``; an LP on
-    any other matrix needs as many rows as the basis has columns.  A solve
-    adopts copies of the basis and the inverse, so one solution can start
-    any number of solves."""
+    solved.  An LP on that problem's very a_eq goes on from copies of the
+    basis and the inverse on ``rows``, so one solution can start any number
+    of solves; to an LP on any other matrix it is its column indices."""
 
     z: np.ndarray
     objective: float
@@ -217,9 +213,9 @@ class LPSolution:
     degenerate_pivots: int = 0
     guard_pivots: int = 0
     rows: np.ndarray | None = None
-    binv: np.ndarray | None = field(default=None, repr=False)
+    binv: np.ndarray = field(repr=False, kw_only=True)
     updates: int = 0
-    problem: LPProblem | _SplitLP | None = field(default=None, repr=False)
+    problem: LPProblem | _SplitLP = field(repr=False, kw_only=True)
 
 
 def default_pivot_budget(m: int, n: int) -> int:
@@ -233,14 +229,16 @@ class _Basis:
     or [a_eq, diag(sign b)] in phase I; ``rebase`` moves the state to
     another matrix and b, for phase II and when the drive-out drops a row.
     ``updates`` counts the pivots since B^-1 was last formed from scratch,
-    in this solve or, for an adopted LPSolution, in the solves before it.
+    in this solve or, from an LPSolution of s, whose basis and B^-1 are
+    copied unchecked, in the solves before it.
     """
 
     def __init__(self, s: np.ndarray, basis, b: np.ndarray, budget: float = np.inf):
         self.budget = budget
         self.pivots = self.phase1_pivots = self.degenerate = self.guarded = self.refactors = 0
-        if isinstance(basis, LPSolution):
-            self.adopt(s, basis, b)
+        if isinstance(basis, LPSolution):  # a solution of s: go on as within one solve
+            self.s, self.b, self.basis = s, b, np.array(basis.basis, dtype=int)
+            self.binv, self.updates = basis.binv.copy(), basis.updates
         else:
             self.rebase(s, basis, b)
 
@@ -254,29 +252,10 @@ class _Basis:
             self.binv = np.linalg.inv(bmat)
         except np.linalg.LinAlgError as exc:
             raise CertificationError(f"basis does not invert: {exc}") from exc
-        self._check(bmat)
-        self.updates = 0
-
-    def adopt(self, s: np.ndarray, start: LPSolution, b: np.ndarray) -> None:
-        """Take copies of ``start``'s basis and B^-1 as a basis of s, with its
-        update count; right-hand side b.  On the very a_eq of the problem it
-        solved, the inverse goes on unchecked, as it would within one solve;
-        on any other matrix, the kept rows of that a_eq included, it raises
-        CertificationError where a formed one would."""
-        self.s, self.b = s, b
-        self.basis = np.array(start.basis, dtype=int)
-        self.binv = start.binv.copy()
-        if start.problem.a_eq is not s:
-            if len(self.basis) != s.shape[0]:
-                raise CertificationError(f"basis of {len(self.basis)} columns "
-                                         f"for {s.shape[0]} rows")
-            self._check(s[:, self.basis])
-        self.updates = start.updates
-
-    def _check(self, bmat: np.ndarray) -> None:
         miss = float(np.max(np.abs(bmat @ self.binv - np.eye(len(bmat))), initial=0.0))
         if miss > BASIS_INVERSE_TOL:
             raise CertificationError(f"basis inverse misses B B^-1 = I by {miss:.3g}")
+        self.updates = 0
 
     def values(self) -> np.ndarray:
         """The basic values B^-1 b."""
@@ -419,9 +398,10 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
     no basic value below -feas_tol, phase I is skipped; any other basis of
     column indices in [0, n) falls back to phase I, and one with another
     entry raises ValueError.  ``initial_basis`` is column indices, whose
-    B^-1 the solve forms, or another solve's LPSolution, whose B^-1 it
-    adopts; both are vetted alike.  An LPSolution of this very a_eq is
-    square on the rows its phase I kept, and the solve pivots on those.
+    B^-1 the solve forms, or another solve's LPSolution.  One of this very
+    a_eq goes on from copies of its basis and B^-1 on the rows its phase I
+    kept; one of any other matrix counts as its column indices.  Both
+    kinds of start are vetted alike.
     ``problem`` is an LPProblem or the split LP of weighted_l1_lp, whose
     residual is taken at x = u - v.
     """
@@ -437,11 +417,13 @@ def solve_standard_form(problem: LPProblem, feas_tol: float = FEAS_TOL,
         if (idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu"
                 or not np.all((idx >= 0) & (idx < n))):
             raise ValueError(f"initial_basis must list integer column indices in [0, {n})")
-        # a solution of this very a_eq pivots on the rows its phase I kept
-        kept = initial_basis.rows if warm and initial_basis.problem.a_eq is a else None
+        # a solution of this very a_eq continues on the rows its phase I kept;
+        # any other start is its column indices
+        own = warm and initial_basis.problem.a_eq is a
+        start, kept = (initial_basis, initial_basis.rows) if own else (idx, None)
         try:  # a start that does not invert, or is infeasible, falls back to phase I
-            cand = (_Basis(a, initial_basis, b, budget) if kept is None
-                    else _Basis(a[kept], initial_basis, b[kept], budget))
+            cand = (_Basis(a, start, b, budget) if kept is None
+                    else _Basis(a[kept], start, b[kept], budget))
             if (cand.values().min(initial=0.0) >= -feas_tol
                     and _residual(problem, cand.point(n)) <= feas_tol):
                 state, rows = cand, kept

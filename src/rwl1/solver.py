@@ -12,14 +12,14 @@ LP after the first is warm-started from the previous LP's optimal basis,
 which is still primal-feasible; the simplex goes straight to phase II from
 it instead of from a fresh crash basis.  The previous LP hands on its whole
 end state, its simplex.LPSolution: the basis, its B^-1 and that inverse's
-update count, and the [A, -A] it formed.  The next LP adopts a copy of the
-inverse instead of inverting the basis, and takes it only if its basic point
-is primal-feasible within feas_tol, else it runs phase I.  The first LP has
-unit weights for every scheme, so the runs on one system can share it
-through one list.  Every iterate is certified by its own primal residual on
-all rows; a miss raises ReweightedSolveError caused by a CertificationError,
-which a sweep records as a failed trial with the LPs of the error's
-history.
+update count, and the [A, -A] it formed.  The next LP goes on from a copy of
+the inverse instead of inverting the basis, and takes it only if its basic
+point is primal-feasible within feas_tol, else it runs phase I.  The first
+LP has unit weights for every scheme, so the runs on one system can share
+it through one list.  Every iterate is certified by its own primal
+residual on all rows; a miss raises ReweightedSolveError caused by a
+CertificationError, which a sweep records as a failed trial with the LPs
+of the error's history.
 """
 
 from __future__ import annotations

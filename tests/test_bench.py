@@ -205,8 +205,8 @@ class TestPairedSweep:
         assert len(made) == len(lps) == 4 * 2 * 3
 
     def test_warm_lps_form_no_inverse(self, monkeypatch):
-        # perfbench's reweight-deep grid, pass 0 at seed 42.  A warm LP
-        # adopts the B^-1 the LP before it ended with, so the grid forms one
+        # perfbench's reweight-deep grid, pass 0 at seed 42.  A warm LP goes
+        # on from the B^-1 the LP before it ended with, so the grid forms one
         # only for its 36 cold LPs and for refactors: 400 of them under the
         # SkylakeX and Prescott kernels and 402 under Haswell, against 904
         # (905) when every LP inverted its start.  The refactors follow the
@@ -395,6 +395,15 @@ class TestSweep:
             small_spec(kinds=("w1", "cwb", "w1"))
         with pytest.raises(ValueError, match=r"k values must be distinct, got \(2, 3, 2\)"):
             small_spec(k_values=(2, 3, 2))
+        # a count, size, k or seed that is not a whole number; numpy integers pass
+        for name, kw in [("trials", dict(trials=2.5)), ("m", dict(m=10.5)),
+                         ("n", dict(n=30.5)), ("k", dict(k_values=(2.5,))),
+                         ("seed_base", dict(seed_base=1.5))]:
+            with pytest.raises(ValueError, match=f"^{name} must be a whole number, got "):
+                small_spec(**kw)
+        spec = small_spec(k_values=(np.int64(2),), trials=np.int32(5), seed_base=np.uint64(42),
+                          m=np.int64(10), n=np.int16(30))
+        assert spec.k_values == (2,) and type(spec.k_values[0]) is int
         with pytest.raises(ValueError, match="workers must be >= 1"):
             sweep(small_spec(), workers=0)
         with pytest.raises(ValueError, match="nonempty"):

@@ -323,10 +323,11 @@ class TestInitialBasis:
 
 
 class TestWarmStart:
-    """An optimal LPSolution hands the next LP of a run the basis and B^-1 the
-    last LP ended on: the solve adopts copies of them instead of inverting,
-    vets the basic point like any supplied basis and falls back to phase I on
-    a miss."""
+    """An optimal LPSolution hands the next LP on the very same matrix the
+    basis and B^-1 the last LP ended on: the solve takes copies of them
+    instead of inverting, vets the basic point like any supplied basis and
+    falls back to phase I on a miss.  To an LP on any other matrix the
+    solution is its column indices, whose B^-1 the solve forms."""
 
     @staticmethod
     def run_start():
@@ -359,7 +360,7 @@ class TestWarmStart:
             formed.clear()
             (x, objective, pivots, after), sol = split_solve(w, a, b, initial_basis=start)
             assert pivots > 0 and sol.phase1_pivots == 0
-            assert len(formed) == sol.refactors  # adopted, not inverted
+            assert len(formed) == sol.refactors  # copied, not inverted
             assert start.binv.tobytes() == binv and start.basis.tobytes() == basis
             runs.append((x.tobytes(), objective, pivots, sol.z.tobytes(),
                          after.binv.tobytes(), after.basis.tobytes(), after.updates))
@@ -369,12 +370,13 @@ class TestWarmStart:
                                                ("copied", "orthogonal")])
     def test_drifted_inverse_falls_back_to_phase_one(self, system, drift):
         # B^-1 off by 1e-8 in every entry ("uniform"), or by 1e-3 in rows
-        # orthogonal to b ("orthogonal").  On the same A and b the LP reuses
-        # their [A, -A] and the adopted inverse goes on unchecked, as within
-        # one solve; on a copy it must first meet B B^-1 = I.  The uniform
-        # drift meets it but moves the basic point far outside the residual
-        # bound; the orthogonal one keeps the point and misses B B^-1 = I.
-        # Either way the solve runs phase I and certifies a fresh start's optimum.
+        # orthogonal to b ("orthogonal").  The uniform drift meets B B^-1 = I
+        # but moves the basic point far outside the residual bound; the
+        # orthogonal one keeps the point and misses B B^-1 = I.  On the same
+        # A and b the LP reuses their [A, -A] and the carried inverse goes on
+        # unchecked, as within one solve, so the vetting of its point sends
+        # the solve to phase I.  On a copy the solution is its column indices:
+        # the solve forms their B^-1 and takes a fresh start's path to the bit.
         a, b, start, w = self.run_start()
         fresh = weighted_l1_lp(w, a, b, initial_basis=start.basis)
         if drift == "uniform":
@@ -394,10 +396,14 @@ class TestWarmStart:
             assert miss > BASIS_INVERSE_TOL and residual <= 1e-9
         if system == "copied":
             a, b = a.copy(), b.copy()
-        (x, objective, *_), sol = split_solve(w, a, b, initial_basis=drifted)
-        assert sol.phase1_pivots > 0
-        assert objective == pytest.approx(fresh[1], abs=1e-9)
-        assert np.max(np.abs(a @ x - b)) <= 1e-9
+        (x, objective, pivots, _), sol = split_solve(w, a, b, initial_basis=drifted)
+        if system == "copied":
+            assert sol.phase1_pivots == 0
+            assert (x.tobytes(), objective, pivots) == (fresh[0].tobytes(), *fresh[1:3])
+        else:
+            assert sol.phase1_pivots > 0
+            assert objective == pytest.approx(fresh[1], abs=1e-9)
+            assert np.max(np.abs(a @ x - b)) <= 1e-9
 
     def test_short_start_warm_starts_its_own_lp(self):
         # a start on 49 kept rows handed back with the very a and b it solved
@@ -408,6 +414,11 @@ class TestWarmStart:
         assert sol.phase1_pivots == 0 and sol.pivots == 0
         assert again == pytest.approx(objective, abs=1e-9)
         np.testing.assert_array_equal(sol.rows, start.rows)
+
+    def test_solution_needs_its_inverse_and_problem(self):
+        # a hand-built solution without them could not start a solve
+        with pytest.raises(TypeError, match="'binv' and 'problem'"):
+            LPSolution(np.array([1.0, 0.0]), 1.0, 1, np.array([0]))
 
     def test_short_start_falls_back_to_phase_one(self):
         # the same start handed to the LP on all 50 rows of another matrix
@@ -593,9 +604,8 @@ class TestSplitPricing:
     """weighted_l1_lp pivots on the [A, -A] it forms; the same LP written out
     as LPProblem(c=[w, w], a_eq=[A, -A]) must take the same path to the bit,
     from the crash basis and through phase I from a rejected start, with or
-    without a dropped row.  The warm LP hands both the cold split LP's
-    LPSolution; the generic LP, on another matrix object, adopts its B^-1
-    only after checking B B^-1 = I."""
+    without a dropped row.  Each path's warm LP then starts from that path's
+    own cold LPSolution, on all rows of the same matrix."""
 
     @pytest.mark.parametrize("system, start", [
         pytest.param(3, "crash", id="3"),
@@ -616,13 +626,15 @@ class TestSplitPricing:
             a, b = inst.a, inst.b
             rng = np.random.default_rng(system)
         assert (b < 0).any() and (b > 0).any()  # some rows are flipped, some not
-        basis = _crash_basis(a, b) if start == "crash" else [0] * 50  # [0] * 50 is singular
+        a_eq = np.hstack([a, -a])  # one matrix, so the generic LP's solution is its own
+        # [0] * 50 is singular
+        split_start = generic_start = _crash_basis(a, b) if start == "crash" else [0] * 50
         phase1 = []
         for w in (np.ones(200), rng.uniform(0.1, 10.0, size=200)):  # cold, then warm
-            full = LPProblem(c=np.concatenate([w, w]), a_eq=np.hstack([a, -a]), b_eq=b)
-            generic = solve_standard_form(full, initial_basis=basis)
+            full = LPProblem(c=np.concatenate([w, w]), a_eq=a_eq, b_eq=b)
+            generic = solve_standard_form(full, initial_basis=generic_start)
             (x, objective, pivots, split_basis), split = split_solve(
-                w, a, b, initial_basis=basis)
+                w, a, b, initial_basis=split_start)
             rows = split_basis.rows
             assert generic.pivots > 0
             assert split.z.tobytes() == generic.z.tobytes()
@@ -634,9 +646,8 @@ class TestSplitPricing:
             assert (rows is None) == (generic.rows is None)
             if rows is not None:
                 np.testing.assert_array_equal(rows, generic.rows)
-                a, b = a[rows], b[rows]  # the warm LP solves on the kept rows
             assert x.tobytes() == (generic.z[:200] - generic.z[200:]).tobytes()
-            basis = split_basis
+            split_start, generic_start = split_basis, generic
             phase1.append(split.phase1_pivots)
         # the cold LP ran phase I exactly when its start was rejected; the warm one never did
         assert (phase1[0] > 0) == (start == "rejected" or system == "rowdrop")

@@ -254,8 +254,8 @@ class TestReweightedL1:
 
     def test_row_drop_keeps_warm_starts(self, monkeypatch):
         # phase I of the first LP deletes the repeated row; the later LPs
-        # start from the previous optimal basis on the rows it kept, and
-        # adopt its B^-1: they form an inverse only to refactor
+        # start from the previous optimal basis on the rows it kept, and go
+        # on from a copy of its B^-1: they form an inverse only to refactor
         sols, formed = [], []  # formed: the inverses of each solve
         real, rebase = rwl1.simplex.solve_standard_form, rwl1.simplex._Basis.rebase
 
@@ -369,7 +369,8 @@ class TestReweightedL1:
 
 @pytest.mark.parametrize("record", [
     LPProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]),
-    LPSolution(np.array([1.0, 0.0]), 1.0, 1, np.array([0])),
+    LPSolution(np.array([1.0, 0.0]), 1.0, 1, np.array([0]), binv=np.eye(1),
+               problem=LPProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])),
     ReweightedResult(np.array([1.0, 0.0])),
     make_instance(DistributionSpec.default("normal"), 2, 4, 1, 7),
 ], ids=lambda record: type(record).__name__)
